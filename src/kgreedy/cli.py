@@ -137,15 +137,7 @@ def _cmd_gen(args) -> int:
                 json.dump(script, fh)
                 fh.write("\n")
     elif args.what == "random-dag":
-        spec = generators.RandomNetSpec(
-            node_count=args.nodes,
-            edge_count=args.edges,
-            max_normal_len=args.max_len,
-            max_crashable=args.max_crashable,
-            cost_range=(args.cost_min, args.cost_max),
-            seed=args.seed,
-        )
-        _emit(network.network_to_json(generators.random_network(spec)))
+        _emit(network.network_to_json(generators.random_network(_net_spec(args, args.seed))))
     elif args.what == "random-seq":
         print(klis.format_sequence(generators.random_sequence(args.n, args.range, args.seed)))
     return EXIT_OK
@@ -153,8 +145,8 @@ def _cmd_gen(args) -> int:
 
 # -- experiment -------------------------------------------------------------------
 
-def _crashing_trial(args, seed: int):
-    spec = generators.RandomNetSpec(
+def _net_spec(args, seed: int) -> generators.RandomNetSpec:
+    return generators.RandomNetSpec(
         node_count=args.nodes,
         edge_count=args.edges,
         max_normal_len=args.max_len,
@@ -162,7 +154,10 @@ def _crashing_trial(args, seed: int):
         cost_range=(args.cost_min, args.cost_max),
         seed=seed,
     )
-    net = generators.random_network(spec)
+
+
+def _crashing_trial(args, seed: int):
+    net = generators.random_network(_net_spec(args, seed))
     if network.k_max(net) < args.k:
         return None
     greedy = crashing.greedy_crash(net, args.k).total_cost
@@ -172,54 +167,66 @@ def _crashing_trial(args, seed: int):
     return greedy, opt, ratio, bound, ratio <= bound
 
 
-def _klis_trial(args, seed: int):
-    if args.generator == "matrix":
-        k = args.k
-        values, script = generators.matrix_sequence(k)
-        greedy = klis.greedy_klis_scripted(values, k, script).total_length
-        try:
-            opt = oracle.exact_klis(values, k).total_length
-        except BudgetExceededError:
-            # certified constructively: k disjoint increasing copies of 1..k
-            parts = generators.matrix_optimal_parts(k)
-            assert sorted(i for p in parts for i in p) == list(range(k * k))
-            assert all(
-                a < b and values[a] < values[b]
-                for p in parts for a, b in zip(p, p[1:])
-            )
-            opt = k * k
-    else:
-        values = generators.random_sequence(args.length, args.range, seed)
-        greedy = klis.greedy_klis(values, args.k).total_length
-        opt = oracle.exact_klis(values, args.k).total_length
+def _klis_outcome(k: int, greedy: int, opt: int):
     ratio = Fraction(greedy, opt) if opt else Fraction(1)
-    bound = klis.total_ratio_bound(args.k)
+    bound = klis.total_ratio_bound(k)
     return Fraction(greedy), Fraction(opt), ratio, bound, ratio >= bound
+
+
+def _klis_random_trial(args, seed: int):
+    values = generators.random_sequence(args.length, args.range, seed)
+    greedy = klis.greedy_klis(values, args.k).total_length
+    opt = oracle.exact_klis(values, args.k).total_length
+    return _klis_outcome(args.k, greedy, opt)
+
+
+def _klis_matrix_trial(args, seed: int):
+    k = args.k
+    values, script = generators.matrix_sequence(k)
+    greedy = klis.greedy_klis_scripted(values, k, script).total_length
+    try:
+        opt = oracle.exact_klis(values, k).total_length
+    except BudgetExceededError:
+        # certified constructively: k disjoint increasing copies of 1..k
+        parts = generators.matrix_optimal_parts(k)
+        assert sorted(i for p in parts for i in p) == list(range(k * k))
+        assert all(
+            a < b and values[a] < values[b]
+            for p in parts for a, b in zip(p, p[1:])
+        )
+        opt = k * k
+    return _klis_outcome(k, greedy, opt)
+
+
+# (problem, generator) -> (trial function, provenance line formatted with the args)
+_EXPERIMENTS = {
+    ("crashing", "random"): (
+        _crashing_trial,
+        "# problem=crashing trials={a.trials} k={a.k} seed={a.seed} "
+        "nodes={a.nodes} edges={a.edges} max-len={a.max_len} "
+        "max-crashable={a.max_crashable} cost={a.cost_min}..{a.cost_max}",
+    ),
+    ("klis", "random"): (
+        _klis_random_trial,
+        "# problem=klis trials={a.trials} k={a.k} seed={a.seed} "
+        "length={a.length} range={a.range}",
+    ),
+    ("klis", "matrix"): (
+        _klis_matrix_trial,
+        "# problem=klis generator=matrix trials={a.trials} k={a.k}",
+    ),
+}
 
 
 def _cmd_experiment(args) -> int:
     if args.trials < 1:
         raise ValueError("need at least one trial")
-    if args.problem == "crashing" and args.generator != "random":
+    experiment = _EXPERIMENTS.get((args.problem, args.generator))
+    if experiment is None:
         raise ValueError("the matrix generator applies to the klis problem only")
-    if args.problem == "crashing":
-        provenance = (
-            f"# problem=crashing trials={args.trials} k={args.k} seed={args.seed} "
-            f"nodes={args.nodes} edges={args.edges} max-len={args.max_len} "
-            f"max-crashable={args.max_crashable} cost={args.cost_min}..{args.cost_max}"
-        )
-        run_trial = _crashing_trial
-    elif args.generator == "matrix":
-        provenance = f"# problem=klis generator=matrix trials={args.trials} k={args.k}"
-        run_trial = _klis_trial
-    else:
-        provenance = (
-            f"# problem=klis trials={args.trials} k={args.k} seed={args.seed} "
-            f"length={args.length} range={args.range}"
-        )
-        run_trial = _klis_trial
+    run_trial, provenance = experiment
 
-    lines = [provenance, "instance,seed,k,greedy,opt,ratio,bound,ok"]
+    lines = [provenance.format(a=args), "instance,seed,k,greedy,opt,ratio,bound,ok"]
     violations = 0
     max_ratio: Fraction | None = None
     for t in range(args.trials):

@@ -17,13 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import flow
 from .errors import ConvexNotSupportedError, NotCrashableError, NotKCrashingError
 from .network import (
+    Edge,
     EdgeId,
     Plan,
     ProjectNetwork,
+    _reachable,
     apply_plan,
     critical_graph,
     duration,
@@ -56,17 +59,17 @@ class GreedyCrashResult:
     durations: tuple[int, ...]
 
 
-def _crash_flow_graph(critical: ProjectNetwork) -> flow.FlowGraph:
-    arcs = []
-    for e in critical.edges:
-        if e.normal_len > e.min_len:
-            cap = e.cost_schedule[0]
-        else:
-            cap = flow.UNBOUNDED
-        arcs.append(flow.Arc(id=e.id, src=e.src, dst=e.dst, capacity=cap))
-    return flow.FlowGraph(
-        nodes=critical.nodes, source=critical.source, sink=critical.sink, arcs=tuple(arcs)
+def _cut_graph(critical: ProjectNetwork, cuttable: Callable[[Edge], bool]) -> flow.FlowGraph:
+    """The critical graph as a flow graph for a minimum cut.
+
+    Cuttable edges are priced at their next marginal cost.  All others get
+    unbounded capacity, so a finite minimum cut consists of cuttable edges only.
+    """
+    arcs = tuple(
+        flow.Arc(e.id, e.src, e.dst, e.cost_schedule[0] if cuttable(e) else flow.UNBOUNDED)
+        for e in critical.edges
     )
+    return flow.FlowGraph(critical.nodes, critical.source, critical.sink, arcs)
 
 
 def optimal_one_crash(net: ProjectNetwork) -> tuple[Plan, Fraction]:
@@ -77,7 +80,7 @@ def optimal_one_crash(net: ProjectNetwork) -> tuple[Plan, Fraction]:
     """
     if net.source == net.sink:
         raise NotCrashableError("the project has no jobs")
-    cut = flow.min_cut(_crash_flow_graph(critical_graph(net)))
+    cut = flow.min_cut(_cut_graph(critical_graph(net), lambda e: e.crashable_days > 0))
     if flow.is_unbounded(cut.cost):
         raise NotCrashableError("every critical path contains a fully crashed edge")
     return Plan({edge_id: 1 for edge_id in cut.cut_arcs}), cut.cost
@@ -164,21 +167,6 @@ class DecompositionTrace:
     pairs: tuple[LevelPair, ...]
 
 
-def _restricted_cut_graph(critical: ProjectNetwork, remaining: Plan) -> flow.FlowGraph:
-    # Edges outside the plan get unbounded capacity, so a finite minimum cut
-    # consists of plan edges only.
-    arcs = []
-    for e in critical.edges:
-        if remaining.amount(e.id) >= 1:
-            cap = e.cost_schedule[0]
-        else:
-            cap = flow.UNBOUNDED
-        arcs.append(flow.Arc(id=e.id, src=e.src, dst=e.dst, capacity=cap))
-    return flow.FlowGraph(
-        nodes=critical.nodes, source=critical.source, sink=critical.sink, arcs=tuple(arcs)
-    )
-
-
 def _edge_classes(critical: ProjectNetwork, source_side: frozenset[str]):
     within_src, within_snk, reverse = set(), set(), set()
     for e in critical.edges:
@@ -212,7 +200,7 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     remaining = plan
     for i in range(1, k + 1):
         critical = critical_graph(current)
-        cut = flow.min_cut(_restricted_cut_graph(critical, remaining))
+        cut = flow.min_cut(_cut_graph(critical, lambda e: remaining.amount(e.id) >= 1))
         if flow.is_unbounded(cut.cost):
             raise NotKCrashingError(
                 f"level {i}: the remaining plan contains no cut of the critical graph"
@@ -274,19 +262,8 @@ class TraceReport:
 
 
 def _disconnects(g: ProjectNetwork, removed: frozenset[EdgeId]) -> bool:
-    out: dict[str, list[str]] = {v: [] for v in g.nodes}
-    for e in g.edges:
-        if e.id not in removed:
-            out[e.src].append(e.dst)
-    seen = {g.source}
-    stack = [g.source]
-    while stack:
-        u = stack.pop()
-        for v in out[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return g.sink not in seen
+    kept = [(e.src, e.dst) for e in g.edges if e.id not in removed]
+    return g.sink not in _reachable(g.nodes, kept, g.source)
 
 
 def verify_trace(trace: DecompositionTrace) -> TraceReport:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .network import _reachable
+
 
 class _Unbounded:
     """Singleton sentinel for arcs that no finite budget can saturate."""
@@ -68,37 +70,21 @@ class CutResult:
     cost: Capacity
 
 
-def _adjacency(g: FlowGraph) -> dict[str, list[int]]:
-    adj: dict[str, list[int]] = {v: [] for v in g.nodes}
-    for i, arc in enumerate(g.arcs):
-        adj[arc.src].append(i)
-    return adj
+def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
+    """Edmonds-Karp.  Returns (flow value, residual source side).
 
-
-def _reachable_over(g: FlowGraph, arc_indices, start: str) -> set[str]:
-    out: dict[str, list[str]] = {v: [] for v in g.nodes}
-    for i in arc_indices:
-        out[g.arcs[i].src].append(g.arcs[i].dst)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in out[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def _run_max_flow(g: FlowGraph) -> tuple[Fraction, list[Fraction], set[str]]:
-    """Edmonds-Karp.  Returns (flow value, per-arc flow, residual source side).
-
-    Must only be called when the maximum flow is finite, i.e. no
+    The source side is None when the flow is unbounded, i.e. some
     source-to-sink path consists solely of unbounded arcs.
     """
     arcs = g.arcs
-    n = len(arcs)
-    flow = [Fraction(0)] * n
+    reach = _reachable(g.nodes, [(a.src, a.dst) for a in arcs], g.source)
+    if g.sink not in reach:
+        return Fraction(0), reach
+    unbounded = [(a.src, a.dst) for a in arcs if is_unbounded(a.capacity)]
+    if g.sink in _reachable(g.nodes, unbounded, g.source):
+        return UNBOUNDED, None
+
+    flow = [Fraction(0)] * len(arcs)
     # forward[u] / backward[v]: arc indices usable out of a node in the residual.
     forward: dict[str, list[int]] = {v: [] for v in g.nodes}
     backward: dict[str, list[int]] = {v: [] for v in g.nodes}
@@ -133,7 +119,7 @@ def _run_max_flow(g: FlowGraph) -> tuple[Fraction, list[Fraction], set[str]]:
                     next_frontier.append(arc.src)
             frontier = next_frontier
         if g.sink not in visited:
-            return total, flow, visited
+            return total, visited
         # Bottleneck along the path; unbounded arcs impose no limit.
         path: list[tuple[int, bool]] = []
         v = g.sink
@@ -161,21 +147,13 @@ def min_cut(g: FlowGraph) -> CutResult:
     reachable set as the source side.  If every s-t cut crosses an unbounded
     arc, the cost is UNBOUNDED.
     """
-    all_reach = _reachable_over(g, range(len(g.arcs)), g.source)
-    if g.sink not in all_reach:
-        sink_side = frozenset(v for v in g.nodes if v not in all_reach)
-        return CutResult(frozenset(), frozenset(all_reach), sink_side, Fraction(0))
-
-    unbounded_reach = _reachable_over(
-        g, (i for i, a in enumerate(g.arcs) if is_unbounded(a.capacity)), g.source
-    )
-    if g.sink in unbounded_reach:
+    _, residual_side = _max_flow(g)
+    if residual_side is None:
         # Every cut contains an unbounded arc; any partition witnesses that.
         src_side = frozenset(v for v in g.nodes if v != g.sink)
         cut = frozenset(a.id for a in g.arcs if a.src != g.sink and a.dst == g.sink)
         return CutResult(cut, src_side, frozenset({g.sink}), UNBOUNDED)
 
-    _, _, residual_side = _run_max_flow(g)
     src_side = frozenset(residual_side)
     sink_side = frozenset(v for v in g.nodes if v not in residual_side)
     cut_arcs = frozenset(
@@ -191,13 +169,4 @@ def min_cut(g: FlowGraph) -> CutResult:
 
 def max_flow_value(g: FlowGraph) -> Capacity:
     """Maximum s-t flow value; equals the minimum cut cost by duality."""
-    all_reach = _reachable_over(g, range(len(g.arcs)), g.source)
-    if g.sink not in all_reach:
-        return Fraction(0)
-    unbounded_reach = _reachable_over(
-        g, (i for i, a in enumerate(g.arcs) if is_unbounded(a.capacity)), g.source
-    )
-    if g.sink in unbounded_reach:
-        return UNBOUNDED
-    total, _, _ = _run_max_flow(g)
-    return total
+    return _max_flow(g)[0]

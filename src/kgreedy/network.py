@@ -11,7 +11,7 @@ values can be shared freely between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -83,12 +83,6 @@ class ProjectNetwork:
     sink: NodeId
     edges: tuple[Edge, ...]
 
-    def edge(self, edge_id: EdgeId) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
-
     def edge_ids(self) -> tuple[EdgeId, ...]:
         return tuple(e.id for e in self.edges)
 
@@ -110,9 +104,6 @@ class Plan:
 
     def amount(self, edge_id: EdgeId) -> int:
         return self.amounts.get(edge_id, 0)
-
-    def total_units(self) -> int:
-        return sum(self.amounts.values())
 
     def merge(self, other: "Plan") -> "Plan":
         """Multiset union: add crash amounts edge by edge."""
@@ -315,14 +306,7 @@ def apply_plan(net: ProjectNetwork, plan: Plan) -> ProjectNetwork:
             new_edges.append(e)
         else:
             new_edges.append(
-                Edge(
-                    id=e.id,
-                    src=e.src,
-                    dst=e.dst,
-                    min_len=e.min_len,
-                    normal_len=e.normal_len - x,
-                    cost_schedule=e.cost_schedule[x:],
-                )
+                replace(e, normal_len=e.normal_len - x, cost_schedule=e.cost_schedule[x:])
             )
     return ProjectNetwork(net.nodes, net.source, net.sink, tuple(new_edges))
 
