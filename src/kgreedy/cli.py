@@ -1,7 +1,8 @@
 """Command-line front end and ratio-experiment harness.
 
 Exit codes are part of the contract so shell harnesses need no JSON parsing:
-0 success, 2 the requested reduction is infeasible, 3 bad input, 4 a scripted
+0 success, 1 an experiment ratio violated its bound, 2 the requested
+reduction is infeasible, 3 bad input (every malformed input), 4 a scripted
 round failed validation.
 """
 
@@ -16,7 +17,6 @@ from . import crashing, generators, klis, network, oracle
 from .errors import (
     BudgetExceededError,
     KGreedyError,
-    NetworkValidationError,
     NoPlanError,
     NotCrashableError,
     ScriptError,
@@ -36,12 +36,27 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_network(path: str) -> network.ProjectNetwork:
+def _read_json(path: str, **options):
     with open(path) as fh:
-        data = json.load(fh, parse_float=str)
-    net = network.network_from_json(data)
+        try:
+            return json.load(fh, **options)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_network(path: str) -> network.ProjectNetwork:
+    net = network.network_from_json(_read_json(path, parse_float=str))
     network.validate(net)
     return net
+
+
+def _load_script(path: str) -> list[list[int]]:
+    script = _read_json(path)
+    if not isinstance(script, list) or not all(
+        isinstance(entry, list) and all(type(i) is int for i in entry) for entry in script
+    ):
+        raise ValueError("a script must be a JSON list of index lists")
+    return script
 
 
 def _read_sequence(args) -> list[int]:
@@ -102,9 +117,7 @@ def _cmd_crash(args) -> int:
 def _cmd_klis(args) -> int:
     values = _read_sequence(args)
     if args.script:
-        with open(args.script) as fh:
-            script = json.load(fh)
-        selection = klis.greedy_klis_scripted(values, args.k, script)
+        selection = klis.greedy_klis_scripted(values, args.k, _load_script(args.script))
     elif args.exact:
         selection = oracle.exact_klis(values, args.k)
     else:
@@ -342,8 +355,7 @@ def main(argv=None) -> int:
     except ScriptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCRIPT
-    except (NetworkValidationError, KGreedyError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (KGreedyError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

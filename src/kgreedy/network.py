@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -22,6 +23,7 @@ from .errors import (
     DuplicateEdgeIdError,
     MultipleSinksError,
     MultipleSourcesError,
+    NetworkValidationError,
     PlanOutOfBoundsError,
     UnknownNodeError,
     UnreachableNodeError,
@@ -41,7 +43,10 @@ def as_cost(value) -> Fraction:
         return value
     if isinstance(value, float):
         return Fraction(repr(value))
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"cost {value!r} has a zero denominator") from None
 
 
 def linear_schedule(cost, days: int) -> tuple[Fraction, ...]:
@@ -89,7 +94,10 @@ class ProjectNetwork:
 
 @dataclass(frozen=True)
 class Plan:
-    """Integer crash amounts per edge; edges absent from the map are uncrashed."""
+    """Integer crash amounts per edge; edges absent from the map are uncrashed.
+
+    ``amounts`` is a read-only mapping, so plans are immutable and hashable.
+    """
 
     amounts: Mapping[EdgeId, int] = field(default_factory=dict)
 
@@ -100,10 +108,20 @@ class Plan:
                 raise PlanOutOfBoundsError(f"negative crash amount {x} for edge {edge_id!r}")
             if x > 0:
                 cleaned[edge_id] = int(x)
-        object.__setattr__(self, "amounts", cleaned)
+        object.__setattr__(self, "amounts", MappingProxyType(cleaned))
+
+    def __hash__(self):
+        return hash(frozenset(self.amounts.items()))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or copied; rebuild from a plain dict.
+        return Plan, (dict(self.amounts),)
 
     def amount(self, edge_id: EdgeId) -> int:
-        return self.amounts.get(edge_id, 0)
+        # ``in`` and ``[]`` reach the dict directly; the proxy's ``get`` is a
+        # slower forwarded method call, and this runs once per edge per step.
+        amounts = self.amounts
+        return amounts[edge_id] if edge_id in amounts else 0
 
     def merge(self, other: "Plan") -> "Plan":
         """Multiset union: add crash amounts edge by edge."""
@@ -357,17 +375,30 @@ def network_to_json(net: ProjectNetwork) -> dict:
     }
 
 
+def _json_value(value, types, rule: str):
+    """``value`` if it has one of ``types``, which JSON booleans never match."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise NetworkValidationError(f"{rule}, got {value!r:.80}")
+    return value
+
+
 def network_from_json(data: dict) -> ProjectNetwork:
     """Build a network from the project JSON format (not yet validated).
 
     A scalar "c" is a constant per-day cost; a list gives the convex schedule
     explicitly and must have b - a entries.  Costs given as strings are
-    parsed exactly.
+    parsed exactly.  Values of the wrong JSON type raise
+    NetworkValidationError.
     """
+    _json_value(data, dict, "a project must be a JSON object")
     edges = []
-    for rec in data["edges"]:
-        a, b = int(rec["a"]), int(rec["b"])
+    for rec in _json_value(data["edges"], list, '"edges" must be a list'):
+        _json_value(rec, dict, "each edge must be a JSON object")
+        a = int(_json_value(rec["a"], (int, str), '"a" must be a whole number of days'))
+        b = int(_json_value(rec["b"], (int, str), '"b" must be a whole number of days'))
         c = rec["c"]
+        for x in c if isinstance(c, list) else [c]:
+            _json_value(x, (int, float, str, Fraction), '"c" must be a cost or a list of costs')
         if isinstance(c, list):
             schedule = tuple(as_cost(x) for x in c)
         else:
@@ -383,7 +414,7 @@ def network_from_json(data: dict) -> ProjectNetwork:
             )
         )
     return ProjectNetwork(
-        nodes=tuple(str(v) for v in data["nodes"]),
+        nodes=tuple(str(v) for v in _json_value(data["nodes"], list, '"nodes" must be a list')),
         source=str(data["source"]),
         sink=str(data["sink"]),
         edges=tuple(edges),

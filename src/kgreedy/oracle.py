@@ -109,25 +109,28 @@ def exact_crash_cost(
             acc.append(acc[-1] + c)
         prefix.append(acc)
 
-    m = len(net.edges)
-    xs = [0] * m
+    # Only crashable edges are branched on: any other edge has the single
+    # choice x = 0, so the recursion depth is at most log2 of the plan space.
+    crashable = [j for j, c in enumerate(caps) if c > 0]
+    xs = [0] * len(net.edges)
     best_cost: Fraction | None = None
     best_xs: list[int] | None = None
 
-    def search(j: int, cost: Fraction) -> None:
+    def search(depth: int, cost: Fraction) -> None:
         nonlocal best_cost, best_xs
         if best_cost is not None and cost >= best_cost:
             return
-        if j == m:
+        if depth == len(crashable):
             if evaluator.duration(lengths) <= target:
                 best_cost = cost
                 best_xs = xs.copy()
             return
+        j = crashable[depth]
         normal = lengths[j]
         for x in range(caps[j] + 1):
             xs[j] = x
             lengths[j] = normal - x
-            search(j + 1, cost + prefix[j][x])
+            search(depth + 1, cost + prefix[j][x])
         xs[j] = 0
         lengths[j] = normal
 

@@ -65,6 +65,38 @@ class TestCrash:
         code, _ = run(capsys, ["crash", "--input", str(bad), "-k", "1"])
         assert code == 3
 
+    @pytest.mark.parametrize("text", [
+        json.dumps([1, 2]),
+        json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": "x"}),
+        json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
+            {"id": "e", "from": "s", "to": "t", "a": True, "b": 2, "c": 1}]}),
+        json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
+            {"id": "e", "from": "s", "to": "t", "a": 1, "b": 2, "c": "1/0"}]}),
+        "[" * 100_000,
+    ], ids=["top-level-list", "edges-not-list", "bool-days", "zero-denominator", "deep-nesting"])
+    def test_malformed_project_exits_three(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["crash", "--input", str(bad), "-k", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_exact_on_long_chain(self, capsys, tmp_path):
+        # 1,500 jobs in series, one of them crashable: deep, but three plans.
+        edges = [
+            {"id": f"e{i}", "from": f"v{i}", "to": f"v{i + 1}", "a": 1, "b": 1, "c": 0}
+            for i in range(1500)
+        ]
+        edges[700].update(b=3, c=1)
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({
+            "nodes": [f"v{i}" for i in range(1501)], "source": "v0", "sink": "v1500",
+            "edges": edges,
+        }))
+        code, out = run(capsys, ["crash", "--input", str(chain), "-k", "1", "--exact"])
+        assert code == 0
+        assert json.loads(out)["total_cost"] == "1"
+
 
 class TestKlisAndLis:
     SEQ = "3,4,5,8,9,1,6,7,8,9"
@@ -104,6 +136,14 @@ class TestKlisAndLis:
         code, _ = run(capsys, ["klis", "-k", "1", "--script", str(script)],
                       stdin="1,2,3", monkeypatch=monkeypatch)
         assert code == 4
+
+    def test_script_of_wrong_shape_exits_three(self, capsys, tmp_path, monkeypatch):
+        script = tmp_path / "script.json"
+        script.write_text("5")
+        monkeypatch.setattr("sys.stdin", io.StringIO("1,2,3"))
+        assert main(["klis", "-k", "1", "--script", str(script)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_matrix_script_pipeline(self, capsys, tmp_path):
         script_path = tmp_path / "m4.json"

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,15 @@ class TestVerifyTrace:
         report = verify_trace(trace)
         assert report.passed
         assert report.failures() == ()
+
+    def test_cut_that_does_not_disconnect_fails(self):
+        # j2 is in the greedy plan but off the critical path j1, j3, j5.
+        net = counterexample_network()
+        trace = decompose(net, greedy_crash(net, 2).plan, 2)
+        tampered = replace(trace.levels[0], cut=frozenset({"j2"}))
+        report = verify_trace(replace(trace, levels=(tampered,) + trace.levels[1:]))
+        assert not report.passed
+        assert ("cut-disconnects", 1) in [(c.name, c.level) for c in report.failures()]
 
     def test_random_oracle_plans_all_pass(self):
         # 200 seeded instances, oracle-optimal plans, every claim checked

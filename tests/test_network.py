@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -298,3 +299,19 @@ class TestJson:
     def test_plan_round_trip(self):
         plan = Plan({"j1": 1, "j5": 2})
         assert plan_from_json(plan_to_json(plan)) == plan
+
+
+class TestPlan:
+    def test_amounts_are_read_only(self):
+        plan = Plan({"j1": 1})
+        with pytest.raises(TypeError):
+            plan.amounts["j1"] = 2
+        assert plan == Plan({"j1": 1})
+
+    def test_equal_plans_hash_equal(self):
+        assert hash(Plan({"j1": 1, "j5": 2, "j2": 0})) == hash(Plan({"j5": 2, "j1": 1}))
+        assert len({Plan({"j1": 1}), Plan({"j1": 1}), Plan({"j1": 2})}) == 2
+
+    def test_pickle_round_trip(self):
+        plan = Plan({"j1": 1, "j5": 2})
+        assert pickle.loads(pickle.dumps(plan)) == plan
