@@ -23,10 +23,6 @@ class MultipleSinksError(NetworkValidationError):
     pass
 
 
-class UnreachableNodeError(NetworkValidationError):
-    pass
-
-
 class UnknownNodeError(NetworkValidationError):
     pass
 

@@ -46,8 +46,9 @@ class SubseqSelection:
     total_length: int
 
 
-def _suffix_lis_lengths(values: Sequence[int]) -> list[int]:
-    """For each position, the length of the longest increasing run starting there.
+def _suffix_lis_lengths(values: Sequence[int]) -> tuple[list[int], int]:
+    """For each position, the length of the longest increasing run starting there,
+    and the length of the longest increasing subsequence overall.
 
     Patience piles over the reversed, negated sequence: the pile an element
     lands on is its suffix-LIS length minus one.
@@ -63,34 +64,31 @@ def _suffix_lis_lengths(values: Sequence[int]) -> list[int]:
         else:
             tails[pos] = x
         lengths[i] = pos + 1
-    return lengths
+    return lengths, len(tails)
 
 
 def lis(values: Sequence[int], policy: TieBreak = TieBreak.CANONICAL) -> list[int]:
-    """Indices of one longest strictly increasing subsequence.
+    """Indices of one longest strictly increasing subsequence, in O(n log n).
 
     CANONICAL returns the lexicographically smallest index list among all
     maximum-length subsequences, LATEST the largest; both are total orders,
-    so results are reproducible.
+    so results are reproducible.  LATEST is CANONICAL on the mirrored
+    (reversed, negated) sequence, read back to front.
     """
+    # One scan takes each position whose suffix length is the length still
+    # needed.  Positions sharing a suffix length hold non-increasing values,
+    # so the first one after a pick also exceeds the picked value.  Maximum
+    # subsequences are closed under position-wise min and max, so the scan's
+    # earliest picks (latest, when mirrored) are lexicographically extreme.
     n = len(values)
-    if n == 0:
-        return []
-    suffix = _suffix_lis_lengths(values)
-    best = max(suffix)
+    mirrored = policy is TieBreak.LATEST
+    lengths, need = _suffix_lis_lengths([-v for v in reversed(values)] if mirrored else values)
     picked: list[int] = []
-    last_value = None
-    lo = 0
-    for need in range(best, 0, -1):
-        candidates = (
-            i for i in range(lo, n)
-            if suffix[i] == need and (last_value is None or values[i] > last_value)
-        )
-        choice = min(candidates) if policy is TieBreak.CANONICAL else max(candidates)
-        picked.append(choice)
-        last_value = values[choice]
-        lo = choice + 1
-    return picked
+    for i, length in enumerate(lengths):
+        if length == need:
+            picked.append(n - 1 - i if mirrored else i)
+            need -= 1
+    return picked[::-1] if mirrored else picked
 
 
 def greedy_klis(

@@ -26,7 +26,6 @@ from .errors import (
     NetworkValidationError,
     PlanOutOfBoundsError,
     UnknownNodeError,
-    UnreachableNodeError,
 )
 
 NodeId = str
@@ -210,6 +209,10 @@ def validate(net: ProjectNetwork) -> None:
 
     _topological_order(net)  # raises CyclicGraphError
 
+    # In a DAG whose only node without in-edges is the source and only node
+    # without out-edges is the sink, walking back from any node ends at the
+    # source and walking forward ends at the sink: every node lies on an
+    # s-t path, so no reachability pass is needed.
     has_in = {e.dst for e in net.edges}
     has_out = {e.src for e in net.edges}
     sources = [v for v in net.nodes if v not in has_in]
@@ -222,12 +225,6 @@ def validate(net: ProjectNetwork) -> None:
         raise MultipleSinksError(
             f"nodes without outgoing edges: {sorted(sinks)}, declared sink: {net.sink!r}"
         )
-
-    reach_fwd = _reachable(net.nodes, [(e.src, e.dst) for e in net.edges], net.source)
-    reach_bwd = _reachable(net.nodes, [(e.dst, e.src) for e in net.edges], net.sink)
-    for v in net.nodes:
-        if v not in reach_fwd or v not in reach_bwd:
-            raise UnreachableNodeError(f"node {v!r} lies on no source-to-sink path")
 
 
 def _reachable(nodes, arcs, start) -> set[NodeId]:

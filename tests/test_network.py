@@ -11,7 +11,6 @@ from kgreedy.errors import (
     MultipleSinksError,
     MultipleSourcesError,
     PlanOutOfBoundsError,
-    UnreachableNodeError,
 )
 from kgreedy.generators import RandomNetSpec, counterexample_network, random_network
 from kgreedy.network import (
@@ -93,7 +92,7 @@ class TestValidate:
                 Edge("b", "u", "v", 0, 1, linear_schedule(1, 1)),
             ),
         )
-        with pytest.raises((UnreachableNodeError, MultipleSourcesError, MultipleSinksError)):
+        with pytest.raises((MultipleSourcesError, MultipleSinksError)):
             validate(net)
 
     def test_bad_bounds_rejected(self):
