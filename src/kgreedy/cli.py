@@ -237,6 +237,8 @@ def _cmd_experiment(args) -> int:
     experiment = _EXPERIMENTS.get((args.problem, args.generator))
     if experiment is None:
         raise ValueError("the matrix generator applies to the klis problem only")
+    if args.generator == "matrix" and args.trials > 1:
+        raise ValueError("the matrix generator ignores the seed, so it takes --trials 1 only")
     run_trial, provenance = experiment
 
     lines = [provenance.format(a=args), "instance,seed,k,greedy,opt,ratio,bound,ok"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .network import Edge, ProjectNetwork, as_cost, linear_schedule
 
@@ -160,13 +160,7 @@ def with_convex_schedules(
     edges = []
     for e in net.edges:
         days = sorted(rng.randint(lo, hi) for _ in range(e.crashable_days))
-        edges.append(
-            Edge(
-                id=e.id, src=e.src, dst=e.dst,
-                min_len=e.min_len, normal_len=e.normal_len,
-                cost_schedule=tuple(as_cost(c) for c in days),
-            )
-        )
+        edges.append(replace(e, cost_schedule=tuple(as_cost(c) for c in days)))
     return ProjectNetwork(net.nodes, net.source, net.sink, tuple(edges))
 
 

@@ -31,6 +31,10 @@ from .errors import (
 NodeId = str
 EdgeId = str
 
+# Most crashable days (b - a) one JSON edge may declare; a scalar cost is
+# expanded into one schedule entry per day, so this bounds memory.
+MAX_CRASHABLE_DAYS = 1_000_000
+
 
 def as_cost(value) -> Fraction:
     """Coerce a cost literal to an exact Fraction.
@@ -384,8 +388,8 @@ def network_from_json(data: dict) -> ProjectNetwork:
 
     A scalar "c" is a constant per-day cost; a list gives the convex schedule
     explicitly and must have b - a entries.  Costs given as strings are
-    parsed exactly.  Values of the wrong JSON type raise
-    NetworkValidationError.
+    parsed exactly.  Values of the wrong JSON type, and edges with more than
+    MAX_CRASHABLE_DAYS crashable days, raise NetworkValidationError.
     """
     _json_value(data, dict, "a project must be a JSON object")
     edges = []
@@ -393,6 +397,10 @@ def network_from_json(data: dict) -> ProjectNetwork:
         _json_value(rec, dict, "each edge must be a JSON object")
         a = int(_json_value(rec["a"], (int, str), '"a" must be a whole number of days'))
         b = int(_json_value(rec["b"], (int, str), '"b" must be a whole number of days'))
+        if b - a > MAX_CRASHABLE_DAYS:
+            raise NetworkValidationError(
+                f"edge {rec['id']!r}: b - a = {b - a} exceeds {MAX_CRASHABLE_DAYS} crashable days"
+            )
         c = rec["c"]
         for x in c if isinstance(c, list) else [c]:
             _json_value(x, (int, float, str, Fraction), '"c" must be a cost or a list of costs')

@@ -81,6 +81,17 @@ class TestCrash:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_too_many_crashable_days_exits_three(self, capsys, tmp_path):
+        # A scalar cost would otherwise expand into b - a schedule entries.
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps({
+            "nodes": ["s", "t"], "source": "s", "sink": "t",
+            "edges": [{"id": "e", "from": "s", "to": "t", "a": 0, "b": 2_000_001, "c": 1}],
+        }))
+        assert main(["crash", "--input", str(bad), "-k", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_exact_on_long_chain(self, capsys, tmp_path):
         # 1,500 jobs in series, one of them crashable: deep, but three plans.
         edges = [
@@ -235,6 +246,15 @@ class TestExperiment:
                      "--trials", "1", "-k", "2"])
         capsys.readouterr()
         assert code == 3
+
+    def test_repeated_matrix_trials_rejected(self, capsys):
+        # The staircase instance ignores the seed, so extra trials would only repeat it.
+        code = main(["experiment", "--problem", "klis", "--generator", "matrix",
+                     "--trials", "2", "-k", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

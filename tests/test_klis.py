@@ -18,6 +18,12 @@ from support import all_max_lis_index_lists, assert_valid_selection, brute_lis_l
 KNOWN_SEQ = [3, 4, 5, 8, 9, 1, 6, 7, 8, 9]
 
 
+def tie_break_cases():
+    """400 seeded sequences of length 0 to 11 over value ranges 3, 6 and 20."""
+    for seed in range(400):
+        yield random_sequence(seed % 12, (3, 6, 20)[seed // 12 % 3], seed=seed)
+
+
 class TestLis:
     def test_known_sequence(self):
         idx = lis(KNOWN_SEQ)
@@ -33,14 +39,37 @@ class TestLis:
             assert len(lis(values)) == brute_lis_length(values)
 
     def test_canonical_is_lexicographically_smallest(self):
-        for seed in range(25):
-            values = random_sequence(9, 5, seed=seed)
+        for values in tie_break_cases():
             assert tuple(lis(values, TieBreak.CANONICAL)) == all_max_lis_index_lists(values)[0]
 
     def test_latest_is_lexicographically_largest(self):
-        for seed in range(25):
-            values = random_sequence(9, 5, seed=seed)
+        for values in tie_break_cases():
             assert tuple(lis(values, TieBreak.LATEST)) == all_max_lis_index_lists(values)[-1]
+
+    def test_long_inputs(self):
+        n = 5000
+        staircase, _ = matrix_sequence(70)
+        cases = [
+            (list(range(n)), n),
+            (list(range(n, 0, -1)), 1),
+            ([7] * n, 1),
+            (staircase, 70),
+            (random_sequence(n, 1000, seed=3), None),
+        ]
+        for values, length in cases:
+            first = lis(values, TieBreak.CANONICAL)
+            last = lis(values, TieBreak.LATEST)
+            for idx in (first, last):
+                assert all(a < b for a, b in zip(idx, idx[1:]))
+                assert all(values[a] < values[b] for a, b in zip(idx, idx[1:]))
+            assert len(first) == len(last)
+            assert length is None or len(first) == length
+            assert all(a <= b for a, b in zip(first, last))
+        for policy in TieBreak:
+            assert lis(list(range(n)), policy) == list(range(n))
+        for values in (list(range(n, 0, -1)), [7] * n):
+            assert lis(values, TieBreak.CANONICAL) == [0]
+            assert lis(values, TieBreak.LATEST) == [n - 1]
 
     def test_result_is_strictly_increasing(self):
         for policy in TieBreak:

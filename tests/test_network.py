@@ -1,4 +1,5 @@
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from kgreedy.errors import (
     DuplicateEdgeIdError,
     MultipleSinksError,
     MultipleSourcesError,
+    NetworkValidationError,
     PlanOutOfBoundsError,
 )
 from kgreedy.generators import RandomNetSpec, counterexample_network, random_network
@@ -122,6 +124,35 @@ class TestValidate:
     def test_random_networks_all_validate(self):
         for net in random_suite(60):
             validate(net)
+
+    def test_accepted_digraphs_have_every_node_on_a_source_sink_path(self):
+        # Mostly forward edges over a random node order, plus some arbitrary
+        # ones (self-loops, back edges), isolated nodes and random endpoints.
+        accepted = 0
+        for seed in range(3000):
+            rng = random.Random(seed)
+            nodes = [f"v{i}" for i in range(rng.randint(1, 6))]
+            rng.shuffle(nodes)
+            edges = []
+            for j in range(rng.randint(0, 9)):
+                if rng.random() < 0.15:
+                    u, v = rng.choice(nodes), rng.choice(nodes)
+                elif len(nodes) > 1:
+                    u, v = sorted(rng.sample(nodes, 2), key=nodes.index)
+                else:
+                    continue
+                edges.append(Edge(f"e{j}", u, v, 0, 1, linear_schedule(1, 1)))
+            ends = (nodes[0], nodes[-1]) if rng.random() < 0.7 else (
+                rng.choice(nodes), rng.choice(nodes))
+            net = ProjectNetwork(tuple(nodes), *ends, tuple(edges))
+            try:
+                validate(net)
+            except NetworkValidationError:
+                continue
+            accepted += 1
+            on_path = {e.src for p in all_st_paths(net) for e in p} | {net.sink}
+            assert on_path == set(nodes), seed
+        assert accepted >= 300
 
 
 class TestDuration:
