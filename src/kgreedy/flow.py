@@ -2,10 +2,16 @@
 
 Capacities are exact Fractions or the distinct ``UNBOUNDED`` sentinel; no
 "large finite number" stand-in is ever used, so unbounded cuts can never be
-confused with expensive finite ones.  The solver is a deterministic
-Edmonds-Karp: augmenting paths are shortest first, scanned in arc-list
-order, and the reported cut is the source side of the final residual graph
-(the source-nearest minimum cut).
+confused with expensive finite ones.  The solver is Edmonds-Karp (shortest
+augmenting paths) over one residual array that stores arcs in pairs: residual
+arc 2i runs along arc i and holds its unused capacity, and 2i+1 runs against
+it and holds its flow, so ``j ^ 1`` is the partner of residual arc ``j``.
+
+The reported cut is the set of nodes reachable from the source in the final
+residual graph.  After any maximum flow that set is the smallest source side
+of a minimum cut (it lies inside every other one), a property of the graph
+alone, so the cut, its sides and its cost do not depend on the order in which
+paths were augmented.
 """
 
 from __future__ import annotations
@@ -84,59 +90,47 @@ def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
     if g.sink in _reachable(g.nodes, unbounded, g.source):
         return UNBOUNDED, None
 
-    flow = [Fraction(0)] * len(arcs)
-    # forward[u] / backward[v]: arc indices usable out of a node in the residual.
-    forward: dict[str, list[int]] = {v: [] for v in g.nodes}
-    backward: dict[str, list[int]] = {v: [] for v in g.nodes}
+    # Rooms are never negative, so a truthy room is a usable residual arc;
+    # UNBOUNDED is truthy and never changes.
+    head: list[str] = []
+    room: list[Capacity] = []
+    out: dict[str, list[int]] = {v: [] for v in g.nodes}
     for i, arc in enumerate(arcs):
-        forward[arc.src].append(i)
-        backward[arc.dst].append(i)
+        head += (arc.dst, arc.src)
+        room += (arc.capacity, Fraction(0))
+        out[arc.src].append(2 * i)
+        out[arc.dst].append(2 * i + 1)
 
     total = Fraction(0)
     while True:
-        # BFS for the shortest residual path; parent[v] = (arc index, is_forward).
-        parent: dict[str, tuple[int, bool]] = {}
-        visited = {g.source}
+        # BFS for the shortest residual path; parent[v] is the residual arc into v.
+        parent: dict[str, int | None] = {g.source: None}
         frontier = [g.source]
-        while frontier and g.sink not in visited:
+        while frontier and g.sink not in parent:
             next_frontier = []
             for u in frontier:
-                for i in forward[u]:
-                    arc = arcs[i]
-                    if arc.dst in visited:
-                        continue
-                    if not is_unbounded(arc.capacity) and flow[i] >= arc.capacity:
-                        continue
-                    visited.add(arc.dst)
-                    parent[arc.dst] = (i, True)
-                    next_frontier.append(arc.dst)
-                for i in backward[u]:
-                    arc = arcs[i]
-                    if arc.src in visited or flow[i] <= 0:
-                        continue
-                    visited.add(arc.src)
-                    parent[arc.src] = (i, False)
-                    next_frontier.append(arc.src)
+                for j in out[u]:
+                    v = head[j]
+                    if v not in parent and room[j]:
+                        parent[v] = j
+                        next_frontier.append(v)
             frontier = next_frontier
-        if g.sink not in visited:
-            return total, visited
-        # Bottleneck along the path; unbounded arcs impose no limit.
-        path: list[tuple[int, bool]] = []
+        if g.sink not in parent:
+            return total, set(parent)
+        path = []
         v = g.sink
         while v != g.source:
-            i, fwd = parent[v]
-            path.append((i, fwd))
-            v = arcs[i].src if fwd else arcs[i].dst
-        bottleneck = None
-        for i, fwd in path:
-            room = (
-                None if is_unbounded(arcs[i].capacity) else arcs[i].capacity - flow[i]
-            ) if fwd else flow[i]
-            if room is not None and (bottleneck is None or room < bottleneck):
-                bottleneck = room
-        assert bottleneck is not None and bottleneck > 0
-        for i, fwd in path:
-            flow[i] += bottleneck if fwd else -bottleneck
+            j = parent[v]
+            path.append(j)
+            v = head[j ^ 1]
+        # Reverse rooms are finite and the pre-check rules out an all-unbounded
+        # path, so the path has a finite room.
+        bottleneck = min(room[j] for j in path if room[j] is not UNBOUNDED)
+        for j in path:
+            if room[j] is not UNBOUNDED:
+                room[j] -= bottleneck
+            if room[j ^ 1] is not UNBOUNDED:
+                room[j ^ 1] += bottleneck
         total += bottleneck
 
 
@@ -156,15 +150,9 @@ def min_cut(g: FlowGraph) -> CutResult:
 
     src_side = frozenset(residual_side)
     sink_side = frozenset(v for v in g.nodes if v not in residual_side)
-    cut_arcs = frozenset(
-        a.id for a in g.arcs if a.src in src_side and a.dst in sink_side
-    )
-    cost = Fraction(0)
-    for a in g.arcs:
-        if a.id in cut_arcs:
-            assert not is_unbounded(a.capacity)
-            cost += a.capacity
-    return CutResult(cut_arcs, src_side, sink_side, cost)
+    crossing = [a for a in g.arcs if a.src in src_side and a.dst in sink_side]
+    cost = sum((a.capacity for a in crossing), Fraction(0))
+    return CutResult(frozenset(a.id for a in crossing), src_side, sink_side, cost)
 
 
 def max_flow_value(g: FlowGraph) -> Capacity:
