@@ -383,25 +383,43 @@ def _json_value(value, types, rule: str):
     return value
 
 
+def _json_key(obj: dict, key: str, where: str):
+    """``obj[key]``; a missing key raises NetworkValidationError naming ``where``."""
+    if key not in obj:
+        raise NetworkValidationError(f'{where} has no "{key}"')
+    return obj[key]
+
+
+def _json_name(value) -> str:
+    """A node or edge name: a JSON string or integer, as a string."""
+    return str(_json_value(value, (int, str), "node and edge names must be strings or integers"))
+
+
 def network_from_json(data: dict) -> ProjectNetwork:
     """Build a network from the project JSON format (not yet validated).
 
     A scalar "c" is a constant per-day cost; a list gives the convex schedule
     explicitly and must have b - a entries.  Costs given as strings are
-    parsed exactly.  Values of the wrong JSON type, and edges with more than
-    MAX_CRASHABLE_DAYS crashable days, raise NetworkValidationError.
+    parsed exactly.  Missing keys, values of the wrong JSON type (names must
+    be strings or integers), and edges with more than MAX_CRASHABLE_DAYS
+    crashable days raise NetworkValidationError.
     """
     _json_value(data, dict, "a project must be a JSON object")
     edges = []
-    for rec in _json_value(data["edges"], list, '"edges" must be a list'):
+    records = _json_value(_json_key(data, "edges", "the project"), list, '"edges" must be a list')
+    for pos, rec in enumerate(records):
         _json_value(rec, dict, "each edge must be a JSON object")
-        a = int(_json_value(rec["a"], (int, str), '"a" must be a whole number of days'))
-        b = int(_json_value(rec["b"], (int, str), '"b" must be a whole number of days'))
+        where = f"edge {pos}"
+        edge_id = _json_name(_json_key(rec, "id", where))
+        src = _json_name(_json_key(rec, "from", where))
+        dst = _json_name(_json_key(rec, "to", where))
+        a = int(_json_value(_json_key(rec, "a", where), (int, str), '"a" must be a whole number of days'))
+        b = int(_json_value(_json_key(rec, "b", where), (int, str), '"b" must be a whole number of days'))
         if b - a > MAX_CRASHABLE_DAYS:
             raise NetworkValidationError(
-                f"edge {rec['id']!r}: b - a = {b - a} exceeds {MAX_CRASHABLE_DAYS} crashable days"
+                f"edge {edge_id!r}: b - a = {b - a} exceeds {MAX_CRASHABLE_DAYS} crashable days"
             )
-        c = rec["c"]
+        c = _json_key(rec, "c", where)
         for x in c if isinstance(c, list) else [c]:
             _json_value(x, (int, float, str, Fraction), '"c" must be a cost or a list of costs')
         if isinstance(c, list):
@@ -410,18 +428,19 @@ def network_from_json(data: dict) -> ProjectNetwork:
             schedule = linear_schedule(c, max(b - a, 0))
         edges.append(
             Edge(
-                id=str(rec["id"]),
-                src=str(rec["from"]),
-                dst=str(rec["to"]),
+                id=edge_id,
+                src=src,
+                dst=dst,
                 min_len=a,
                 normal_len=b,
                 cost_schedule=schedule,
             )
         )
+    nodes = _json_value(_json_key(data, "nodes", "the project"), list, '"nodes" must be a list')
     return ProjectNetwork(
-        nodes=tuple(str(v) for v in _json_value(data["nodes"], list, '"nodes" must be a list')),
-        source=str(data["source"]),
-        sink=str(data["sink"]),
+        nodes=tuple(_json_name(v) for v in nodes),
+        source=_json_name(_json_key(data, "source", "the project")),
+        sink=_json_name(_json_key(data, "sink", "the project")),
         edges=tuple(edges),
     )
 

@@ -65,21 +65,41 @@ class TestCrash:
         code, _ = run(capsys, ["crash", "--input", str(bad), "-k", "1"])
         assert code == 3
 
-    @pytest.mark.parametrize("text", [
-        json.dumps([1, 2]),
-        json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": "x"}),
-        json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps([1, 2]), "must be a JSON object"),
+        (json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": "x"}),
+         '"edges" must be a list'),
+        (json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
             {"id": "e", "from": "s", "to": "t", "a": True, "b": 2, "c": 1}]}),
-        json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
+         '"a" must be a whole number'),
+        (json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
             {"id": "e", "from": "s", "to": "t", "a": 1, "b": 2, "c": "1/0"}]}),
-        "[" * 100_000,
-    ], ids=["top-level-list", "edges-not-list", "bool-days", "zero-denominator", "deep-nesting"])
-    def test_malformed_project_exits_three(self, capsys, tmp_path, text):
+         "zero denominator"),
+        ("[" * 100_000, "nested too deeply"),
+        (json.dumps({"nodes": ["s", "t"], "source": "s", "edges": [
+            {"id": "e", "from": "s", "to": "t", "a": 1, "b": 2, "c": 1}]}),
+         'the project has no "sink"'),
+        (json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
+            {"from": "s", "to": "t", "a": 1, "b": 2, "c": 1}]}),
+         'edge 0 has no "id"'),
+        (json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
+            {"id": None, "from": "s", "to": "t", "a": 1, "b": 2, "c": 1}]}),
+         "names must be strings or integers"),
+        (json.dumps({"nodes": ["s", True], "source": "s", "sink": True, "edges": [
+            {"id": "e", "from": "s", "to": True, "a": 1, "b": 2, "c": 1}]}),
+         "names must be strings or integers"),
+        (json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
+            {"id": {"x": 1}, "from": "s", "to": "t", "a": 1, "b": 2, "c": 1}]}),
+         "names must be strings or integers"),
+    ], ids=["top-level-list", "edges-not-list", "bool-days", "zero-denominator", "deep-nesting",
+            "missing-sink", "edge-missing-id", "null-id", "bool-node", "object-id"])
+    def test_malformed_project_exits_three(self, capsys, tmp_path, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert main(["crash", "--input", str(bad), "-k", "1"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_too_many_crashable_days_exits_three(self, capsys, tmp_path):
         # A scalar cost would otherwise expand into b - a schedule entries.

@@ -1,0 +1,103 @@
+"""Differential tests against networkx at sizes brute force cannot reach.
+
+networkx is a test-only dependency; without it these tests are skipped.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+nx = pytest.importorskip("networkx")
+
+from kgreedy.flow import UNBOUNDED, Arc, FlowGraph, is_unbounded, max_flow_value, min_cut
+from kgreedy.generators import RandomNetSpec, random_network
+from kgreedy.network import apply_plan, duration, full_plan
+
+
+def _random_graph(seed):
+    """Up to 200 nodes; integer capacities with zeros, unbounded arcs, cycles,
+    and anti-parallel and parallel arcs."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 200)
+    nodes = tuple(f"v{i}" for i in range(n))
+    unbounded_share = rng.choice([0.0, 0.1, 0.3, 0.6])
+    arcs = []
+    for j in range(rng.randint(n // 2, 6 * n)):
+        u, v = rng.sample(nodes, 2)
+        if arcs and rng.random() < 0.1:
+            # an earlier arc's endpoints: a parallel or an anti-parallel arc
+            prev = rng.choice(arcs)
+            u, v = rng.choice([(prev.src, prev.dst), (prev.dst, prev.src)])
+        cap = UNBOUNDED if rng.random() < unbounded_share else Fraction(rng.randint(0, 9))
+        arcs.append(Arc(f"a{j}", u, v, cap))
+    s, t = rng.sample(nodes, 2)
+    return FlowGraph(nodes, s, t, tuple(arcs))
+
+
+def _to_networkx(g):
+    """A DiGraph with parallel arcs merged; an unbounded arc has no capacity."""
+    G = nx.DiGraph()
+    G.add_nodes_from(g.nodes)
+    for a in g.arcs:
+        if not G.has_edge(a.src, a.dst):
+            G.add_edge(a.src, a.dst, capacity=0)
+        attrs = G[a.src][a.dst]
+        if is_unbounded(a.capacity):
+            attrs.pop("capacity", None)
+        elif "capacity" in attrs:
+            attrs["capacity"] += int(a.capacity)
+    return G
+
+
+def _residual_source_side(G, s, t):
+    """Nodes reachable from s in the residual graph of networkx's maximum flow."""
+    R = nx.flow.preflow_push(G, s, t)
+    seen, stack = {s}, [s]
+    while stack:
+        u = stack.pop()
+        for v, attr in R[u].items():
+            if v not in seen and attr["flow"] < attr["capacity"]:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def test_min_cut_matches_networkx():
+    outcomes = set()
+    for seed in range(80):
+        g = _random_graph(seed)
+        G = _to_networkx(g)
+        cut = min_cut(g)
+        try:
+            expected = nx.minimum_cut_value(G, g.source, g.sink)
+        except nx.NetworkXUnbounded:
+            assert is_unbounded(cut.cost) and is_unbounded(max_flow_value(g)), seed
+            outcomes.add("unbounded")
+            continue
+        assert cut.cost == expected == max_flow_value(g), seed
+        if nx.has_path(G, g.source, g.sink):
+            # The residual-reachable set is the same for every maximum flow,
+            # so networkx's preflow-push flow must give the same witness.
+            side = _residual_source_side(G, g.source, g.sink)
+        else:
+            # Documented degenerate cut: everything reachable, zero arcs too.
+            side = {g.source} | nx.descendants(G, g.source)
+        assert cut.source_side == side, seed
+        outcomes.add("bounded")
+    assert outcomes == {"bounded", "unbounded"}
+
+
+def test_duration_matches_networkx():
+    rng = random.Random(7)
+    for seed in range(40):
+        nodes = rng.randint(2, 200)
+        spec = RandomNetSpec(nodes, rng.randint(nodes - 1, 800), max_normal_len=9,
+                             max_crashable=5, seed=seed)
+        net = random_network(spec)
+        for variant in (net, apply_plan(net, full_plan(net))):
+            G = nx.MultiDiGraph()
+            G.add_nodes_from(variant.nodes)
+            for e in variant.edges:
+                G.add_edge(e.src, e.dst, weight=e.normal_len)
+            assert duration(variant) == nx.dag_longest_path_length(G), seed
