@@ -9,6 +9,7 @@ round failed validation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -275,6 +276,7 @@ def _cmd_experiment(args) -> int:
 
 # -- argument wiring ----------------------------------------------------------------
 
+@functools.cache  # built on first use, so importing kgreedy stays cheap
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgreedy",

@@ -15,6 +15,7 @@ are the machine-checkable counterpart of the greedy cost bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -26,6 +27,7 @@ from .network import (
     EdgeId,
     Plan,
     ProjectNetwork,
+    _critical_pass,
     _reachable,
     apply_plan,
     critical_graph,
@@ -75,42 +77,41 @@ def _cut_graph(critical: ProjectNetwork, cuttable: Callable[[Edge], bool]) -> fl
 def optimal_one_crash(net: ProjectNetwork) -> tuple[Plan, Fraction]:
     """Cheapest plan shortening the project by exactly one day.
 
-    Realized as a minimum cut of the critical graph where each crashable
-    edge is priced at its next marginal cost.
+    This is the first greedy day: a minimum cut of the critical graph where
+    each crashable edge is priced at its next marginal cost.
     """
-    if net.source == net.sink:
-        raise NotCrashableError("the project has no jobs")
-    cut = flow.min_cut(_cut_graph(critical_graph(net), lambda e: e.crashable_days > 0))
-    if flow.is_unbounded(cut.cost):
-        raise NotCrashableError("every critical path contains a fully crashed edge")
-    return Plan({edge_id: 1 for edge_id in cut.cut_arcs}), cut.cost
+    result = greedy_crash(net, 1)
+    return result.plan, result.total_cost
 
 
 def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
-    """Run the one-day greedy k times, accumulating the plan as a multiset."""
+    """Run the one-day greedy k times, accumulating the plan as a multiset.
+
+    One longest-path pass per day gives both the duration the previous day
+    reached and the critical graph the next day cuts.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     current = net
-    accumulated = Plan()
+    critical, _ = _critical_pass(net)
     steps: list[CrashStep] = []
     durations: list[int] = []
-    total = Fraction(0)
     for i in range(1, k + 1):
-        try:
-            step_plan, step_cost = optimal_one_crash(current)
-        except NotCrashableError:
+        cut = None  # a jobless project (source == sink) has no cut to take
+        if net.source != net.sink:
+            cut = flow.min_cut(_cut_graph(critical, lambda e: e.crashable_days > 0))
+        if cut is None or flow.is_unbounded(cut.cost):
             raise NotCrashableError(
                 f"no {k}-day plan exists: day {i} cannot be saved", iteration=i
-            ) from None
-        current = apply_plan(current, step_plan)
-        accumulated = accumulated.merge(step_plan)
-        steps.append(CrashStep(edges=frozenset(step_plan.amounts), cost=step_cost))
-        durations.append(duration(current))
-        total += step_cost
+            )
+        current = apply_plan(current, Plan({edge_id: 1 for edge_id in cut.cut_arcs}))
+        critical, reached = _critical_pass(current)
+        steps.append(CrashStep(edges=cut.cut_arcs, cost=cut.cost))
+        durations.append(reached)
     return GreedyCrashResult(
         steps=tuple(steps),
-        plan=accumulated,
-        total_cost=total,
+        plan=Plan(Counter(edge_id for step in steps for edge_id in step.edges)),
+        total_cost=sum((step.cost for step in steps), Fraction(0)),
         durations=tuple(durations),
     )
 

@@ -7,6 +7,11 @@ augmenting paths) over one residual array that stores arcs in pairs: residual
 arc 2i runs along arc i and holds its unused capacity, and 2i+1 runs against
 it and holds its flow, so ``j ^ 1`` is the partner of residual arc ``j``.
 
+Unbounded flows need no separate check.  Reverse rooms are finite, so an
+augmenting path without a finite room consists of unbounded arcs only and no
+finite cut exists.  Every other augmentation saturates a finite room, so
+Edmonds-Karp still ends, with such a path or with the sink cut off.
+
 The reported cut is the set of nodes reachable from the source in the final
 residual graph.  After any maximum flow that set is the smallest source side
 of a minimum cut (it lies inside every other one), a property of the graph
@@ -79,16 +84,13 @@ class CutResult:
 def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
     """Edmonds-Karp.  Returns (flow value, residual source side).
 
-    The source side is None when the flow is unbounded, i.e. some
-    source-to-sink path consists solely of unbounded arcs.
+    The source side is None when the flow is unbounded, i.e. an augmenting
+    path has no finite room and so consists solely of unbounded arcs.
     """
     arcs = g.arcs
     reach = _reachable(g.nodes, [(a.src, a.dst) for a in arcs], g.source)
     if g.sink not in reach:
         return Fraction(0), reach
-    unbounded = [(a.src, a.dst) for a in arcs if is_unbounded(a.capacity)]
-    if g.sink in _reachable(g.nodes, unbounded, g.source):
-        return UNBOUNDED, None
 
     # Rooms are never negative, so a truthy room is a usable residual arc;
     # UNBOUNDED is truthy and never changes.
@@ -123,9 +125,9 @@ def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
             j = parent[v]
             path.append(j)
             v = head[j ^ 1]
-        # Reverse rooms are finite and the pre-check rules out an all-unbounded
-        # path, so the path has a finite room.
-        bottleneck = min(room[j] for j in path if room[j] is not UNBOUNDED)
+        bottleneck = min((room[j] for j in path if room[j] is not UNBOUNDED), default=UNBOUNDED)
+        if bottleneck is UNBOUNDED:
+            return UNBOUNDED, None
         for j in path:
             if room[j] is not UNBOUNDED:
                 room[j] -= bottleneck

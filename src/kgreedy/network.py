@@ -157,27 +157,6 @@ def full_plan(net: ProjectNetwork) -> Plan:
 
 # -- validation ---------------------------------------------------------------
 
-def _topological_order(net: ProjectNetwork) -> list[NodeId]:
-    indeg = {v: 0 for v in net.nodes}
-    out: dict[NodeId, list[NodeId]] = {v: [] for v in net.nodes}
-    for e in net.edges:
-        indeg[e.dst] += 1
-        out[e.src].append(e.dst)
-    queue = [v for v in net.nodes if indeg[v] == 0]
-    order: list[NodeId] = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(order) != len(net.nodes):
-        stuck = sorted(v for v, d in indeg.items() if d > 0)
-        raise CyclicGraphError(f"cycle through nodes {stuck}")
-    return order
-
-
 def validate(net: ProjectNetwork) -> None:
     """Check every structural invariant; raise a NetworkValidationError otherwise."""
     node_set = set(net.nodes)
@@ -202,16 +181,18 @@ def validate(net: ProjectNetwork) -> None:
                 f"edge {e.id!r}: schedule has {len(e.cost_schedule)} entries, "
                 f"expected {e.crashable_days}"
             )
-        for d, c in enumerate(e.cost_schedule):
-            if c < 0:
-                raise BadCostScheduleError(f"edge {e.id!r}: negative cost at day {d}")
-            if d > 0 and c < e.cost_schedule[d - 1]:
+        # A non-decreasing schedule is non-negative once its first day is.
+        schedule = e.cost_schedule
+        if schedule and schedule[0] < 0:
+            raise BadCostScheduleError(f"edge {e.id!r}: negative cost at day 0")
+        for d in range(1, len(schedule)):
+            if schedule[d] < schedule[d - 1]:
                 raise BadCostScheduleError(
                     f"edge {e.id!r}: schedule must be non-decreasing (convex), "
                     f"day {d} is cheaper than day {d - 1}"
                 )
 
-    _topological_order(net)  # raises CyclicGraphError
+    _longest_dists(net)  # raises CyclicGraphError
 
     # In a DAG whose only node without in-edges is the source and only node
     # without out-edges is the sink, walking back from any node ends at the
@@ -249,25 +230,40 @@ def _reachable(nodes, arcs, start) -> set[NodeId]:
 # -- duration and criticality -------------------------------------------------
 
 def _longest_dists(net: ProjectNetwork) -> tuple[dict[NodeId, int], dict[NodeId, int]]:
-    """Longest-path distances from the source and to the sink, per node."""
-    order = _topological_order(net)
-    incoming: dict[NodeId, list[Edge]] = {v: [] for v in net.nodes}
+    """Longest-path distances from the source and to the sink, per node.
+
+    Kahn's algorithm frees a node once all its in-edges are relaxed.  The
+    nodes never freed, a cycle and all downstream of it, raise CyclicGraphError.
+    """
+    indeg = {v: 0 for v in net.nodes}
     outgoing: dict[NodeId, list[Edge]] = {v: [] for v in net.nodes}
     for e in net.edges:
-        incoming[e.dst].append(e)
+        indeg[e.dst] += 1
         outgoing[e.src].append(e)
     from_src = {v: 0 for v in net.nodes}
-    for v in order:
-        for e in incoming[v]:
-            cand = from_src[e.src] + e.normal_len
+    free = [v for v in net.nodes if indeg[v] == 0]
+    order: list[NodeId] = []
+    while free:
+        u = free.pop()
+        order.append(u)
+        dist = from_src[u]
+        for e in outgoing[u]:
+            v = e.dst
+            cand = dist + e.normal_len
             if cand > from_src[v]:
                 from_src[v] = cand
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                free.append(v)
+    if len(order) != len(net.nodes):
+        stuck = sorted(v for v, d in indeg.items() if d > 0)
+        raise CyclicGraphError(f"cycle through nodes {stuck}")
     to_sink = {v: 0 for v in net.nodes}
-    for v in reversed(order):
-        for e in outgoing[v]:
+    for u in reversed(order):
+        for e in outgoing[u]:
             cand = to_sink[e.dst] + e.normal_len
-            if cand > to_sink[v]:
-                to_sink[v] = cand
+            if cand > to_sink[u]:
+                to_sink[u] = cand
     return from_src, to_sink
 
 
@@ -277,24 +273,23 @@ def duration(net: ProjectNetwork) -> int:
     return from_src[net.sink]
 
 
-def critical_graph(net: ProjectNetwork) -> ProjectNetwork:
-    """The subnetwork of edges lying on some longest source-to-sink path."""
+def _critical_pass(net: ProjectNetwork) -> tuple[ProjectNetwork, int]:
+    """The critical graph and the duration, from one longest-path pass."""
     from_src, to_sink = _longest_dists(net)
     total = from_src[net.sink]
     kept = tuple(
         e for e in net.edges
         if from_src[e.src] + e.normal_len + to_sink[e.dst] == total
     )
-    used_nodes = {net.source, net.sink}
-    for e in kept:
-        used_nodes.add(e.src)
-        used_nodes.add(e.dst)
-    return ProjectNetwork(
-        nodes=tuple(v for v in net.nodes if v in used_nodes),
-        source=net.source,
-        sink=net.sink,
-        edges=kept,
-    )
+    # A node lies on a longest path exactly when its two distances add up to
+    # the duration, and then it is the source, the sink or an end of a kept edge.
+    nodes = tuple(v for v in net.nodes if from_src[v] + to_sink[v] == total)
+    return ProjectNetwork(nodes, net.source, net.sink, kept), total
+
+
+def critical_graph(net: ProjectNetwork) -> ProjectNetwork:
+    """The subnetwork of edges lying on some longest source-to-sink path."""
+    return _critical_pass(net)[0]
 
 
 # -- plan application ---------------------------------------------------------
@@ -447,7 +442,3 @@ def network_from_json(data: dict) -> ProjectNetwork:
 
 def plan_to_json(plan: Plan) -> dict:
     return {"amounts": {edge_id: x for edge_id, x in sorted(plan.amounts.items())}}
-
-
-def plan_from_json(data: dict) -> Plan:
-    return Plan({str(k): int(v) for k, v in data["amounts"].items()})

@@ -32,7 +32,7 @@ from kgreedy.network import (
     plan_cost,
 )
 from kgreedy.oracle import exact_crash_cost
-from support import removing_disconnects
+from support import brute_duration, removing_disconnects
 
 
 def small_nets(count=60):
@@ -107,6 +107,7 @@ class TestGreedyCrash:
             for i, step in enumerate(result.steps, start=1):
                 partial = partial.merge(Plan({e: 1 for e in step.edges}))
                 assert duration(apply_plan(net, partial)) == base - i
+                assert result.durations[i - 1] == brute_duration(apply_plan(net, partial))
 
     def test_total_cost_equals_plan_cost(self):
         for net in small_nets(20):

@@ -56,15 +56,15 @@ def test_sink_unreachable_gives_empty_cut():
 
 
 def test_unbounded_path_makes_cut_unbounded():
-    g = FlowGraph(
-        ("s", "u", "t"), "s", "t",
-        (Arc("a", "s", "u", UNBOUNDED), Arc("b", "u", "t", UNBOUNDED)),
-    )
-    cut = min_cut(g)
-    assert is_unbounded(cut.cost)
-    assert is_unbounded(max_flow_value(g))
-    assert cut.source_side | cut.sink_side == set(g.nodes)
-    assert not cut.source_side & cut.sink_side
+    unbounded = (Arc("a", "s", "u", UNBOUNDED), Arc("b", "u", "t", UNBOUNDED))
+    # with arc c, the shorter finite path s-t is augmented before s-u-t is found
+    for arcs in (unbounded, unbounded + (Arc("c", "s", "t", Fraction(3)),)):
+        g = FlowGraph(("s", "u", "t"), "s", "t", arcs)
+        cut = min_cut(g)
+        assert is_unbounded(cut.cost)
+        assert is_unbounded(max_flow_value(g))
+        assert cut.source_side | cut.sink_side == set(g.nodes)
+        assert not cut.source_side & cut.sink_side
 
 
 def test_unbounded_arc_avoided_when_finite_cut_exists():
