@@ -7,10 +7,12 @@ minimum s-t cut as the cheapest one-day plan.  Convex schedules work
 transparently because the next marginal cost is always the head of the
 remaining schedule.
 
-``decompose``/``verify_trace`` rebuild, from any k-day plan, the chain of
-residual plans and restricted minimum cuts whose costs are provably
-monotone, together with the cut-overlap partitions that witness it.  They
-are the machine-checkable counterpart of the greedy cost bound.
+``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
+restricted minimum cuts whose costs are provably monotone, and stores each
+level once.  ``verify_trace`` derives the cut-overlap partitions that witness
+the monotonicity from those levels and checks them, so a changed level is
+checked as it stands.  Together they are the machine-checkable counterpart
+of the greedy cost bound.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .network import (
     Plan,
     ProjectNetwork,
     _critical_pass,
-    _reachable,
     apply_plan,
     critical_graph,
     duration,
@@ -124,9 +125,8 @@ class TraceLevel:
 
     ``network`` is the level's project, ``critical`` its critical graph, and
     ``cut`` the minimum cut of ``critical`` restricted to the edges still
-    carried by ``remaining_plan``.  The partition sides and the edge classes
-    (within the source side, within the sink side, crossing backwards) are
-    taken from the same cut.
+    carried by ``remaining_plan``.  ``source_side`` is the cut's partition
+    side that holds the source.
     """
 
     network: ProjectNetwork
@@ -135,51 +135,11 @@ class TraceLevel:
     cut: frozenset[EdgeId]
     cut_cost: Fraction
     source_side: frozenset[str]
-    sink_side: frozenset[str]
-    source_side_edges: frozenset[EdgeId]
-    sink_side_edges: frozenset[EdgeId]
-    reverse_edges: frozenset[EdgeId]
-
-
-@dataclass(frozen=True)
-class LevelPair:
-    """How two consecutive cuts overlap.
-
-    The next cut splits into the parts ahead of, shared with, and behind the
-    current cut; the current cut splits the same way against the next level,
-    plus the part that crosses the next partition backwards.
-    """
-
-    next_cut_ahead: frozenset[EdgeId]
-    next_cut_shared: frozenset[EdgeId]
-    next_cut_behind: frozenset[EdgeId]
-    cur_cut_ahead: frozenset[EdgeId]
-    cur_cut_shared: frozenset[EdgeId]
-    cur_cut_behind: frozenset[EdgeId]
-    cur_cut_reverse: frozenset[EdgeId]
 
 
 @dataclass(frozen=True)
 class DecompositionTrace:
-    network: ProjectNetwork
-    plan: Plan
-    k: int
     levels: tuple[TraceLevel, ...]
-    pairs: tuple[LevelPair, ...]
-
-
-def _edge_classes(critical: ProjectNetwork, source_side: frozenset[str]):
-    within_src, within_snk, reverse = set(), set(), set()
-    for e in critical.edges:
-        src_in = e.src in source_side
-        dst_in = e.dst in source_side
-        if src_in and dst_in:
-            within_src.add(e.id)
-        elif not src_in and not dst_in:
-            within_snk.add(e.id)
-        elif not src_in and dst_in:
-            reverse.add(e.id)
-    return frozenset(within_src), frozenset(within_snk), frozenset(reverse)
 
 
 def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
@@ -206,7 +166,6 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
             raise NotKCrashingError(
                 f"level {i}: the remaining plan contains no cut of the critical graph"
             )
-        within_src, within_snk, reverse = _edge_classes(critical, cut.source_side)
         levels.append(
             TraceLevel(
                 network=current,
@@ -215,29 +174,11 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
                 cut=cut.cut_arcs,
                 cut_cost=cut.cost,
                 source_side=cut.source_side,
-                sink_side=cut.sink_side,
-                source_side_edges=within_src,
-                sink_side_edges=within_snk,
-                reverse_edges=reverse,
             )
         )
         current = apply_plan(critical, Plan({edge_id: 1 for edge_id in cut.cut_arcs}))
         remaining = remaining.subtract_units(cut.cut_arcs)
-
-    pairs: list[LevelPair] = []
-    for cur, nxt in zip(levels, levels[1:]):
-        pairs.append(
-            LevelPair(
-                next_cut_ahead=nxt.cut & cur.sink_side_edges,
-                next_cut_shared=nxt.cut & cur.cut,
-                next_cut_behind=nxt.cut & cur.source_side_edges,
-                cur_cut_ahead=cur.cut & nxt.sink_side_edges,
-                cur_cut_shared=cur.cut & nxt.cut,
-                cur_cut_behind=cur.cut & nxt.source_side_edges,
-                cur_cut_reverse=cur.cut & nxt.reverse_edges,
-            )
-        )
-    return DecompositionTrace(network=net, plan=plan, k=k, levels=tuple(levels), pairs=tuple(pairs))
+    return DecompositionTrace(tuple(levels))
 
 
 # -- trace verification -------------------------------------------------------
@@ -263,8 +204,34 @@ class TraceReport:
 
 
 def _disconnects(g: ProjectNetwork, removed: frozenset[EdgeId]) -> bool:
-    kept = [(e.src, e.dst) for e in g.edges if e.id not in removed]
-    return g.sink not in _reachable(g.nodes, kept, g.source)
+    out: dict[str, list[str]] = {v: [] for v in g.nodes}
+    for e in g.edges:
+        if e.id not in removed:
+            out[e.src].append(e.dst)
+    seen = {g.source}
+    stack = [g.source]
+    while stack:
+        for v in out[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return g.sink not in seen
+
+
+def _edge_classes(level: TraceLevel):
+    """The level's critical edges within the source side, within the sink
+    side, and crossing from the sink side back to the source side."""
+    within_src, within_snk, reverse = set(), set(), set()
+    for e in level.critical.edges:
+        src_in = e.src in level.source_side
+        dst_in = e.dst in level.source_side
+        if src_in and dst_in:
+            within_src.add(e.id)
+        elif not src_in and not dst_in:
+            within_snk.add(e.id)
+        elif not src_in and dst_in:
+            reverse.add(e.id)
+    return within_src, within_snk, reverse
 
 
 def verify_trace(trace: DecompositionTrace) -> TraceReport:
@@ -280,87 +247,73 @@ def verify_trace(trace: DecompositionTrace) -> TraceReport:
     for i, level in enumerate(trace.levels, start=1):
         got = duration(level.network)
         want = base - (i - 1)
-        checks.append(
-            TraceCheck(
-                "duration-decrement", i, got == want,
-                f"duration {got}, expected {want}",
-            )
-        )
         not_in_plan = level.cut - level.remaining_plan.support()
-        checks.append(
+        checks += [
+            TraceCheck("duration-decrement", i, got == want, f"duration {got}, expected {want}"),
             TraceCheck(
                 "cut-within-plan", i, not not_in_plan,
                 f"cut edges outside the remaining plan: {sorted(not_in_plan)}",
-            )
-        )
-        checks.append(
+            ),
             TraceCheck(
                 "cut-disconnects", i, _disconnects(level.critical, level.cut),
                 "removing the cut must disconnect the critical graph",
-            )
-        )
+            ),
+        ]
 
-    for i, (cur, nxt, pair) in enumerate(
-        zip(trace.levels, trace.levels[1:], trace.pairs), start=1
-    ):
-        checks.append(
-            TraceCheck(
-                "reverse-cut-disjoint", i, not (nxt.cut & cur.reverse_edges),
-                "next cut must avoid arcs crossing the current partition backwards",
-            )
-        )
+    classes = [_edge_classes(level) for level in trace.levels]
+    for i, (cur, nxt) in enumerate(zip(trace.levels, trace.levels[1:]), start=1):
+        cur_src, cur_snk, cur_rev = classes[i - 1]
+        nxt_src, nxt_snk, nxt_rev = classes[i]
         next_critical_ids = frozenset(e.id for e in nxt.critical.edges)
-        checks.append(
+        # The next cut split by the current level's edge classes, and the
+        # current cut by the next level's: ahead, shared and behind parts,
+        # and for the current cut also the part crossing backwards.
+        next_ahead = nxt.cut & cur_snk
+        next_shared = nxt.cut & cur.cut
+        next_behind = nxt.cut & cur_src
+        cur_ahead = cur.cut & nxt_snk
+        cur_shared = cur.cut & nxt.cut
+        cur_behind = cur.cut & nxt_src
+        cur_reverse = cur.cut & nxt_rev
+        checks += [
+            TraceCheck(
+                "reverse-cut-disjoint", i, not (nxt.cut & cur_rev),
+                "next cut must avoid arcs crossing the current partition backwards",
+            ),
             TraceCheck(
                 "cut-stays-critical", i, cur.cut <= next_critical_ids,
                 f"cut edges dropped from the next critical graph: "
                 f"{sorted(cur.cut - next_critical_ids)}",
-            )
-        )
-        checks.append(
+            ),
             TraceCheck(
                 "cut-cost-monotone", i, cur.cut_cost <= nxt.cut_cost,
                 f"cost {cur.cut_cost} then {nxt.cut_cost}",
-            )
-        )
-        parts_next = (pair.next_cut_ahead, pair.next_cut_shared, pair.next_cut_behind)
-        checks.append(
+            ),
             TraceCheck(
                 "next-cut-partitioned", i,
-                _is_partition(parts_next, nxt.cut),
+                _is_partition((next_ahead, next_shared, next_behind), nxt.cut),
                 "ahead/shared/behind must partition the next cut",
-            )
-        )
-        parts_cur = (
-            pair.cur_cut_ahead, pair.cur_cut_shared, pair.cur_cut_behind, pair.cur_cut_reverse,
-        )
-        checks.append(
+            ),
             TraceCheck(
                 "cur-cut-partitioned", i,
-                _is_partition(parts_cur, cur.cut),
+                _is_partition((cur_ahead, cur_shared, cur_behind, cur_reverse), cur.cut),
                 "ahead/shared/behind/reverse must partition the current cut",
-            )
-        )
-        checks.append(
+            ),
             TraceCheck(
-                "shared-classes-equal", i, pair.next_cut_shared == pair.cur_cut_shared,
+                "shared-classes-equal", i, next_shared == cur_shared,
                 "both cuts must agree on their shared part",
-            )
-        )
-        forward = pair.next_cut_ahead | pair.cur_cut_shared | pair.cur_cut_ahead
-        checks.append(
+            ),
             TraceCheck(
-                "forward-mix-contains-cut", i, _disconnects(cur.critical, forward),
+                "forward-mix-contains-cut", i,
+                _disconnects(cur.critical, next_ahead | cur_shared | cur_ahead),
                 "next-ahead + shared + cur-ahead must contain a cut of the current critical graph",
-            )
-        )
-        backward = pair.next_cut_behind | pair.cur_cut_shared | pair.cur_cut_behind
-        checks.append(
+            ),
             TraceCheck(
-                "backward-mix-contains-cut", i, _disconnects(cur.critical, backward),
+                "backward-mix-contains-cut", i,
+                _disconnects(cur.critical, next_behind | cur_shared | cur_behind),
                 "next-behind + shared + cur-behind must contain a cut of the current critical graph",
-            )
-        )
+            ),
+        ]
 
     return TraceReport(tuple(checks))
 

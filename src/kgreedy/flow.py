@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .network import _reachable
-
 
 class _Unbounded:
     """Singleton sentinel for arcs that no finite budget can saturate."""
@@ -87,17 +85,12 @@ def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
     The source side is None when the flow is unbounded, i.e. an augmenting
     path has no finite room and so consists solely of unbounded arcs.
     """
-    arcs = g.arcs
-    reach = _reachable(g.nodes, [(a.src, a.dst) for a in arcs], g.source)
-    if g.sink not in reach:
-        return Fraction(0), reach
-
     # Rooms are never negative, so a truthy room is a usable residual arc;
     # UNBOUNDED is truthy and never changes.
     head: list[str] = []
     room: list[Capacity] = []
     out: dict[str, list[int]] = {v: [] for v in g.nodes}
-    for i, arc in enumerate(arcs):
+    for i, arc in enumerate(g.arcs):
         head += (arc.dst, arc.src)
         room += (arc.capacity, Fraction(0))
         out[arc.src].append(2 * i)
@@ -139,9 +132,10 @@ def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
 def min_cut(g: FlowGraph) -> CutResult:
     """A minimum s-t cut with a deterministic, source-nearest witness.
 
-    If the sink is unreachable the empty cut of cost 0 is returned with the
-    reachable set as the source side.  If every s-t cut crosses an unbounded
-    arc, the cost is UNBOUNDED.
+    The source side is the residual-reachable set, also when no flow is
+    possible: then the cut costs 0 and lists the zero-capacity arcs, if any,
+    that leave the nodes reachable over positive capacity.  If every s-t cut
+    crosses an unbounded arc, the cost is UNBOUNDED.
     """
     _, residual_side = _max_flow(g)
     if residual_side is None:

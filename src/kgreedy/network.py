@@ -91,9 +91,6 @@ class ProjectNetwork:
     sink: NodeId
     edges: tuple[Edge, ...]
 
-    def edge_ids(self) -> tuple[EdgeId, ...]:
-        return tuple(e.id for e in self.edges)
-
 
 @dataclass(frozen=True)
 class Plan:
@@ -125,13 +122,6 @@ class Plan:
         # slower forwarded method call, and this runs once per edge per step.
         amounts = self.amounts
         return amounts[edge_id] if edge_id in amounts else 0
-
-    def merge(self, other: "Plan") -> "Plan":
-        """Multiset union: add crash amounts edge by edge."""
-        merged = dict(self.amounts)
-        for edge_id, x in other.amounts.items():
-            merged[edge_id] = merged.get(edge_id, 0) + x
-        return Plan(merged)
 
     def subtract_units(self, edge_ids: Iterable[EdgeId]) -> "Plan":
         """Multiset difference: remove one unit per listed edge."""
@@ -212,25 +202,13 @@ def validate(net: ProjectNetwork) -> None:
         )
 
 
-def _reachable(nodes, arcs, start) -> set[NodeId]:
-    out: dict[NodeId, list[NodeId]] = {v: [] for v in nodes}
-    for u, v in arcs:
-        out[u].append(v)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in out[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 # -- duration and criticality -------------------------------------------------
 
-def _longest_dists(net: ProjectNetwork) -> tuple[dict[NodeId, int], dict[NodeId, int]]:
-    """Longest-path distances from the source and to the sink, per node.
+def _longest_dists(
+    net: ProjectNetwork,
+) -> tuple[dict[NodeId, int], list[NodeId], dict[NodeId, list[Edge]]]:
+    """Longest-path distances from the source, a topological order, and
+    each node's out-edges.
 
     Kahn's algorithm frees a node once all its in-edges are relaxed.  The
     nodes never freed, a cycle and all downstream of it, raise CyclicGraphError.
@@ -258,24 +236,27 @@ def _longest_dists(net: ProjectNetwork) -> tuple[dict[NodeId, int], dict[NodeId,
     if len(order) != len(net.nodes):
         stuck = sorted(v for v, d in indeg.items() if d > 0)
         raise CyclicGraphError(f"cycle through nodes {stuck}")
+    return from_src, order, outgoing
+
+
+def duration(net: ProjectNetwork) -> int:
+    """Project duration: length of the longest source-to-sink path, in days."""
+    return _longest_dists(net)[0][net.sink]
+
+
+def _critical_pass(net: ProjectNetwork) -> tuple[ProjectNetwork, int]:
+    """The critical graph and the duration, from one longest-path pass.
+
+    Distances to the sink are relaxed over the pass's topological order,
+    backwards; only the critical graph needs them.
+    """
+    from_src, order, outgoing = _longest_dists(net)
     to_sink = {v: 0 for v in net.nodes}
     for u in reversed(order):
         for e in outgoing[u]:
             cand = to_sink[e.dst] + e.normal_len
             if cand > to_sink[u]:
                 to_sink[u] = cand
-    return from_src, to_sink
-
-
-def duration(net: ProjectNetwork) -> int:
-    """Project duration: length of the longest source-to-sink path, in days."""
-    from_src, _ = _longest_dists(net)
-    return from_src[net.sink]
-
-
-def _critical_pass(net: ProjectNetwork) -> tuple[ProjectNetwork, int]:
-    """The critical graph and the duration, from one longest-path pass."""
-    from_src, to_sink = _longest_dists(net)
     total = from_src[net.sink]
     kept = tuple(
         e for e in net.edges

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from kgreedy.flow import Arc, FlowGraph, is_unbounded, UNBOUNDED
+from kgreedy.network import Plan
 
 
 def random_flow_graph(seed, max_nodes=7, max_arcs=12, unbounded_share=0.15):
@@ -25,6 +26,19 @@ def random_flow_graph(seed, max_nodes=7, max_arcs=12, unbounded_share=0.15):
             cap = Fraction(rng.randint(1, 9))
         arcs.append(Arc(f"a{j}", nodes[u], nodes[v], cap))
     return FlowGraph(nodes, nodes[0], nodes[-1], tuple(arcs))
+
+
+def edge_ids(net):
+    """The network's edge ids, in edge order."""
+    return tuple(e.id for e in net.edges)
+
+
+def merge(plan, other):
+    """Multiset union of two plans: crash amounts added edge by edge."""
+    merged = dict(plan.amounts)
+    for edge_id, x in other.amounts.items():
+        merged[edge_id] = merged.get(edge_id, 0) + x
+    return Plan(merged)
 
 
 def all_st_paths(net):

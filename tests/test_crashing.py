@@ -32,7 +32,7 @@ from kgreedy.network import (
     plan_cost,
 )
 from kgreedy.oracle import exact_crash_cost
-from support import brute_duration, removing_disconnects
+from support import brute_duration, merge, removing_disconnects
 
 
 def small_nets(count=60):
@@ -105,7 +105,7 @@ class TestGreedyCrash:
             base = duration(net)
             partial = Plan()
             for i, step in enumerate(result.steps, start=1):
-                partial = partial.merge(Plan({e: 1 for e in step.edges}))
+                partial = merge(partial, Plan({e: 1 for e in step.edges}))
                 assert duration(apply_plan(net, partial)) == base - i
                 assert result.durations[i - 1] == brute_duration(apply_plan(net, partial))
 
@@ -221,6 +221,16 @@ class TestVerifyTrace:
         report = verify_trace(replace(trace, levels=(tampered,) + trace.levels[1:]))
         assert not report.passed
         assert ("cut-disconnects", 1) in [(c.name, c.level) for c in report.failures()]
+
+    def test_changed_cut_is_checked_as_it_stands(self):
+        # Level 1 cuts j1, and level 2's partition keeps j1 on its source
+        # side; a level-2 cut {j1, j3} puts j1 in both the shared and the
+        # behind part of the level-1 cut, so that cut is not partitioned.
+        net = counterexample_network()
+        trace = decompose(net, Plan({"j1": 1, "j5": 1}), 2)
+        tampered = replace(trace.levels[1], cut=frozenset({"j1", "j3"}))
+        report = verify_trace(replace(trace, levels=trace.levels[:1] + (tampered,)))
+        assert ("cur-cut-partitioned", 1) in [(c.name, c.level) for c in report.failures()]
 
     def test_random_oracle_plans_all_pass(self):
         # 200 seeded instances, oracle-optimal plans, every claim checked

@@ -76,14 +76,9 @@ def test_min_cut_matches_networkx():
             outcomes.add("unbounded")
             continue
         assert cut.cost == expected == max_flow_value(g), seed
-        if nx.has_path(G, g.source, g.sink):
-            # The residual-reachable set is the same for every maximum flow,
-            # so networkx's preflow-push flow must give the same witness.
-            side = _residual_source_side(G, g.source, g.sink)
-        else:
-            # Documented degenerate cut: everything reachable, zero arcs too.
-            side = {g.source} | nx.descendants(G, g.source)
-        assert cut.source_side == side, seed
+        # The residual-reachable set is the same for every maximum flow, so
+        # networkx's preflow-push flow must give the same witness.
+        assert cut.source_side == _residual_source_side(G, g.source, g.sink), seed
         outcomes.add("bounded")
     assert outcomes == {"bounded", "unbounded"}
 

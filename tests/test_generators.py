@@ -15,6 +15,7 @@ from kgreedy.generators import (
 from kgreedy.klis import greedy_klis_scripted
 from kgreedy.network import critical_graph, duration, validate
 from kgreedy.oracle import exact_crash_cost, exact_klis
+from support import edge_ids
 
 
 class TestCounterexampleNetwork:
@@ -27,7 +28,7 @@ class TestCounterexampleNetwork:
         assert duration(counterexample_network()) == 9
 
     def test_unique_critical_path(self):
-        assert set(critical_graph(counterexample_network()).edge_ids()) == {"j1", "j3", "j5"}
+        assert set(edge_ids(critical_graph(counterexample_network()))) == {"j1", "j3", "j5"}
 
     def test_greedy_steps_and_costs(self):
         result = greedy_crash(counterexample_network(), 2)

@@ -1,0 +1,42 @@
+"""Import layering of the library, read from the source with `ast`.
+
+The package has no runtime dependency, so every absolute import names a
+standard-library module.  `flow` works on its own arc graphs and imports no
+other module of the package.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "kgreedy"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imports(path):
+    """(level, module) for each imported module; level 0 is absolute, and a
+    relative `from . import a, b` names a and b."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.append((node.level, node.module))
+            else:
+                found += [(node.level, alias.name) for alias in node.names]
+    return found
+
+
+def test_absolute_imports_are_stdlib():
+    assert {p.stem for p in SOURCES} >= {"__init__", "crashing", "flow", "network"}
+    for path in SOURCES:
+        for level, module in _imports(path):
+            if level == 0:
+                top = module.partition(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
+
+
+def test_flow_imports_no_package_module():
+    imported = _imports(PACKAGE / "flow.py")
+    assert [m for level, m in imported if level > 0 or m.partition(".")[0] == "kgreedy"] == []
