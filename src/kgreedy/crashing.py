@@ -98,10 +98,8 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     steps: list[CrashStep] = []
     durations: list[int] = []
     for i in range(1, k + 1):
-        cut = None  # a jobless project (source == sink) has no cut to take
-        if net.source != net.sink:
-            cut = flow.min_cut(_cut_graph(critical, lambda e: e.crashable_days > 0))
-        if cut is None or flow.is_unbounded(cut.cost):
+        cut = flow.min_cut(_cut_graph(critical, lambda e: e.crashable_days > 0))
+        if flow.is_unbounded(cut.cost):
             raise NotCrashableError(
                 f"no {k}-day plan exists: day {i} cannot be saved", iteration=i
             )

@@ -91,7 +91,3 @@ class ScriptNotMaximalError(ScriptError):
 
 class BudgetExceededError(KGreedyError):
     """An exhaustive oracle would enumerate more states than its budget allows."""
-
-
-class NoPlanError(KGreedyError):
-    """No plan with the requested duration reduction exists."""

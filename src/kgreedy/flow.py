@@ -10,7 +10,8 @@ it and holds its flow, so ``j ^ 1`` is the partner of residual arc ``j``.
 Unbounded flows need no separate check.  Reverse rooms are finite, so an
 augmenting path without a finite room consists of unbounded arcs only and no
 finite cut exists.  Every other augmentation saturates a finite room, so
-Edmonds-Karp still ends, with such a path or with the sink cut off.
+Edmonds-Karp still ends, with such a path or with the sink cut off.  A source
+that is also the sink is the empty such path: it has no finite cut either.
 
 The reported cut is the set of nodes reachable from the source in the final
 residual graph.  After any maximum flow that set is the smallest source side
@@ -29,14 +30,11 @@ from typing import Union
 class _Unbounded:
     """Singleton sentinel for arcs that no finite budget can saturate."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
+        return "UNBOUNDED"
+
+    def __reduce__(self):
+        # copy and pickle resolve the module-level name, so they keep the one instance
         return "UNBOUNDED"
 
 
@@ -64,18 +62,13 @@ class FlowGraph:
     sink: str
     arcs: tuple[Arc, ...]
 
-    def __post_init__(self):
-        if self.source == self.sink:
-            raise ValueError("source and sink must differ")
-
 
 @dataclass(frozen=True)
 class CutResult:
-    """A minimum s-t cut: the crossing arcs and the witnessing partition."""
+    """A minimum s-t cut: the crossing arcs and the source side that witnesses them."""
 
     cut_arcs: frozenset[str]
     source_side: frozenset[str]
-    sink_side: frozenset[str]
     cost: Capacity
 
 
@@ -135,20 +128,19 @@ def min_cut(g: FlowGraph) -> CutResult:
     The source side is the residual-reachable set, also when no flow is
     possible: then the cut costs 0 and lists the zero-capacity arcs, if any,
     that leave the nodes reachable over positive capacity.  If every s-t cut
-    crosses an unbounded arc, the cost is UNBOUNDED.
+    crosses an unbounded arc, or the source is the sink, the cost is UNBOUNDED.
     """
     _, residual_side = _max_flow(g)
     if residual_side is None:
         # Every cut contains an unbounded arc; any partition witnesses that.
         src_side = frozenset(v for v in g.nodes if v != g.sink)
         cut = frozenset(a.id for a in g.arcs if a.src != g.sink and a.dst == g.sink)
-        return CutResult(cut, src_side, frozenset({g.sink}), UNBOUNDED)
+        return CutResult(cut, src_side, UNBOUNDED)
 
     src_side = frozenset(residual_side)
-    sink_side = frozenset(v for v in g.nodes if v not in residual_side)
-    crossing = [a for a in g.arcs if a.src in src_side and a.dst in sink_side]
+    crossing = [a for a in g.arcs if a.src in src_side and a.dst not in src_side]
     cost = sum((a.capacity for a in crossing), Fraction(0))
-    return CutResult(frozenset(a.id for a in crossing), src_side, sink_side, cost)
+    return CutResult(frozenset(a.id for a in crossing), src_side, cost)
 
 
 def max_flow_value(g: FlowGraph) -> Capacity:

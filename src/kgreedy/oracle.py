@@ -3,36 +3,24 @@
 These deliberately share no algorithmic machinery with the greedy paths:
 plan search uses only duration recomputation (no cuts, no flows), and the
 subsequence solver is a tail-state dynamic program with no patience piles.
-Budgets are hard preconditions; an oracle that silently truncates would be
-worse than no oracle at all.
+Two caps are hard preconditions: at most ``MAX_CRASH_PLANS`` crash plans and
+``MAX_KLIS_ASSIGNMENTS`` subsequence assignments; an oracle that silently
+truncates would be worse than no oracle at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceededError, NoPlanError
+from .errors import BudgetExceededError, NotCrashableError
 from .klis import SubseqSelection
 from .network import Plan, ProjectNetwork
 
 _NEG_INF = float("-inf")
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard cap on the number of states an exhaustive search may touch."""
-
-    max_states: int
-
-    def __post_init__(self):
-        if self.max_states <= 0:
-            raise ValueError("max_states must be positive")
-
-
-DEFAULT_CRASH_BUDGET = OracleBudget(2_000_000)
-DEFAULT_KLIS_BUDGET = OracleBudget(200_000_000)
+MAX_CRASH_PLANS = 2_000_000
+MAX_KLIS_ASSIGNMENTS = 200_000_000
 
 
 class _DurationEvaluator:
@@ -72,14 +60,12 @@ class _DurationEvaluator:
         return dist[self.sink_index]
 
 
-def exact_crash_cost(
-    net: ProjectNetwork, k: int, budget: OracleBudget = DEFAULT_CRASH_BUDGET
-) -> tuple[Plan, Fraction]:
+def exact_crash_cost(net: ProjectNetwork, k: int) -> tuple[Plan, Fraction]:
     """Cheapest plan shortening the project by at least k days, by enumeration.
 
     Visits every in-bounds integer plan (cost-bound pruning only), so the
-    plan space product over all edges of (crashable days + 1) must fit the
-    budget.  Convex schedules are costed by prefix sums.  Among equal-cost
+    plan space product over all edges of (crashable days + 1) must be at
+    most ``MAX_CRASH_PLANS``.  Convex schedules are costed by prefix sums.  Among equal-cost
     optima the first plan in per-edge lexicographic order wins.
     """
     if k < 0:
@@ -91,15 +77,15 @@ def exact_crash_cost(
     space = 1
     for c in caps:
         space *= c + 1
-    if space > budget.max_states:
-        raise BudgetExceededError(f"{space} plans exceed the budget of {budget.max_states}")
+    if space > MAX_CRASH_PLANS:
+        raise BudgetExceededError(f"{space} plans exceed the budget of {MAX_CRASH_PLANS}")
 
     evaluator = _DurationEvaluator(net)
     lengths = [e.normal_len for e in net.edges]
     base = evaluator.duration(lengths)
     floor = evaluator.duration([e.min_len for e in net.edges])
     if base - floor < k:
-        raise NoPlanError(f"k_max is {base - floor}, no {k}-day plan exists")
+        raise NotCrashableError(f"k_max is {base - floor}, no {k}-day plan exists")
     target = base - k
 
     prefix: list[list[Fraction]] = []
@@ -140,22 +126,20 @@ def exact_crash_cost(
     return plan, best_cost
 
 
-def exact_klis(
-    values: Sequence[int], k: int, budget: OracleBudget = DEFAULT_KLIS_BUDGET
-) -> SubseqSelection:
+def exact_klis(values: Sequence[int], k: int) -> SubseqSelection:
     """Maximum-total k disjoint increasing subsequences, exactly.
 
     Every assignment of positions to {unused, class 1..k} maps onto a path
     through (position, sorted class-tails) states, so the exhaustive search
-    over that state space is exact while staying within the (k+1)^n
-    assignment budget.  Parts are returned longest first.
+    over that state space is exact; (k+1)^n must be at most
+    ``MAX_KLIS_ASSIGNMENTS``.  Parts are returned longest first.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(values)
-    if (k + 1) ** n > budget.max_states:
+    if (k + 1) ** n > MAX_KLIS_ASSIGNMENTS:
         raise BudgetExceededError(
-            f"(k+1)^n = {(k + 1) ** n} assignments exceed the budget of {budget.max_states}"
+            f"(k+1)^n = {(k + 1) ** n} assignments exceed the budget of {MAX_KLIS_ASSIGNMENTS}"
         )
 
     start = (_NEG_INF,) * k

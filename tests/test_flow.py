@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 from kgreedy.flow import (
@@ -63,8 +65,29 @@ def test_unbounded_path_makes_cut_unbounded():
         cut = min_cut(g)
         assert is_unbounded(cut.cost)
         assert is_unbounded(max_flow_value(g))
-        assert cut.source_side | cut.sink_side == set(g.nodes)
-        assert not cut.source_side & cut.sink_side
+        assert cut.source_side < set(g.nodes)
+        assert g.sink not in cut.source_side
+
+
+def test_source_that_is_the_sink_has_no_finite_cut():
+    for arcs in ((), (Arc("a", "s", "u", Fraction(2)), Arc("b", "u", "s", Fraction(1)))):
+        nodes = ("s", "u") if arcs else ("s",)
+        g = FlowGraph(nodes, "s", "s", arcs)
+        assert min_cut(g).cost is UNBOUNDED
+        assert max_flow_value(g) is UNBOUNDED
+
+
+def test_unbounded_survives_pickle_and_deepcopy():
+    g = FlowGraph(("s", "t"), "s", "t", (Arc("a", "s", "t", UNBOUNDED),))
+    cut = min_cut(g)
+    for value in (UNBOUNDED, cut, g):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert clone == value
+    assert pickle.loads(pickle.dumps(UNBOUNDED)) is UNBOUNDED
+    assert copy.deepcopy(UNBOUNDED) is UNBOUNDED
+    assert pickle.loads(pickle.dumps(cut)).cost is UNBOUNDED
+    assert copy.deepcopy(cut).cost is UNBOUNDED
+    assert is_unbounded(copy.deepcopy(g).arcs[0].capacity)
 
 
 def test_unbounded_arc_avoided_when_finite_cut_exists():
@@ -95,13 +118,13 @@ def test_cut_partition_is_consistent():
     for seed in range(100):
         g = random_flow_graph(seed)
         cut = min_cut(g)
+        sink_side = set(g.nodes) - cut.source_side
         assert g.source in cut.source_side
-        assert g.sink in cut.sink_side
-        assert cut.source_side | cut.sink_side == set(g.nodes)
-        assert not (cut.source_side & cut.sink_side)
+        assert g.sink in sink_side
+        assert cut.source_side <= set(g.nodes)
         crossing = {
             a.id for a in g.arcs
-            if a.src in cut.source_side and a.dst in cut.sink_side
+            if a.src in cut.source_side and a.dst in sink_side
         }
         assert cut.cut_arcs == crossing
         # removing the crossing arcs disconnects the sink

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kgreedy.errors import BudgetExceededError, NoPlanError
+from kgreedy.errors import BudgetExceededError, NotCrashableError
 from kgreedy.generators import (
     RandomNetSpec,
     counterexample_network,
@@ -11,12 +11,7 @@ from kgreedy.generators import (
     random_sequence,
 )
 from kgreedy.network import Edge, Plan, ProjectNetwork, linear_schedule
-from kgreedy.oracle import (
-    OracleBudget,
-    exact_crash_cost,
-    exact_klis,
-    exact_lis_length,
-)
+from kgreedy.oracle import exact_crash_cost, exact_klis, exact_lis_length
 from support import assert_valid_selection
 
 
@@ -42,12 +37,17 @@ class TestExactCrashCost:
         assert exact_crash_cost(net, 2)[1] == 7
 
     def test_no_plan_beyond_k_max(self):
-        with pytest.raises(NoPlanError):
+        with pytest.raises(NotCrashableError):
             exact_crash_cost(counterexample_network(), 7)
 
     def test_budget_is_enforced(self):
-        with pytest.raises(BudgetExceededError):
-            exact_crash_cost(counterexample_network(), 2, OracleBudget(10))
+        # 21 one-day jobs in series: 2^21 plans, rejected before any search
+        edges = tuple(
+            Edge(f"e{i}", f"v{i}", f"v{i + 1}", 1, 2, linear_schedule(1, 1)) for i in range(21)
+        )
+        net = ProjectNetwork(tuple(f"v{i}" for i in range(22)), "v0", "v21", edges)
+        with pytest.raises(BudgetExceededError, match="2097152 plans exceed the budget of 2000000"):
+            exact_crash_cost(net, 1)
 
     def test_cost_non_decreasing_in_k(self):
         for seed in range(20):
@@ -56,7 +56,7 @@ class TestExactCrashCost:
             for k in range(1, 4):
                 try:
                     costs.append(exact_crash_cost(net, k)[1])
-                except NoPlanError:
+                except NotCrashableError:
                     break
             assert costs == sorted(costs)
 
@@ -65,12 +65,12 @@ class TestExactCrashCost:
             net = random_network(RandomNetSpec(node_count=5, edge_count=8, seed=seed))
             try:
                 _, one = exact_crash_cost(net, 1)
-            except NoPlanError:
+            except NotCrashableError:
                 continue
             for k in (2, 3):
                 try:
                     _, ck = exact_crash_cost(net, k)
-                except NoPlanError:
+                except NotCrashableError:
                     break
                 assert ck >= k * one
 
@@ -130,8 +130,9 @@ class TestExactKlis:
                 assert exact_klis(values, k).total_length == exact_klis(remapped, k).total_length
 
     def test_budget_is_enforced(self):
-        with pytest.raises(BudgetExceededError):
-            exact_klis(list(range(10)), 3, OracleBudget(1000))
+        # 5^12 assignments, rejected before any search
+        with pytest.raises(BudgetExceededError, match="244140625 assignments exceed the budget"):
+            exact_klis(list(range(12)), 4)
 
     def test_single_class_agrees_with_both_lis_routes(self):
         from kgreedy.klis import lis
