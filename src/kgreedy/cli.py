@@ -2,8 +2,8 @@
 
 Exit codes are part of the contract so shell harnesses need no JSON parsing:
 0 success, 1 an experiment ratio violated its bound, 2 the requested
-reduction is infeasible, 3 bad input (every malformed input), 4 a scripted
-round failed validation.
+reduction is infeasible, 3 bad input (every malformed input and usage
+error), 4 a scripted round failed validation.
 """
 
 from __future__ import annotations
@@ -224,8 +224,6 @@ _EXPERIMENTS = {
 
 
 def _cmd_experiment(args) -> int:
-    if args.trials < 1:
-        raise ValueError("need at least one trial")
     experiment = _EXPERIMENTS.get((args.problem, args.generator))
     if experiment is None:
         raise ValueError("the matrix generator applies to the klis problem only")
@@ -267,9 +265,27 @@ def _cmd_experiment(args) -> int:
 
 # -- argument wiring ----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input: one `error:` line and exit 3."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _count(text: str) -> int:
+    """-k and --trials: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 @functools.cache  # built on first use, so importing kgreedy stays cheap
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgreedy",
         description="Greedy project crashing and repeated subsequence extraction, "
         "with exact oracles and a ratio-experiment harness.",
@@ -278,13 +294,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     crash = sub.add_parser("crash", help="find a plan shortening a project by k days")
     crash.add_argument("--input", required=True, help="project JSON file")
-    crash.add_argument("-k", type=int, required=True, help="days to save")
+    crash.add_argument("-k", type=_count, required=True, help="days to save")
     crash.add_argument("--exact", action="store_true", help="exhaustive optimum instead of greedy")
     crash.add_argument("--trace", action="store_true",
                        help="decompose the produced plan and verify the cut chain")
 
     kl = sub.add_parser("klis", help="extract k disjoint increasing subsequences")
-    kl.add_argument("-k", type=int, required=True)
+    kl.add_argument("-k", type=_count, required=True)
     kl.add_argument("--input", help="sequence file (default: stdin)")
     kl.add_argument("--exact", action="store_true", help="exhaustive optimum instead of greedy")
     kl.add_argument("--script", help="JSON file with one index list per round to replay")
@@ -296,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gsub = gen.add_subparsers(dest="what", required=True)
     gsub.add_parser("fig2", help="the bundled 5-job project where greedy overpays")
     gm = gsub.add_parser("matrix", help="staircase sequence with its adversarial script")
-    gm.add_argument("-k", type=int, required=True)
+    gm.add_argument("-k", type=_count, required=True)
     gm.add_argument("--script", help="also write the per-round removal script to this file")
     gd = gsub.add_parser("random-dag", help="seeded random project network")
     gd.add_argument("--nodes", type=int, required=True)
@@ -313,8 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="greedy-vs-oracle ratio runs, CSV output")
     exp.add_argument("--problem", choices=["crashing", "klis"], required=True)
-    exp.add_argument("--trials", type=int, required=True)
-    exp.add_argument("-k", type=int, required=True)
+    exp.add_argument("--trials", type=_count, required=True)
+    exp.add_argument("-k", type=_count, required=True)
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--generator", choices=["random", "matrix"], default="random",
                      help="klis instances: seeded random sequences, or the fixed "
@@ -341,8 +357,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except NotCrashableError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -350,7 +366,7 @@ def main(argv=None) -> int:
     except ScriptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCRIPT
-    except (KGreedyError, OSError, ValueError, KeyError) as exc:
+    except (KGreedyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

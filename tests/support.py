@@ -2,13 +2,18 @@
 
 Everything here enumerates: paths for durations and criticality, node
 partitions for cuts, index subsets for subsequences.  None of it shares code
-with the library's fast paths, so agreement is meaningful.
+with the library's fast paths, so agreement is meaningful.  The one CLI
+helper, `assert_exit_defined`, checks the exit contract of `kgreedy.cli.main`.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
+from kgreedy.cli import main
 from kgreedy.flow import Arc, FlowGraph, is_unbounded, UNBOUNDED
 from kgreedy.network import Plan
 
@@ -148,3 +153,21 @@ def removing_disconnects(net, removed_ids):
                 seen.add(v)
                 stack.append(v)
     return net.sink not in seen
+
+
+def assert_exit_defined(argv, codes):
+    """main(argv) exits with one of codes: 0 with JSON on stdout and nothing
+    on stderr, any other with nothing on stdout and exactly one `error:`
+    line on stderr.  Returns what went to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in codes
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    return err.getvalue()

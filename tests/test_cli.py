@@ -1,10 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from kgreedy.cli import main
 from kgreedy.network import network_from_json, validate
+from support import assert_exit_defined
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture
@@ -21,6 +28,46 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["crash", "--input", "{fig2}", "-k", "abc"], "argument -k: invalid int value: 'abc'"),
+    (["crash", "-k", "2"], "the following arguments are required: --input"),
+    (["crash", "--input", "{fig2}"], "the following arguments are required: -k"),
+    (["crash", "--input", "{fig2}", "-k", "0", "--exact"], "argument -k: must be at least 1"),
+    (["klis", "-k", "0", "--input", "{seq}", "--script", "{script}"],
+     "argument -k: must be at least 1"),
+    (["experiment", "--problem", "klis", "--trials", "0", "-k", "2"],
+     "argument --trials: must be at least 1"),
+], ids=["k-not-int", "no-input", "no-k", "crash-k-zero", "klis-k-zero-script", "zero-trials"])
+def test_usage_error_exits_three(tmp_path, fig2_path, argv, message):
+    (tmp_path / "seq.txt").write_text("1,2,3\n")
+    (tmp_path / "script.json").write_text("[]")
+    paths = {"fig2": fig2_path, "seq": tmp_path / "seq.txt", "script": tmp_path / "script.json"}
+    err = assert_exit_defined([arg.format(**paths) for arg in argv], (3,))
+    assert err == f"error: {message}\n"
+
+
+def test_shell_exit_codes(tmp_path):
+    # what a shell sees: the exit status of the process, not main's return value
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+    def kgreedy(*argv):
+        return subprocess.run([sys.executable, "-m", "kgreedy.cli", *argv], env=env,
+                              capture_output=True, text=True)
+
+    fig2 = kgreedy("gen", "fig2")
+    assert fig2.returncode == 0
+    path = tmp_path / "fig2.json"
+    path.write_text(fig2.stdout)
+    infeasible = kgreedy("crash", "--input", str(path), "-k", "9")
+    assert infeasible.returncode == 2
+    assert infeasible.stderr == "error: no 9-day plan exists: day 7 cannot be saved\n"
+    usage = kgreedy("crash", "--input", str(path), "-k", "abc")
+    assert (usage.returncode, usage.stdout) == (3, "")
+    assert usage.stderr == "error: argument -k: invalid int value: 'abc'\n"
+    assert kgreedy("--help").returncode == 0
 
 
 class TestCrash:

@@ -15,8 +15,6 @@ Exit 0 prints JSON and nothing on stderr; any other exit prints exactly one
 `error:` line to stderr, so no traceback.
 """
 
-import contextlib
-import io
 import json
 import os
 import tempfile
@@ -26,8 +24,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kgreedy.cli import main  # noqa: E402
 from kgreedy.klis import greedy_klis  # noqa: E402
+from support import assert_exit_defined  # noqa: E402
 
 junk = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -102,21 +100,6 @@ def scripts(draw, values, k):
     return draw(st.lists(st.lists(index, max_size=4), min_size=count, max_size=count))
 
 
-def _assert_exit_defined(argv, codes):
-    """main(argv) exits with one of codes: 0 with JSON on stdout and nothing
-    on stderr, any other with exactly one `error:` line on stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in codes
-    if code == 0:
-        assert err.getvalue() == ""
-        json.loads(out.getvalue())
-    else:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
-
-
 # derandomize: the same examples on every run, so a failure always reproduces
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(project=projects(), k=st.integers(0, 4), trace=st.booleans())
@@ -126,7 +109,7 @@ def test_crash_exit_is_defined(project, k, trace):
         with open(path, "w") as fh:
             json.dump(project, fh)
         argv = ["crash", "--input", path, "-k", str(k)] + (["--trace"] if trace else [])
-        _assert_exit_defined(argv, (0, 2, 3))
+        assert_exit_defined(argv, (0, 2, 3))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -143,4 +126,4 @@ def test_klis_exit_is_defined(sequence, k, data):
             with open(script_path, "w") as fh:
                 json.dump(data.draw(scripts(values, k)), fh)
             argv += ["--script", script_path]
-        _assert_exit_defined(argv, (0, 3, 4))
+        assert_exit_defined(argv, (0, 3, 4))

@@ -1,13 +1,18 @@
-"""Import layering of the library, read from the source with `ast`.
+"""Import layering of the library, read from the source with `ast`, and its
+export list.
 
 The package has no runtime dependency, so every absolute import names a
 standard-library module.  `flow` works on its own arc graphs and imports no
-other module of the package.
+other module of the package.  `kgreedy.__all__` names exactly the public
+names the package binds, so a deleted API cannot stay exported.
 """
 
 import ast
 import sys
+import types
 from pathlib import Path
+
+import kgreedy
 
 PACKAGE = Path(__file__).parent.parent / "src" / "kgreedy"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -40,3 +45,11 @@ def test_absolute_imports_are_stdlib():
 def test_flow_imports_no_package_module():
     imported = _imports(PACKAGE / "flow.py")
     assert [m for level, m in imported if level > 0 or m.partition(".")[0] == "kgreedy"] == []
+
+
+def test_all_lists_every_public_name():
+    public = [
+        name for name, value in vars(kgreedy).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(kgreedy.__all__) == sorted(public)
