@@ -132,7 +132,8 @@ def min_cut(g: FlowGraph) -> CutResult:
     """
     _, residual_side = _max_flow(g)
     if residual_side is None:
-        # Every cut contains an unbounded arc; any partition witnesses that.
+        # Every cut contains an unbounded arc, or the source is the sink;
+        # any partition witnesses that.
         src_side = frozenset(v for v in g.nodes if v != g.sink)
         cut = frozenset(a.id for a in g.arcs if a.src != g.sink and a.dst == g.sink)
         return CutResult(cut, src_side, UNBOUNDED)
