@@ -236,10 +236,7 @@ def _cmd_experiment(args) -> int:
     max_ratio: Fraction | None = None
     for t in range(args.trials):
         seed = args.seed + t
-        try:
-            outcome = run_trial(args, seed)
-        except KGreedyError:
-            outcome = None
+        outcome = run_trial(args, seed)
         if outcome is None:
             lines.append(f"{t},{seed},{args.k},,,,,skip")
             continue

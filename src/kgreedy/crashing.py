@@ -75,19 +75,10 @@ def _cut_graph(critical: ProjectNetwork, cuttable: Callable[[Edge], bool]) -> fl
     return flow.FlowGraph(critical.nodes, critical.source, critical.sink, arcs)
 
 
-def optimal_one_crash(net: ProjectNetwork) -> tuple[Plan, Fraction]:
-    """Cheapest plan shortening the project by exactly one day.
-
-    This is the first greedy day: a minimum cut of the critical graph where
-    each crashable edge is priced at its next marginal cost.
-    """
-    result = greedy_crash(net, 1)
-    return result.plan, result.total_cost
-
-
 def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     """Run the one-day greedy k times, accumulating the plan as a multiset.
 
+    With k = 1 the plan is a cheapest plan shortening the project by one day.
     One longest-path pass per day gives both the duration the previous day
     reached and the critical graph the next day cuts.
     """

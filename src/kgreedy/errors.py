@@ -1,42 +1,17 @@
-"""Exception hierarchy shared by all kgreedy modules."""
+"""Exception hierarchy shared by all kgreedy modules.
+
+A class exists only where some operation or the CLI tells it apart: every
+structural defect of a network is a NetworkValidationError and every failed
+scripted round a ScriptError, with the specifics in the message.
+"""
 
 
 class KGreedyError(Exception):
     """Base class for every error raised by this package."""
 
 
-# -- network validation -------------------------------------------------------
-
 class NetworkValidationError(KGreedyError):
     """A project network violates a structural invariant."""
-
-
-class CyclicGraphError(NetworkValidationError):
-    pass
-
-
-class MultipleSourcesError(NetworkValidationError):
-    pass
-
-
-class MultipleSinksError(NetworkValidationError):
-    pass
-
-
-class UnknownNodeError(NetworkValidationError):
-    pass
-
-
-class DuplicateEdgeIdError(NetworkValidationError):
-    pass
-
-
-class BadEdgeBoundsError(NetworkValidationError):
-    pass
-
-
-class BadCostScheduleError(NetworkValidationError):
-    pass
 
 
 # -- plans and crashing -------------------------------------------------------
@@ -67,24 +42,12 @@ class ConvexNotSupportedError(KGreedyError):
 # -- subsequence scripts ------------------------------------------------------
 
 class ScriptError(KGreedyError):
-    """Base class for scripted-removal failures."""
+    """A scripted round is not an increasing subsequence of the residue, or is
+    shorter than the residue's longest one."""
 
     def __init__(self, message: str, round_index: int):
         super().__init__(message)
         self.round_index = round_index
-
-
-class ScriptNotIncreasingError(ScriptError):
-    """A scripted round is not an increasing subsequence of the residue."""
-
-
-class ScriptNotMaximalError(ScriptError):
-    """A scripted round is shorter than the residue's longest increasing subsequence."""
-
-    def __init__(self, message: str, round_index: int, script_length: int, lis_length: int):
-        super().__init__(message, round_index)
-        self.script_length = script_length
-        self.lis_length = lis_length
 
 
 # -- oracles ------------------------------------------------------------------

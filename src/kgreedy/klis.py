@@ -1,32 +1,24 @@
 """Longest increasing subsequences and greedy repeated extraction.
 
-"Increasing" always means strictly increasing.  ``lis`` finds one maximum
-subsequence under a deterministic tie-break policy; ``greedy_klis`` extracts
-k of them, removing each winner before the next round.  All reported indices
+"Increasing" always means strictly increasing.  ``lis`` finds the
+lexicographically first maximum subsequence; ``greedy_klis`` extracts k of
+them, removing each winner before the next round.  All reported indices
 refer to the original sequence, no matter how much of it has been removed.
 
 ``greedy_klis_scripted`` replays an externally supplied removal sequence and
 verifies, round by round, that each scripted pick really is a longest
 increasing subsequence of what is left.  This realizes adversarial greedy
-executions without baking adversarial behaviour into the tie-breaker.
+executions without baking adversarial behaviour into ``lis``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ScriptNotIncreasingError, ScriptNotMaximalError
-
-
-class TieBreak(Enum):
-    # Among maximum-length subsequences: lexicographically smallest index
-    # list (CANONICAL) or lexicographically largest (LATEST).
-    CANONICAL = "canonical"
-    LATEST = "latest"
+from .errors import ScriptError
 
 
 def total_ratio_bound(k: int) -> Fraction:
@@ -67,33 +59,27 @@ def _suffix_lis_lengths(values: Sequence[int]) -> tuple[list[int], int]:
     return lengths, len(tails)
 
 
-def lis(values: Sequence[int], policy: TieBreak = TieBreak.CANONICAL) -> list[int]:
+def lis(values: Sequence[int]) -> list[int]:
     """Indices of one longest strictly increasing subsequence, in O(n log n).
 
-    CANONICAL returns the lexicographically smallest index list among all
-    maximum-length subsequences, LATEST the largest; both are total orders,
-    so results are reproducible.  LATEST is CANONICAL on the mirrored
-    (reversed, negated) sequence, read back to front.
+    Among all maximum-length subsequences it returns the lexicographically
+    smallest index list, so results are reproducible.
     """
     # One scan takes each position whose suffix length is the length still
     # needed.  Positions sharing a suffix length hold non-increasing values,
     # so the first one after a pick also exceeds the picked value.  Maximum
-    # subsequences are closed under position-wise min and max, so the scan's
-    # earliest picks (latest, when mirrored) are lexicographically extreme.
-    n = len(values)
-    mirrored = policy is TieBreak.LATEST
-    lengths, need = _suffix_lis_lengths([-v for v in reversed(values)] if mirrored else values)
+    # subsequences are closed under position-wise min, so the scan's earliest
+    # picks are lexicographically smallest.
+    lengths, need = _suffix_lis_lengths(values)
     picked: list[int] = []
     for i, length in enumerate(lengths):
         if length == need:
-            picked.append(n - 1 - i if mirrored else i)
+            picked.append(i)
             need -= 1
-    return picked[::-1] if mirrored else picked
+    return picked
 
 
-def greedy_klis(
-    values: Sequence[int], k: int, policy: TieBreak = TieBreak.CANONICAL
-) -> SubseqSelection:
+def greedy_klis(values: Sequence[int], k: int) -> SubseqSelection:
     """k rounds of extract-longest-then-remove.
 
     Later rounds come out empty once the residue is exhausted; round lengths
@@ -104,7 +90,7 @@ def greedy_klis(
     residue = list(enumerate(values))
     rounds: list[tuple[int, ...]] = []
     for _ in range(k):
-        local = lis([v for _, v in residue], policy)
+        local = lis([v for _, v in residue])
         rounds.append(tuple(residue[p][0] for p in local))
         for p in reversed(local):
             del residue[p]
@@ -118,8 +104,8 @@ def greedy_klis_scripted(
 
     Each script entry must be an increasing subsequence of the current
     residue (original indices) and exactly as long as the residue's longest
-    increasing subsequence; anything shorter raises ScriptNotMaximalError
-    with the round and the true length.
+    increasing subsequence.  A failing round raises ScriptError with its
+    index; a short pick's message gives both lengths.
     """
     if len(script) != k:
         raise ValueError(f"script has {len(script)} rounds, expected {k}")
@@ -132,11 +118,11 @@ def greedy_klis_scripted(
         prev_val = None
         for idx in entry:
             if not 0 <= idx < n or not alive[idx]:
-                raise ScriptNotIncreasingError(
+                raise ScriptError(
                     f"round {r}: index {idx} is not in the current residue", round_index=r
                 )
             if idx <= prev_idx or (prev_val is not None and values[idx] <= prev_val):
-                raise ScriptNotIncreasingError(
+                raise ScriptError(
                     f"round {r}: indices must be increasing in position and value",
                     round_index=r,
                 )
@@ -144,12 +130,10 @@ def greedy_klis_scripted(
         residue_vals = [values[i] for i in range(n) if alive[i]]
         best = len(lis(residue_vals))
         if len(entry) != best:
-            raise ScriptNotMaximalError(
+            raise ScriptError(
                 f"round {r}: scripted pick has length {len(entry)}, "
                 f"longest increasing subsequence has length {best}",
                 round_index=r,
-                script_length=len(entry),
-                lis_length=best,
             )
         for idx in entry:
             alive[idx] = False

@@ -16,17 +16,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import (
-    BadCostScheduleError,
-    BadEdgeBoundsError,
-    CyclicGraphError,
-    DuplicateEdgeIdError,
-    MultipleSinksError,
-    MultipleSourcesError,
-    NetworkValidationError,
-    PlanOutOfBoundsError,
-    UnknownNodeError,
-)
+from .errors import NetworkValidationError, PlanOutOfBoundsError
 
 NodeId = str
 EdgeId = str
@@ -151,38 +141,38 @@ def validate(net: ProjectNetwork) -> None:
     """Check every structural invariant; raise a NetworkValidationError otherwise."""
     node_set = set(net.nodes)
     if len(node_set) != len(net.nodes):
-        raise UnknownNodeError("duplicate node ids")
+        raise NetworkValidationError("duplicate node ids")
     for endpoint in (net.source, net.sink):
         if endpoint not in node_set:
-            raise UnknownNodeError(f"declared endpoint {endpoint!r} is not a node")
+            raise NetworkValidationError(f"declared endpoint {endpoint!r} is not a node")
     seen_ids = set()
     for e in net.edges:
         if e.id in seen_ids:
-            raise DuplicateEdgeIdError(f"edge id {e.id!r} appears twice")
+            raise NetworkValidationError(f"edge id {e.id!r} appears twice")
         seen_ids.add(e.id)
         if e.src not in node_set or e.dst not in node_set:
-            raise UnknownNodeError(f"edge {e.id!r} references an unknown node")
+            raise NetworkValidationError(f"edge {e.id!r} references an unknown node")
         if e.min_len < 0 or e.min_len > e.normal_len:
-            raise BadEdgeBoundsError(
+            raise NetworkValidationError(
                 f"edge {e.id!r}: need 0 <= min_len <= normal_len, got ({e.min_len}, {e.normal_len})"
             )
         if len(e.cost_schedule) != e.crashable_days:
-            raise BadCostScheduleError(
+            raise NetworkValidationError(
                 f"edge {e.id!r}: schedule has {len(e.cost_schedule)} entries, "
                 f"expected {e.crashable_days}"
             )
         # A non-decreasing schedule is non-negative once its first day is.
         schedule = e.cost_schedule
         if schedule and schedule[0] < 0:
-            raise BadCostScheduleError(f"edge {e.id!r}: negative cost at day 0")
+            raise NetworkValidationError(f"edge {e.id!r}: negative cost at day 0")
         for d in range(1, len(schedule)):
             if schedule[d] < schedule[d - 1]:
-                raise BadCostScheduleError(
+                raise NetworkValidationError(
                     f"edge {e.id!r}: schedule must be non-decreasing (convex), "
                     f"day {d} is cheaper than day {d - 1}"
                 )
 
-    _longest_dists(net)  # raises CyclicGraphError
+    _longest_dists(net)  # raises on a cycle
 
     # In a DAG whose only node without in-edges is the source and only node
     # without out-edges is the sink, walking back from any node ends at the
@@ -193,11 +183,11 @@ def validate(net: ProjectNetwork) -> None:
     sources = [v for v in net.nodes if v not in has_in]
     sinks = [v for v in net.nodes if v not in has_out]
     if len(sources) != 1 or sources[0] != net.source:
-        raise MultipleSourcesError(
+        raise NetworkValidationError(
             f"nodes without incoming edges: {sorted(sources)}, declared source: {net.source!r}"
         )
     if len(sinks) != 1 or sinks[0] != net.sink:
-        raise MultipleSinksError(
+        raise NetworkValidationError(
             f"nodes without outgoing edges: {sorted(sinks)}, declared sink: {net.sink!r}"
         )
 
@@ -211,7 +201,8 @@ def _longest_dists(
     each node's out-edges.
 
     Kahn's algorithm frees a node once all its in-edges are relaxed.  The
-    nodes never freed, a cycle and all downstream of it, raise CyclicGraphError.
+    nodes never freed, a cycle and all downstream of it, raise
+    NetworkValidationError.
     """
     indeg = {v: 0 for v in net.nodes}
     outgoing: dict[NodeId, list[Edge]] = {v: [] for v in net.nodes}
@@ -235,7 +226,7 @@ def _longest_dists(
                 free.append(v)
     if len(order) != len(net.nodes):
         stuck = sorted(v for v, d in indeg.items() if d > 0)
-        raise CyclicGraphError(f"cycle through nodes {stuck}")
+        raise NetworkValidationError(f"cycle through nodes {stuck}")
     return from_src, order, outgoing
 
 

@@ -192,21 +192,3 @@ def exact_klis(values: Sequence[int], k: int) -> SubseqSelection:
     rounds = tuple(tuple(part) for part in classes)
     return SubseqSelection(rounds, sum(len(r) for r in rounds))
 
-
-def exact_lis_length(values: Sequence[int]) -> int:
-    """Length of the longest strictly increasing subsequence, by quadratic DP.
-
-    Kept deliberately separate from the patience-sorting path so it can
-    falsify it.  Desk-scale only.
-    """
-    n = len(values)
-    if n > 20:
-        raise BudgetExceededError("independent LIS check is limited to 20 elements")
-    if n == 0:
-        return 0
-    ending = [1] * n
-    for i in range(n):
-        for j in range(i):
-            if values[j] < values[i] and ending[j] + 1 > ending[i]:
-                ending[i] = ending[j] + 1
-    return max(ending)

@@ -48,6 +48,22 @@ def test_usage_error_exits_three(tmp_path, fig2_path, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--problem", "klis", "--trials", "2", "-k", "2", "--length", "40"],
+    ["crash", "--input", "{series}", "-k", "1", "--exact"],
+], ids=["experiment-klis", "crash-exact"])
+def test_over_oracle_cap_exits_three(tmp_path, argv):
+    # 21 one-day jobs in series: 2^21 plans
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({
+        "nodes": [f"v{i}" for i in range(22)], "source": "v0", "sink": "v21",
+        "edges": [{"id": f"e{i}", "from": f"v{i}", "to": f"v{i + 1}", "a": 1, "b": 2, "c": 1}
+                  for i in range(21)],
+    }))
+    err = assert_exit_defined([arg.format(series=series) for arg in argv], {3})
+    assert "exceed the budget" in err
+
+
 def test_shell_exit_codes(tmp_path):
     # what a shell sees: the exit status of the process, not main's return value
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -91,6 +107,15 @@ class TestCrash:
         data = json.loads(out)
         assert data["trace"]["report"]["passed"] is True
         assert len(data["trace"]["cuts"]) == 2
+
+    def test_trace_of_convex_schedule_exits_three(self, tmp_path):
+        convex = tmp_path / "convex.json"
+        convex.write_text(json.dumps({
+            "nodes": ["s", "t"], "source": "s", "sink": "t",
+            "edges": [{"id": "e", "from": "s", "to": "t", "a": 1, "b": 3, "c": [1, 2]}],
+        }))
+        err = assert_exit_defined(["crash", "--input", str(convex), "-k", "1", "--trace"], {3})
+        assert err == "error: edge 'e' has a non-constant schedule\n"
 
     def test_infeasible_k_exits_two(self, capsys, fig2_path):
         code, _ = run(capsys, ["crash", "--input", fig2_path, "-k", "99"])

@@ -7,7 +7,6 @@ from kgreedy.crashing import (
     cost_ratio_bound,
     decompose,
     greedy_crash,
-    optimal_one_crash,
     verify_trace,
 )
 from kgreedy.errors import (
@@ -40,37 +39,43 @@ def small_nets(count=60):
         yield random_network(RandomNetSpec(node_count=4 + seed % 2, edge_count=7, seed=seed))
 
 
+def one_day(net):
+    """The greedy's first day, a cheapest one-day plan, as (plan, cost)."""
+    result = greedy_crash(net, 1)
+    return result.plan, result.total_cost
+
+
 class TestOptimalOneCrash:
     def test_counterexample_first_step(self):
-        plan, cost = optimal_one_crash(counterexample_network())
+        plan, cost = one_day(counterexample_network())
         assert plan == Plan({"j3": 1})
         assert cost == 9
 
     def test_counterexample_second_step(self):
         net = apply_plan(counterexample_network(), Plan({"j3": 1}))
-        plan, cost = optimal_one_crash(net)
+        plan, cost = one_day(net)
         assert plan == Plan({"j1": 1, "j2": 1})
         assert cost == 19
 
     def test_single_edge(self):
         e = Edge("e", "s", "t", 1, 3, linear_schedule(5, 2))
         net = ProjectNetwork(("s", "t"), "s", "t", (e,))
-        assert optimal_one_crash(net) == (Plan({"e": 1}), Fraction(5))
+        assert one_day(net) == (Plan({"e": 1}), Fraction(5))
 
     def test_rigid_network_not_crashable(self):
         e = Edge("e", "s", "t", 3, 3, ())
         with pytest.raises(NotCrashableError):
-            optimal_one_crash(ProjectNetwork(("s", "t"), "s", "t", (e,)))
+            one_day(ProjectNetwork(("s", "t"), "s", "t", (e,)))
 
     def test_jobless_network_not_crashable(self):
         with pytest.raises(NotCrashableError):
-            optimal_one_crash(ProjectNetwork(("s",), "s", "s", ()))
+            one_day(ProjectNetwork(("s",), "s", "s", ()))
 
     def test_reduces_duration_by_exactly_one(self):
         for net in small_nets(40):
             if k_max(net) < 1:
                 continue
-            plan, _ = optimal_one_crash(net)
+            plan, _ = one_day(net)
             assert duration(apply_plan(net, plan)) == duration(net) - 1
 
 
@@ -80,15 +85,6 @@ class TestGreedyCrash:
         assert result.total_cost == 28
         assert [sorted(s.edges) for s in result.steps] == [["j3"], ["j1", "j2"]]
         assert result.durations == (8, 7)
-
-    def test_k_one_matches_single_step(self):
-        for net in small_nets(20):
-            if k_max(net) < 1:
-                continue
-            plan, cost = optimal_one_crash(net)
-            result = greedy_crash(net, 1)
-            assert result.plan == plan
-            assert result.total_cost == cost
 
     def test_infeasible_k_reports_failing_iteration(self):
         net = counterexample_network()
@@ -156,7 +152,7 @@ class TestGreedyCrash:
             km = min(3, k_max(net))
             if km < 1:
                 continue
-            _, one = optimal_one_crash(net)
+            _, one = one_day(net)
             for k in range(1, km + 1):
                 _, opt = exact_crash_cost(net, k)
                 assert opt >= k * one

@@ -1,9 +1,8 @@
 import pytest
 
-from kgreedy.errors import ScriptNotIncreasingError, ScriptNotMaximalError
+from kgreedy.errors import ScriptError
 from kgreedy.generators import matrix_sequence, random_sequence
 from kgreedy.klis import (
-    TieBreak,
     format_sequence,
     greedy_klis,
     greedy_klis_scripted,
@@ -16,12 +15,6 @@ from kgreedy.oracle import exact_klis
 from support import all_max_lis_index_lists, assert_valid_selection, brute_lis_length
 
 KNOWN_SEQ = [3, 4, 5, 8, 9, 1, 6, 7, 8, 9]
-
-
-def tie_break_cases():
-    """400 seeded sequences of length 0 to 11 over value ranges 3, 6 and 20."""
-    for seed in range(400):
-        yield random_sequence(seed % 12, (3, 6, 20)[seed // 12 % 3], seed=seed)
 
 
 class TestLis:
@@ -39,12 +32,10 @@ class TestLis:
             assert len(lis(values)) == brute_lis_length(values)
 
     def test_canonical_is_lexicographically_smallest(self):
-        for values in tie_break_cases():
-            assert tuple(lis(values, TieBreak.CANONICAL)) == all_max_lis_index_lists(values)[0]
-
-    def test_latest_is_lexicographically_largest(self):
-        for values in tie_break_cases():
-            assert tuple(lis(values, TieBreak.LATEST)) == all_max_lis_index_lists(values)[-1]
+        # 400 seeded sequences of length 0 to 11 over value ranges 3, 6 and 20
+        for seed in range(400):
+            values = random_sequence(seed % 12, (3, 6, 20)[seed // 12 % 3], seed=seed)
+            assert tuple(lis(values)) == all_max_lis_index_lists(values)[0]
 
     def test_long_inputs(self):
         n = 5000
@@ -57,27 +48,20 @@ class TestLis:
             (random_sequence(n, 1000, seed=3), None),
         ]
         for values, length in cases:
-            first = lis(values, TieBreak.CANONICAL)
-            last = lis(values, TieBreak.LATEST)
-            for idx in (first, last):
-                assert all(a < b for a, b in zip(idx, idx[1:]))
-                assert all(values[a] < values[b] for a, b in zip(idx, idx[1:]))
-            assert len(first) == len(last)
-            assert length is None or len(first) == length
-            assert all(a <= b for a, b in zip(first, last))
-        for policy in TieBreak:
-            assert lis(list(range(n)), policy) == list(range(n))
+            idx = lis(values)
+            assert all(a < b for a, b in zip(idx, idx[1:]))
+            assert all(values[a] < values[b] for a, b in zip(idx, idx[1:]))
+            assert length is None or len(idx) == length
+        assert lis(list(range(n))) == list(range(n))
         for values in (list(range(n, 0, -1)), [7] * n):
-            assert lis(values, TieBreak.CANONICAL) == [0]
-            assert lis(values, TieBreak.LATEST) == [n - 1]
+            assert lis(values) == [0]
 
     def test_result_is_strictly_increasing(self):
-        for policy in TieBreak:
-            for seed in range(15):
-                values = random_sequence(14, 6, seed=seed)
-                idx = lis(values, policy)
-                assert all(a < b for a, b in zip(idx, idx[1:]))
-                assert all(values[a] < values[b] for a, b in zip(idx, idx[1:]))
+        for seed in range(15):
+            values = random_sequence(14, 6, seed=seed)
+            idx = lis(values)
+            assert all(a < b for a, b in zip(idx, idx[1:]))
+            assert all(values[a] < values[b] for a, b in zip(idx, idx[1:]))
 
 
 class TestGreedyKlis:
@@ -93,13 +77,12 @@ class TestGreedyKlis:
             assert sel.rounds == (tuple(lis(values)),)
 
     def test_rounds_are_disjoint_and_non_increasing(self):
-        for policy in TieBreak:
-            for seed in range(20):
-                values = random_sequence(12, 9, seed=seed)
-                sel = greedy_klis(values, 4, policy)
-                assert_valid_selection(sel, values, 4)
-                lengths = [len(r) for r in sel.rounds]
-                assert lengths == sorted(lengths, reverse=True)
+        for seed in range(20):
+            values = random_sequence(12, 9, seed=seed)
+            sel = greedy_klis(values, 4)
+            assert_valid_selection(sel, values, 4)
+            lengths = [len(r) for r in sel.rounds]
+            assert lengths == sorted(lengths, reverse=True)
 
     def test_exhausted_residue_yields_empty_rounds(self):
         sel = greedy_klis([1, 2, 3], 3)
@@ -111,13 +94,12 @@ class TestGreedyKlis:
     def test_ratio_bound_any_policy(self):
         from fractions import Fraction
 
-        for policy in TieBreak:
-            for seed in range(60):
-                values = random_sequence(11, 9, seed=seed)
-                for k in (2, 3):
-                    greedy = greedy_klis(values, k, policy).total_length
-                    opt = exact_klis(values, k).total_length
-                    assert Fraction(greedy) >= total_ratio_bound(k) * opt
+        for seed in range(60):
+            values = random_sequence(11, 9, seed=seed)
+            for k in (2, 3):
+                greedy = greedy_klis(values, k).total_length
+                opt = exact_klis(values, k).total_length
+                assert Fraction(greedy) >= total_ratio_bound(k) * opt
 
     def test_each_round_at_least_remaining_optimal_parts(self):
         # whatever survives of any optimal part is available to the greedy,
@@ -149,19 +131,19 @@ class TestScriptedGreedy:
         assert exact_klis(values, 2).total_length == 4
 
     def test_non_maximal_round_rejected(self):
-        with pytest.raises(ScriptNotMaximalError) as exc:
+        message = "round 0: scripted pick has length 1, longest increasing subsequence has length 3"
+        with pytest.raises(ScriptError, match=message) as exc:
             greedy_klis_scripted([1, 2, 3], 1, [[0]])
-        assert exc.value.lis_length == 3
-        assert exc.value.script_length == 1
         assert exc.value.round_index == 0
 
     def test_removed_index_rejected(self):
         values, _ = matrix_sequence(2)
-        with pytest.raises(ScriptNotIncreasingError):
+        with pytest.raises(ScriptError, match="round 1: index 0 is not in the current residue"):
             greedy_klis_scripted(values, 2, [[0, 3], [0]])
 
     def test_non_increasing_values_rejected(self):
-        with pytest.raises(ScriptNotIncreasingError):
+        message = "round 0: indices must be increasing in position and value"
+        with pytest.raises(ScriptError, match=message):
             greedy_klis_scripted([2, 1], 1, [[0, 1]])
 
     def test_wrong_round_count_rejected(self):

@@ -1,10 +1,12 @@
-"""Import layering of the library, read from the source with `ast`, and its
-export list.
+"""Import layering of the library, read from the source with `ast`, its
+export list, and its error classes.
 
 The package has no runtime dependency, so every absolute import names a
 standard-library module.  `flow` works on its own arc graphs and imports no
 other module of the package.  `kgreedy.__all__` names exactly the public
-names the package binds, so a deleted API cannot stay exported.
+names the package binds, so a deleted API cannot stay exported.  Every class
+in `errors.py` is raised somewhere in the package, or is a base of one that
+is, so an error class cannot outlive its last `raise`.
 """
 
 import ast
@@ -53,3 +55,21 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert sorted(kgreedy.__all__) == sorted(public)
+
+
+def test_every_error_class_is_raised():
+    bases = {
+        node.name: node.bases[0].id
+        for node in ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    kept = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                while name in bases and name not in kept:
+                    kept.add(name)
+                    name = bases[name]
+    assert sorted(bases.keys() - kept) == []

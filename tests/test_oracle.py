@@ -11,8 +11,8 @@ from kgreedy.generators import (
     random_sequence,
 )
 from kgreedy.network import Edge, Plan, ProjectNetwork, linear_schedule
-from kgreedy.oracle import exact_crash_cost, exact_klis, exact_lis_length
-from support import assert_valid_selection
+from kgreedy.oracle import exact_crash_cost, exact_klis
+from support import assert_valid_selection, brute_lis_length
 
 
 class TestExactCrashCost:
@@ -141,16 +141,5 @@ class TestExactKlis:
             values = random_sequence(11, 9, seed=seed)
             total = exact_klis(values, 1).total_length
             assert total == len(lis(values))
-            assert total == exact_lis_length(values)
+            assert total == brute_lis_length(values)
 
-
-class TestExactLisLength:
-    def test_examples(self):
-        assert exact_lis_length([1, 2, 3]) == 3
-        assert exact_lis_length([3, 2, 1]) == 1
-        assert exact_lis_length([3, 4, 5, 8, 9, 1, 6, 7, 8, 9]) == 7
-        assert exact_lis_length([]) == 0
-
-    def test_desk_scale_limit(self):
-        with pytest.raises(BudgetExceededError):
-            exact_lis_length(list(range(21)))
