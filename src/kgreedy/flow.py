@@ -6,6 +6,10 @@ confused with expensive finite ones.  The solver is Edmonds-Karp (shortest
 augmenting paths) over one residual array that stores arcs in pairs: residual
 arc 2i runs along arc i and holds its unused capacity, and 2i+1 runs against
 it and holds its flow, so ``j ^ 1`` is the partner of residual arc ``j``.
+Rooms are exact integers in units of 1/scale, where scale is the least common
+multiple of the finite capacities' denominators, so the flow stays exact while
+its inner loop adds and compares plain ints; the value is scaled back to a
+Fraction on return.
 
 Unbounded flows need no separate check.  Reverse rooms are finite, so an
 augmenting path without a finite room consists of unbounded arcs only and no
@@ -22,6 +26,7 @@ paths were augmented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -80,16 +85,18 @@ def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
     """
     # Rooms are never negative, so a truthy room is a usable residual arc;
     # UNBOUNDED is truthy and never changes.
+    scale = math.lcm(*(a.capacity.denominator for a in g.arcs if a.capacity is not UNBOUNDED))
     head: list[str] = []
-    room: list[Capacity] = []
+    room: list[int | _Unbounded] = []
     out: dict[str, list[int]] = {v: [] for v in g.nodes}
     for i, arc in enumerate(g.arcs):
+        c = arc.capacity
         head += (arc.dst, arc.src)
-        room += (arc.capacity, Fraction(0))
+        room += (c if c is UNBOUNDED else c.numerator * (scale // c.denominator), 0)
         out[arc.src].append(2 * i)
         out[arc.dst].append(2 * i + 1)
 
-    total = Fraction(0)
+    total = 0
     while True:
         # BFS for the shortest residual path; parent[v] is the residual arc into v.
         parent: dict[str, int | None] = {g.source: None}
@@ -104,7 +111,7 @@ def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
                         next_frontier.append(v)
             frontier = next_frontier
         if g.sink not in parent:
-            return total, set(parent)
+            return Fraction(total, scale), set(parent)
         path = []
         v = g.sink
         while v != g.source:
@@ -128,15 +135,12 @@ def min_cut(g: FlowGraph) -> CutResult:
     The source side is the residual-reachable set, also when no flow is
     possible: then the cut costs 0 and lists the zero-capacity arcs, if any,
     that leave the nodes reachable over positive capacity.  If every s-t cut
-    crosses an unbounded arc, or the source is the sink, the cost is UNBOUNDED.
+    crosses an unbounded arc, or the source is the sink, no finite cut exists:
+    the cost is UNBOUNDED and the cut arcs and source side are empty.
     """
     _, residual_side = _max_flow(g)
     if residual_side is None:
-        # Every cut contains an unbounded arc, or the source is the sink;
-        # any partition witnesses that.
-        src_side = frozenset(v for v in g.nodes if v != g.sink)
-        cut = frozenset(a.id for a in g.arcs if a.src != g.sink and a.dst == g.sink)
-        return CutResult(cut, src_side, UNBOUNDED)
+        return CutResult(frozenset(), frozenset(), UNBOUNDED)
 
     src_side = frozenset(residual_side)
     crossing = [a for a in g.arcs if a.src in src_side and a.dst not in src_side]

@@ -18,7 +18,9 @@ from kgreedy.flow import Arc, FlowGraph, is_unbounded, UNBOUNDED
 from kgreedy.network import Plan
 
 
-def random_flow_graph(seed, max_nodes=7, max_arcs=12, unbounded_share=0.15):
+def random_flow_graph(seed, max_nodes=7, max_arcs=12, unbounded_share=0.15,
+                      capacity=lambda rng: Fraction(rng.randint(1, 9))):
+    """A small random graph; ``capacity(rng)`` draws each finite capacity."""
     rng = random.Random(seed)
     n = rng.randint(2, max_nodes)
     nodes = tuple(f"v{i}" for i in range(n))
@@ -28,7 +30,7 @@ def random_flow_graph(seed, max_nodes=7, max_arcs=12, unbounded_share=0.15):
         if rng.random() < unbounded_share:
             cap = UNBOUNDED
         else:
-            cap = Fraction(rng.randint(1, 9))
+            cap = capacity(rng)
         arcs.append(Arc(f"a{j}", nodes[u], nodes[v], cap))
     return FlowGraph(nodes, nodes[0], nodes[-1], tuple(arcs))
 

@@ -5,6 +5,7 @@ networkx is a test-only dependency; without it these tests are skipped.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,9 +16,10 @@ from kgreedy.generators import RandomNetSpec, random_network
 from kgreedy.network import apply_plan, duration, full_plan
 
 
-def _random_graph(seed):
-    """Up to 200 nodes; integer capacities with zeros, unbounded arcs, cycles,
-    and anti-parallel and parallel arcs."""
+def _random_graph(seed, capacity=lambda rng: Fraction(rng.randint(0, 9))):
+    """Up to 200 nodes; capacities drawn by ``capacity(rng)`` (by default
+    integers) with zeros, unbounded arcs, cycles, and anti-parallel and
+    parallel arcs."""
     rng = random.Random(seed)
     n = rng.randint(2, 200)
     nodes = tuple(f"v{i}" for i in range(n))
@@ -29,14 +31,15 @@ def _random_graph(seed):
             # an earlier arc's endpoints: a parallel or an anti-parallel arc
             prev = rng.choice(arcs)
             u, v = rng.choice([(prev.src, prev.dst), (prev.dst, prev.src)])
-        cap = UNBOUNDED if rng.random() < unbounded_share else Fraction(rng.randint(0, 9))
+        cap = UNBOUNDED if rng.random() < unbounded_share else capacity(rng)
         arcs.append(Arc(f"a{j}", u, v, cap))
     s, t = rng.sample(nodes, 2)
     return FlowGraph(nodes, s, t, tuple(arcs))
 
 
-def _to_networkx(g):
-    """A DiGraph with parallel arcs merged; an unbounded arc has no capacity."""
+def _to_networkx(g, scale=1):
+    """A DiGraph with parallel arcs merged and every finite capacity multiplied
+    by ``scale``, which must make it whole; an unbounded arc has no capacity."""
     G = nx.DiGraph()
     G.add_nodes_from(g.nodes)
     for a in g.arcs:
@@ -46,7 +49,9 @@ def _to_networkx(g):
         if is_unbounded(a.capacity):
             attrs.pop("capacity", None)
         elif "capacity" in attrs:
-            attrs["capacity"] += int(a.capacity)
+            scaled = a.capacity * scale
+            assert scaled.denominator == 1
+            attrs["capacity"] += int(scaled)
     return G
 
 
@@ -63,11 +68,13 @@ def _residual_source_side(G, s, t):
     return seen
 
 
-def test_min_cut_matches_networkx():
+def _check_min_cuts(graphs, scale_of=lambda g: 1):
+    """min_cut and max_flow_value against networkx on the graph with every
+    capacity multiplied by ``scale_of(g)``; returns the outcomes seen."""
     outcomes = set()
-    for seed in range(80):
-        g = _random_graph(seed)
-        G = _to_networkx(g)
+    for seed, g in enumerate(graphs):
+        scale = scale_of(g)
+        G = _to_networkx(g, scale)
         cut = min_cut(g)
         try:
             expected = nx.minimum_cut_value(G, g.source, g.sink)
@@ -75,11 +82,37 @@ def test_min_cut_matches_networkx():
             assert is_unbounded(cut.cost) and is_unbounded(max_flow_value(g)), seed
             outcomes.add("unbounded")
             continue
-        assert cut.cost == expected == max_flow_value(g), seed
+        assert cut.cost == max_flow_value(g), seed
+        assert cut.cost * scale == expected, seed
         # The residual-reachable set is the same for every maximum flow, so
         # networkx's preflow-push flow must give the same witness.
         assert cut.source_side == _residual_source_side(G, g.source, g.sink), seed
         outcomes.add("bounded")
+    return outcomes
+
+
+def test_min_cut_matches_networkx():
+    outcomes = _check_min_cuts(_random_graph(seed) for seed in range(80))
+    assert outcomes == {"bounded", "unbounded"}
+
+
+def _denominator_lcm(g):
+    """Least common multiple of the finite capacities' denominators."""
+    lcm = 1
+    for a in g.arcs:
+        if not is_unbounded(a.capacity):
+            q = a.capacity.denominator
+            lcm = lcm * q // gcd(lcm, q)
+    return lcm
+
+
+def test_min_cut_matches_networkx_on_rational_capacities():
+    def rational(rng):
+        return Fraction(rng.randint(0, 30), rng.randint(1, 9))
+
+    graphs = [_random_graph(seed, rational) for seed in range(80)]
+    assert sum(_denominator_lcm(g) > 1000 for g in graphs) >= 40
+    outcomes = _check_min_cuts(graphs, _denominator_lcm)
     assert outcomes == {"bounded", "unbounded"}
 
 

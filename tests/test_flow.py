@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -65,16 +66,18 @@ def test_unbounded_path_makes_cut_unbounded():
         cut = min_cut(g)
         assert is_unbounded(cut.cost)
         assert is_unbounded(max_flow_value(g))
-        assert cut.source_side < set(g.nodes)
-        assert g.sink not in cut.source_side
+        assert cut.cut_arcs == cut.source_side == frozenset()
 
 
 def test_source_that_is_the_sink_has_no_finite_cut():
     for arcs in ((), (Arc("a", "s", "u", Fraction(2)), Arc("b", "u", "s", Fraction(1)))):
         nodes = ("s", "u") if arcs else ("s",)
         g = FlowGraph(nodes, "s", "s", arcs)
-        assert min_cut(g).cost is UNBOUNDED
+        cut = min_cut(g)
+        assert cut.cost is UNBOUNDED
         assert max_flow_value(g) is UNBOUNDED
+        # no finite cut exists, so nothing can witness one
+        assert cut.cut_arcs == cut.source_side == frozenset()
 
 
 def test_unbounded_survives_pickle_and_deepcopy():
@@ -118,6 +121,9 @@ def test_cut_partition_is_consistent():
     for seed in range(100):
         g = random_flow_graph(seed)
         cut = min_cut(g)
+        if is_unbounded(cut.cost):
+            assert cut.cut_arcs == cut.source_side == frozenset()
+            continue
         sink_side = set(g.nodes) - cut.source_side
         assert g.source in cut.source_side
         assert g.sink in sink_side
@@ -175,3 +181,41 @@ def test_fractional_capacities_stay_exact():
     assert max_flow_value(g) == Fraction(2, 5)
     assert min_cut(g).cost == Fraction(2, 5)
     assert min_cut(g).cut_arcs == {"c"}
+
+
+def test_rational_capacities_random_suite():
+    def rational(rng):
+        return Fraction(rng.randint(0, 30), rng.randint(1, 13))
+
+    large_lcm = 0
+    for seed in range(300):
+        g = random_flow_graph(seed, max_arcs=20, capacity=rational)
+        finite = [a.capacity for a in g.arcs if not is_unbounded(a.capacity)]
+        large_lcm += math.lcm(*(c.denominator for c in finite)) > 10**4
+        cut = min_cut(g)
+        flow = max_flow_value(g)
+        brute = brute_min_cut_cost(g)
+        if is_unbounded(brute):
+            assert is_unbounded(cut.cost) and is_unbounded(flow), seed
+            continue
+        assert cut.cost == flow == brute, seed
+        assert type(flow) is Fraction and type(cut.cost) is Fraction, seed
+    assert large_lcm >= 50  # 76 of the 300 scale by more than 10**4
+
+    # three disjoint paths whose bottlenecks are 1/3, 1/7 and 2/11
+    g = FlowGraph(
+        ("s", "a", "b", "c", "t"), "s", "t",
+        (
+            Arc("sa", "s", "a", Fraction(1, 3)),
+            Arc("at", "a", "t", Fraction(1, 2)),
+            Arc("sb", "s", "b", Fraction(1, 7)),
+            Arc("bt", "b", "t", UNBOUNDED),
+            Arc("sc", "s", "c", Fraction(5, 1)),
+            Arc("ct", "c", "t", Fraction(2, 11)),
+        ),
+    )
+    flow = max_flow_value(g)
+    assert type(flow) is Fraction
+    assert (flow.numerator, flow.denominator) == (152, 231)
+    assert min_cut(g).cost == flow
+    assert min_cut(g).cut_arcs == {"sa", "sb", "ct"}

@@ -331,6 +331,33 @@ class TestJson:
         validate(net)
         assert net.edges[0].cost_schedule == (Fraction(2), Fraction(5))
 
+    @staticmethod
+    def _two_edge_project(c_first, c_second):
+        return {
+            "nodes": ["s", "u", "t"],
+            "source": "s",
+            "sink": "t",
+            "edges": [
+                {"id": "e", "from": "s", "to": "u", "a": 1, "b": 4, "c": c_first},
+                {"id": "f", "from": "u", "to": "t", "a": 0, "b": 3, "c": c_second},
+            ],
+        }
+
+    def test_booleans_are_not_costs_even_after_equal_numbers(self):
+        # a parsed 1 must not stand in for true, in the same list or a later edge
+        message = re.escape('"c" must be a cost or a list of costs, got True')
+        for c_first, c_second in (([1, 1, True], 1), (1, True), ([1, 1, 1], [1, 1.0, True])):
+            with pytest.raises(NetworkValidationError, match=message):
+                network_from_json(self._two_edge_project(c_first, c_second))
+
+    def test_equal_cost_literals_of_any_spelling_parse_alike(self):
+        net = network_from_json(self._two_edge_project(["1/2", "1/2", "0.5"], [0.5, "1/2", 0.5]))
+        for e in net.edges:
+            assert e.cost_schedule == (Fraction(1, 2),) * 3
+            assert all(type(x) is Fraction for x in e.cost_schedule)
+        net = network_from_json(self._two_edge_project([1, 1.0, "1"], "7/7"))
+        assert net.edges[0].cost_schedule + net.edges[1].cost_schedule == (Fraction(1),) * 6
+
 
 class TestPlan:
     def test_amounts_are_read_only(self):
