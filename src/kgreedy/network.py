@@ -373,16 +373,6 @@ def network_from_json(data: dict) -> ProjectNetwork:
     crashable days raise NetworkValidationError.
     """
     _json_value(data, dict, "a project must be a JSON object")
-    # Each distinct cost literal is parsed once; keying on the type as well
-    # keeps True apart from 1 and 1.0.
-    costs: dict[tuple[type, object], Fraction] = {}
-
-    def cost(x) -> Fraction:
-        key = (type(x), x)
-        if key not in costs:
-            costs[key] = as_cost(x)
-        return costs[key]
-
     edges = []
     records = _json_value(_json_key(data, "edges", "the project"), list, '"edges" must be a list')
     for pos, rec in enumerate(records):
@@ -401,9 +391,9 @@ def network_from_json(data: dict) -> ProjectNetwork:
         for x in c if isinstance(c, list) else [c]:
             _json_value(x, (int, float, str, Fraction), '"c" must be a cost or a list of costs')
         if isinstance(c, list):
-            schedule = tuple(cost(x) for x in c)
+            schedule = tuple(as_cost(x) for x in c)
         else:
-            schedule = linear_schedule(cost(c), max(b - a, 0))
+            schedule = linear_schedule(c, max(b - a, 0))
         edges.append(
             Edge(
                 id=edge_id,

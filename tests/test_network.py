@@ -358,6 +358,15 @@ class TestJson:
         net = network_from_json(self._two_edge_project([1, 1.0, "1"], "7/7"))
         assert net.edges[0].cost_schedule + net.edges[1].cost_schedule == (Fraction(1),) * 6
 
+    def test_equal_int_and_float_literals_can_parse_apart(self):
+        # a float goes through its repr, so 2**70 and float(2**70) compare
+        # and hash equal yet give different exact costs
+        big = 2**70
+        net = network_from_json(self._two_edge_project([big, float(big), float(big)], big))
+        assert net.edges[0].cost_schedule[0] == Fraction(1180591620717411303424)
+        assert net.edges[0].cost_schedule[1] == Fraction(1180591620717411300000)
+        assert net.edges[1].cost_schedule == (Fraction(big),) * 3
+
 
 class TestPlan:
     def test_amounts_are_read_only(self):
