@@ -10,7 +10,7 @@ from .crashing import (
     greedy_crash,
     verify_trace,
 )
-from .flow import UNBOUNDED, Arc, CutResult, FlowGraph, max_flow_value, min_cut
+from .flow import UNBOUNDED, Arc, CutResult, FlowGraph, min_cut
 from .generators import (
     RandomNetSpec,
     counterexample_network,
@@ -38,7 +38,6 @@ from .network import (
     is_k_crashing,
     k_max,
     linear_schedule,
-    plan_cost,
     validate,
 )
 from .oracle import exact_crash_cost, exact_klis
@@ -73,9 +72,7 @@ __all__ = [
     "lis",
     "matrix_optimal_parts",
     "matrix_sequence",
-    "max_flow_value",
     "min_cut",
-    "plan_cost",
     "random_network",
     "random_sequence",
     "total_ratio_bound",

@@ -90,10 +90,8 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     durations: list[int] = []
     for i in range(1, k + 1):
         cut = flow.min_cut(_cut_graph(critical, lambda e: e.crashable_days > 0))
-        if flow.is_unbounded(cut.cost):
-            raise NotCrashableError(
-                f"no {k}-day plan exists: day {i} cannot be saved", iteration=i
-            )
+        if cut.cost is flow.UNBOUNDED:
+            raise NotCrashableError(f"no {k}-day plan exists: day {i} cannot be saved")
         current = apply_plan(current, Plan({edge_id: 1 for edge_id in cut.cut_arcs}))
         critical, reached = _critical_pass(current)
         steps.append(CrashStep(edges=cut.cut_arcs, cost=cut.cost))
@@ -151,7 +149,7 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     for i in range(1, k + 1):
         critical = critical_graph(current)
         cut = flow.min_cut(_cut_graph(critical, lambda e: remaining.amount(e.id) >= 1))
-        if flow.is_unbounded(cut.cost):
+        if cut.cost is flow.UNBOUNDED:
             raise NotKCrashingError(
                 f"level {i}: the remaining plan contains no cut of the critical graph"
             )
@@ -187,9 +185,6 @@ class TraceReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[TraceCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
 
 def _disconnects(g: ProjectNetwork, removed: frozenset[EdgeId]) -> bool:

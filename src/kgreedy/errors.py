@@ -21,14 +21,7 @@ class PlanOutOfBoundsError(KGreedyError):
 
 
 class NotCrashableError(KGreedyError):
-    """The requested duration reduction is impossible (k exceeds k_max).
-
-    `iteration` is the 1-based greedy step that failed, when applicable.
-    """
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration
+    """The requested duration reduction is impossible (k exceeds k_max)."""
 
 
 class NotKCrashingError(KGreedyError):
@@ -44,10 +37,6 @@ class ConvexNotSupportedError(KGreedyError):
 class ScriptError(KGreedyError):
     """A scripted round is not an increasing subsequence of the residue, or is
     shorter than the residue's longest one."""
-
-    def __init__(self, message: str, round_index: int):
-        super().__init__(message)
-        self.round_index = round_index
 
 
 # -- oracles ------------------------------------------------------------------

@@ -48,10 +48,6 @@ UNBOUNDED = _Unbounded()
 Capacity = Union[Fraction, _Unbounded]
 
 
-def is_unbounded(value) -> bool:
-    return value is UNBOUNDED
-
-
 @dataclass(frozen=True)
 class Arc:
     id: str
@@ -77,11 +73,15 @@ class CutResult:
     cost: Capacity
 
 
-def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
-    """Edmonds-Karp.  Returns (flow value, residual source side).
+def min_cut(g: FlowGraph) -> CutResult:
+    """A minimum s-t cut with a deterministic, source-nearest witness.
 
-    The source side is None when the flow is unbounded, i.e. an augmenting
-    path has no finite room and so consists solely of unbounded arcs.
+    Edmonds-Karp; the cost is the maximum flow value, by duality.  The source
+    side is the residual-reachable set, also when no flow is possible: then
+    the cut costs 0 and lists the zero-capacity arcs, if any, that leave the
+    nodes reachable over positive capacity.  If every s-t cut crosses an
+    unbounded arc, or the source is the sink, no finite cut exists: the cost
+    is UNBOUNDED and the cut arcs and source side are empty.
     """
     # Rooms are never negative, so a truthy room is a usable residual arc;
     # UNBOUNDED is truthy and never changes.
@@ -111,7 +111,8 @@ def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
                         next_frontier.append(v)
             frontier = next_frontier
         if g.sink not in parent:
-            return Fraction(total, scale), set(parent)
+            crossing = frozenset(a.id for a in g.arcs if a.src in parent and a.dst not in parent)
+            return CutResult(crossing, frozenset(parent), Fraction(total, scale))
         path = []
         v = g.sink
         while v != g.source:
@@ -120,34 +121,10 @@ def _max_flow(g: FlowGraph) -> tuple[Capacity, set[str] | None]:
             v = head[j ^ 1]
         bottleneck = min((room[j] for j in path if room[j] is not UNBOUNDED), default=UNBOUNDED)
         if bottleneck is UNBOUNDED:
-            return UNBOUNDED, None
+            return CutResult(frozenset(), frozenset(), UNBOUNDED)
         for j in path:
             if room[j] is not UNBOUNDED:
                 room[j] -= bottleneck
             if room[j ^ 1] is not UNBOUNDED:
                 room[j ^ 1] += bottleneck
         total += bottleneck
-
-
-def min_cut(g: FlowGraph) -> CutResult:
-    """A minimum s-t cut with a deterministic, source-nearest witness.
-
-    The source side is the residual-reachable set, also when no flow is
-    possible: then the cut costs 0 and lists the zero-capacity arcs, if any,
-    that leave the nodes reachable over positive capacity.  If every s-t cut
-    crosses an unbounded arc, or the source is the sink, no finite cut exists:
-    the cost is UNBOUNDED and the cut arcs and source side are empty.
-    """
-    _, residual_side = _max_flow(g)
-    if residual_side is None:
-        return CutResult(frozenset(), frozenset(), UNBOUNDED)
-
-    src_side = frozenset(residual_side)
-    crossing = [a for a in g.arcs if a.src in src_side and a.dst not in src_side]
-    cost = sum((a.capacity for a in crossing), Fraction(0))
-    return CutResult(frozenset(a.id for a in crossing), src_side, cost)
-
-
-def max_flow_value(g: FlowGraph) -> Capacity:
-    """Maximum s-t flow value; equals the minimum cut cost by duality."""
-    return _max_flow(g)[0]

@@ -104,9 +104,11 @@ def greedy_klis_scripted(
 
     Each script entry must be an increasing subsequence of the current
     residue (original indices) and exactly as long as the residue's longest
-    increasing subsequence.  A failing round raises ScriptError with its
-    index; a short pick's message gives both lengths.
+    increasing subsequence.  A failing round raises ScriptError naming the
+    round; a short pick's message gives both lengths.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if len(script) != k:
         raise ValueError(f"script has {len(script)} rounds, expected {k}")
     n = len(values)
@@ -118,22 +120,16 @@ def greedy_klis_scripted(
         prev_val = None
         for idx in entry:
             if not 0 <= idx < n or not alive[idx]:
-                raise ScriptError(
-                    f"round {r}: index {idx} is not in the current residue", round_index=r
-                )
+                raise ScriptError(f"round {r}: index {idx} is not in the current residue")
             if idx <= prev_idx or (prev_val is not None and values[idx] <= prev_val):
-                raise ScriptError(
-                    f"round {r}: indices must be increasing in position and value",
-                    round_index=r,
-                )
+                raise ScriptError(f"round {r}: indices must be increasing in position and value")
             prev_idx, prev_val = idx, values[idx]
         residue_vals = [values[i] for i in range(n) if alive[i]]
         best = len(lis(residue_vals))
         if len(entry) != best:
             raise ScriptError(
                 f"round {r}: scripted pick has length {len(entry)}, "
-                f"longest increasing subsequence has length {best}",
-                round_index=r,
+                f"longest increasing subsequence has length {best}"
             )
         for idx in entry:
             alive[idx] = False

@@ -298,16 +298,6 @@ def apply_plan(net: ProjectNetwork, plan: Plan) -> ProjectNetwork:
     return ProjectNetwork(net.nodes, net.source, net.sink, tuple(new_edges))
 
 
-def plan_cost(net: ProjectNetwork, plan: Plan) -> Fraction:
-    """Exact cost of a plan: the first x_i schedule entries of each edge, summed."""
-    _check_plan(net, plan)
-    by_id = {e.id: e for e in net.edges}
-    total = Fraction(0)
-    for edge_id, x in plan.amounts.items():
-        total += sum(by_id[edge_id].cost_schedule[:x], Fraction(0))
-    return total
-
-
 def k_max(net: ProjectNetwork) -> int:
     """Largest achievable duration reduction."""
     return duration(net) - duration(apply_plan(net, full_plan(net)))

@@ -1,9 +1,10 @@
 """Independent brute-force reference computations used across the tests.
 
-Everything here enumerates: paths for durations and criticality, node
-partitions for cuts, index subsets for subsequences.  None of it shares code
-with the library's fast paths, so agreement is meaningful.  The one CLI
-helper, `assert_exit_defined`, checks the exit contract of `kgreedy.cli.main`.
+Everything here enumerates or sums directly: paths for durations and
+criticality, node partitions for cuts, index subsets for subsequences,
+schedule prefixes for plan costs.  None of it shares code with the library's
+fast paths, so agreement is meaningful.  The one CLI helper,
+`assert_exit_defined`, checks the exit contract of `kgreedy.cli.main`.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import random
 from fractions import Fraction
 
 from kgreedy.cli import main
-from kgreedy.flow import Arc, FlowGraph, is_unbounded, UNBOUNDED
+from kgreedy.flow import Arc, FlowGraph, UNBOUNDED
 from kgreedy.network import Plan
 
 
@@ -46,6 +47,22 @@ def merge(plan, other):
     for edge_id, x in other.amounts.items():
         merged[edge_id] = merged.get(edge_id, 0) + x
     return Plan(merged)
+
+
+def plan_cost(net, plan):
+    """Reference cost of a plan: the first x schedule entries of each edge, summed."""
+    by_id = {e.id: e for e in net.edges}
+    total = Fraction(0)
+    for edge_id, x in plan.amounts.items():
+        schedule = by_id[edge_id].cost_schedule
+        assert x <= len(schedule), edge_id
+        total += sum(schedule[:x], Fraction(0))
+    return total
+
+
+def failures(report):
+    """The checks of a trace report that did not pass."""
+    return tuple(c for c in report.checks if not c.passed)
 
 
 def all_st_paths(net):
@@ -82,6 +99,15 @@ def brute_critical_edge_ids(net):
     return ids
 
 
+def cut_capacity(g, side):
+    """Sum of the finite capacities of the arcs leaving ``side``."""
+    return sum(
+        (a.capacity for a in g.arcs
+         if a.src in side and a.dst not in side and a.capacity is not UNBOUNDED),
+        Fraction(0),
+    )
+
+
 def brute_min_cut_cost(g):
     """Minimum cut cost over every (S, T) partition with s in S, t in T."""
     middle = [v for v in g.nodes if v not in (g.source, g.sink)]
@@ -92,7 +118,7 @@ def brute_min_cut_cost(g):
         unbounded = False
         for a in g.arcs:
             if a.src in src_side and a.dst not in src_side:
-                if is_unbounded(a.capacity):
+                if a.capacity is UNBOUNDED:
                     unbounded = True
                     break
                 cost += a.capacity

@@ -11,9 +11,10 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from kgreedy.flow import UNBOUNDED, Arc, FlowGraph, is_unbounded, max_flow_value, min_cut
+from kgreedy.flow import UNBOUNDED, Arc, FlowGraph, min_cut
 from kgreedy.generators import RandomNetSpec, random_network
 from kgreedy.network import apply_plan, duration, full_plan
+from support import cut_capacity
 
 
 def _random_graph(seed, capacity=lambda rng: Fraction(rng.randint(0, 9))):
@@ -46,7 +47,7 @@ def _to_networkx(g, scale=1):
         if not G.has_edge(a.src, a.dst):
             G.add_edge(a.src, a.dst, capacity=0)
         attrs = G[a.src][a.dst]
-        if is_unbounded(a.capacity):
+        if a.capacity is UNBOUNDED:
             attrs.pop("capacity", None)
         elif "capacity" in attrs:
             scaled = a.capacity * scale
@@ -69,7 +70,7 @@ def _residual_source_side(G, s, t):
 
 
 def _check_min_cuts(graphs, scale_of=lambda g: 1):
-    """min_cut and max_flow_value against networkx on the graph with every
+    """min_cut's cost and witness against networkx on the graph with every
     capacity multiplied by ``scale_of(g)``; returns the outcomes seen."""
     outcomes = set()
     for seed, g in enumerate(graphs):
@@ -79,10 +80,10 @@ def _check_min_cuts(graphs, scale_of=lambda g: 1):
         try:
             expected = nx.minimum_cut_value(G, g.source, g.sink)
         except nx.NetworkXUnbounded:
-            assert is_unbounded(cut.cost) and is_unbounded(max_flow_value(g)), seed
+            assert cut.cost is UNBOUNDED, seed
             outcomes.add("unbounded")
             continue
-        assert cut.cost == max_flow_value(g), seed
+        assert cut.cost == cut_capacity(g, cut.source_side), seed
         assert cut.cost * scale == expected, seed
         # The residual-reachable set is the same for every maximum flow, so
         # networkx's preflow-push flow must give the same witness.
@@ -100,7 +101,7 @@ def _denominator_lcm(g):
     """Least common multiple of the finite capacities' denominators."""
     lcm = 1
     for a in g.arcs:
-        if not is_unbounded(a.capacity):
+        if a.capacity is not UNBOUNDED:
             q = a.capacity.denominator
             lcm = lcm * q // gcd(lcm, q)
     return lcm

@@ -132,9 +132,8 @@ class TestScriptedGreedy:
 
     def test_non_maximal_round_rejected(self):
         message = "round 0: scripted pick has length 1, longest increasing subsequence has length 3"
-        with pytest.raises(ScriptError, match=message) as exc:
+        with pytest.raises(ScriptError, match=message):
             greedy_klis_scripted([1, 2, 3], 1, [[0]])
-        assert exc.value.round_index == 0
 
     def test_removed_index_rejected(self):
         values, _ = matrix_sequence(2)
@@ -149,6 +148,11 @@ class TestScriptedGreedy:
     def test_wrong_round_count_rejected(self):
         with pytest.raises(ValueError):
             greedy_klis_scripted([1, 2], 1, [[0], [1]])
+
+    def test_k_zero_rejected_as_by_greedy_klis(self):
+        for run in (greedy_klis, lambda values, k: greedy_klis_scripted(values, k, [])):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                run([1, 2], 0)
 
 
 class TestTextFormats:

@@ -4,19 +4,24 @@ export list, and its error classes.
 The package has no runtime dependency, so every absolute import names a
 standard-library module.  `flow` works on its own arc graphs and imports no
 other module of the package.  `kgreedy.__all__` names exactly the public
-names the package binds, so a deleted API cannot stay exported.  Every class
+names the package binds, so a deleted API cannot stay exported, and every
+exported function has a caller in the library or the benchmark, so an API
+that only the tests read cannot stay in the library.  Every class
 in `errors.py` is raised somewhere in the package, or is a base of one that
 is, so an error class cannot outlive its last `raise`.
 """
 
 import ast
+import inspect
+import re
 import sys
 import types
 from pathlib import Path
 
 import kgreedy
 
-PACKAGE = Path(__file__).parent.parent / "src" / "kgreedy"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "kgreedy"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -55,6 +60,37 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert sorted(kgreedy.__all__) == sorted(public)
+
+
+def _referenced_names(tree):
+    """Every Name id and Attribute attr in the tree, except those inside a
+    function of the same name: a recursive call is not a caller."""
+    found = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        node, enclosing = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing |= {node.name}
+        elif isinstance(node, ast.Name):
+            found |= {node.id} - enclosing
+        elif isinstance(node, ast.Attribute):
+            found |= {node.attr} - enclosing
+        stack += [(child, enclosing) for child in ast.iter_child_nodes(node)]
+    return found
+
+
+def test_every_exported_function_has_a_caller():
+    functions = {
+        name for name in kgreedy.__all__ if inspect.isfunction(getattr(kgreedy, name))
+    }
+    called = set()
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            called |= _referenced_names(tree)
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        called |= set(re.findall(r"\bkg\.\w+\.(\w+)", path.read_text(encoding="utf-8")))
+    assert sorted(functions - called) == []
 
 
 def test_every_error_class_is_raised():

@@ -20,7 +20,6 @@ from kgreedy.network import (
     linear_schedule,
     network_from_json,
     network_to_json,
-    plan_cost,
     validate,
 )
 from support import (
@@ -29,6 +28,7 @@ from support import (
     brute_duration,
     edge_ids,
     merge,
+    plan_cost,
     removing_disconnects,
 )
 
