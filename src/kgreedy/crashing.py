@@ -148,7 +148,7 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     remaining = plan
     for i in range(1, k + 1):
         critical = critical_graph(current)
-        cut = flow.min_cut(_cut_graph(critical, lambda e: remaining.amount(e.id) >= 1))
+        cut = flow.min_cut(_cut_graph(critical, lambda e: e.id in remaining.amounts))
         if cut.cost is flow.UNBOUNDED:
             raise NotKCrashingError(
                 f"level {i}: the remaining plan contains no cut of the critical graph"
@@ -231,7 +231,7 @@ def verify_trace(trace: DecompositionTrace) -> TraceReport:
     for i, level in enumerate(trace.levels, start=1):
         got = duration(level.network)
         want = base - (i - 1)
-        not_in_plan = level.cut - level.remaining_plan.support()
+        not_in_plan = level.cut - level.remaining_plan.amounts.keys()
         checks += [
             TraceCheck("duration-decrement", i, got == want, f"duration {got}, expected {want}"),
             TraceCheck(

@@ -11,8 +11,9 @@ values can be shared freely between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -94,10 +95,14 @@ class Plan:
     def __post_init__(self):
         cleaned = {}
         for edge_id, x in self.amounts.items():
+            if type(x) is not int:
+                raise PlanOutOfBoundsError(
+                    f"crash amount {x!r} for edge {edge_id!r} is not an integer"
+                )
             if x < 0:
                 raise PlanOutOfBoundsError(f"negative crash amount {x} for edge {edge_id!r}")
             if x > 0:
-                cleaned[edge_id] = int(x)
+                cleaned[edge_id] = x
         object.__setattr__(self, "amounts", MappingProxyType(cleaned))
 
     def __hash__(self):
@@ -106,12 +111,6 @@ class Plan:
     def __reduce__(self):
         # A mapping proxy cannot be pickled or copied; rebuild from a plain dict.
         return Plan, (dict(self.amounts),)
-
-    def amount(self, edge_id: EdgeId) -> int:
-        # ``in`` and ``[]`` reach the dict directly; the proxy's ``get`` is a
-        # slower forwarded method call, and this runs once per edge per step.
-        amounts = self.amounts
-        return amounts[edge_id] if edge_id in amounts else 0
 
     def subtract_units(self, edge_ids: Iterable[EdgeId]) -> "Plan":
         """Multiset difference: remove one unit per listed edge."""
@@ -125,9 +124,6 @@ class Plan:
             else:
                 reduced[edge_id] = left
         return Plan(reduced)
-
-    def support(self) -> frozenset[EdgeId]:
-        return frozenset(self.amounts)
 
 
 def full_plan(net: ProjectNetwork) -> Plan:
@@ -173,16 +169,15 @@ def validate(net: ProjectNetwork) -> None:
                     f"day {d} is cheaper than day {d - 1}"
                 )
 
-    _longest_dists(net)  # raises on a cycle
+    outgoing = _longest_dists(net)[2]  # raises on a cycle
 
     # In a DAG whose only node without in-edges is the source and only node
     # without out-edges is the sink, walking back from any node ends at the
     # source and walking forward ends at the sink: every node lies on an
     # s-t path, so no reachability pass is needed.
     has_in = {e.dst for e in net.edges}
-    has_out = {e.src for e in net.edges}
     sources = [v for v in net.nodes if v not in has_in]
-    sinks = [v for v in net.nodes if v not in has_out]
+    sinks = [v for v in net.nodes if not outgoing[v]]
     if len(sources) != 1 or sources[0] != net.source:
         raise NetworkValidationError(
             f"nodes without incoming edges: {sorted(sources)}, declared source: {net.source!r}"
@@ -267,34 +262,28 @@ def critical_graph(net: ProjectNetwork) -> ProjectNetwork:
 
 # -- plan application ---------------------------------------------------------
 
-def _check_plan(net: ProjectNetwork, plan: Plan) -> None:
-    by_id = {e.id: e for e in net.edges}
-    for edge_id, x in plan.amounts.items():
-        e = by_id.get(edge_id)
-        if e is None:
-            raise PlanOutOfBoundsError(f"plan names unknown edge {edge_id!r}")
-        if x > e.crashable_days:
-            raise PlanOutOfBoundsError(
-                f"edge {edge_id!r}: amount {x} exceeds crashable days {e.crashable_days}"
-            )
-
-
 def apply_plan(net: ProjectNetwork, plan: Plan) -> ProjectNetwork:
     """The network with each edge shortened by its plan amount.
 
     Consumed schedule entries are dropped, so the next marginal cost of a
     partially crashed edge is always ``cost_schedule[0]``.
     """
-    _check_plan(net, plan)
+    amounts = plan.amounts
+    applied = set()
     new_edges = []
     for e in net.edges:
-        x = plan.amount(e.id)
-        if x == 0:
-            new_edges.append(e)
-        else:
-            new_edges.append(
-                replace(e, normal_len=e.normal_len - x, cost_schedule=e.cost_schedule[x:])
-            )
+        if e.id in amounts:
+            x = amounts[e.id]
+            if x > e.crashable_days:
+                raise PlanOutOfBoundsError(
+                    f"edge {e.id!r}: amount {x} exceeds crashable days {e.crashable_days}"
+                )
+            applied.add(e.id)
+            e = Edge(e.id, e.src, e.dst, e.min_len, e.normal_len - x, e.cost_schedule[x:])
+        new_edges.append(e)
+    if len(applied) < len(amounts):
+        unknown = next(edge_id for edge_id in amounts if edge_id not in applied)
+        raise PlanOutOfBoundsError(f"plan names unknown edge {unknown!r}")
     return ProjectNetwork(net.nodes, net.source, net.sink, tuple(new_edges))
 
 
@@ -341,16 +330,9 @@ def _json_value(value, types, rule: str):
     return value
 
 
-def _json_key(obj: dict, key: str, where: str):
-    """``obj[key]``; a missing key raises NetworkValidationError naming ``where``."""
-    if key not in obj:
-        raise NetworkValidationError(f'{where} has no "{key}"')
-    return obj[key]
-
-
-def _json_name(value) -> str:
-    """A node or edge name: a JSON string or integer, as a string."""
-    return str(_json_value(value, (int, str), "node and edge names must be strings or integers"))
+_NAME_RULE = "node and edge names must be strings or integers"
+_PROJECT_KEYS = itemgetter("edges", "nodes", "source", "sink")
+_EDGE_KEYS = itemgetter("id", "from", "to", "a", "b", "c")
 
 
 def network_from_json(data: dict) -> ProjectNetwork:
@@ -363,44 +345,38 @@ def network_from_json(data: dict) -> ProjectNetwork:
     crashable days raise NetworkValidationError.
     """
     _json_value(data, dict, "a project must be a JSON object")
+    try:
+        records, nodes, source, sink = _PROJECT_KEYS(data)
+    except KeyError as missing:
+        raise NetworkValidationError(f'the project has no "{missing.args[0]}"') from None
     edges = []
-    records = _json_value(_json_key(data, "edges", "the project"), list, '"edges" must be a list')
-    for pos, rec in enumerate(records):
+    for pos, rec in enumerate(_json_value(records, list, '"edges" must be a list')):
         _json_value(rec, dict, "each edge must be a JSON object")
-        where = f"edge {pos}"
-        edge_id = _json_name(_json_key(rec, "id", where))
-        src = _json_name(_json_key(rec, "from", where))
-        dst = _json_name(_json_key(rec, "to", where))
-        a = int(_json_value(_json_key(rec, "a", where), (int, str), '"a" must be a whole number of days'))
-        b = int(_json_value(_json_key(rec, "b", where), (int, str), '"b" must be a whole number of days'))
+        try:
+            edge_id, src, dst, a, b, c = _EDGE_KEYS(rec)
+        except KeyError as missing:
+            raise NetworkValidationError(f'edge {pos} has no "{missing.args[0]}"') from None
+        edge_id, src, dst = [
+            str(_json_value(v, (int, str), _NAME_RULE)) for v in (edge_id, src, dst)
+        ]
+        a = int(_json_value(a, (int, str), '"a" must be a whole number of days'))
+        b = int(_json_value(b, (int, str), '"b" must be a whole number of days'))
         if b - a > MAX_CRASHABLE_DAYS:
             raise NetworkValidationError(
                 f"edge {edge_id!r}: b - a = {b - a} exceeds {MAX_CRASHABLE_DAYS} crashable days"
             )
-        c = _json_key(rec, "c", where)
         for x in c if isinstance(c, list) else [c]:
             _json_value(x, (int, float, str, Fraction), '"c" must be a cost or a list of costs')
         if isinstance(c, list):
             schedule = tuple(as_cost(x) for x in c)
         else:
             schedule = linear_schedule(c, max(b - a, 0))
-        edges.append(
-            Edge(
-                id=edge_id,
-                src=src,
-                dst=dst,
-                min_len=a,
-                normal_len=b,
-                cost_schedule=schedule,
-            )
-        )
-    nodes = _json_value(_json_key(data, "nodes", "the project"), list, '"nodes" must be a list')
-    return ProjectNetwork(
-        nodes=tuple(_json_name(v) for v in nodes),
-        source=_json_name(_json_key(data, "source", "the project")),
-        sink=_json_name(_json_key(data, "sink", "the project")),
-        edges=tuple(edges),
-    )
+        edges.append(Edge(edge_id, src, dst, a, b, schedule))
+    _json_value(nodes, list, '"nodes" must be a list')
+    *nodes, source, sink = [
+        str(_json_value(v, (int, str), _NAME_RULE)) for v in (*nodes, source, sink)
+    ]
+    return ProjectNetwork(tuple(nodes), source, sink, tuple(edges))
 
 
 def plan_to_json(plan: Plan) -> dict:

@@ -171,7 +171,7 @@ class TestDecompose:
         trace = decompose(net, Plan({"j1": 1, "j5": 1}), 1)
         assert len(trace.levels) == 1
         level = trace.levels[0]
-        assert level.cut <= Plan({"j1": 1, "j5": 1}).support()
+        assert level.cut <= frozenset(Plan({"j1": 1, "j5": 1}).amounts)
         assert level.cut_cost == 10
         assert removing_disconnects(level.critical, level.cut)
 

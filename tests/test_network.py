@@ -229,8 +229,24 @@ class TestApplyPlan:
                 assert e.cost_schedule == ()
 
     def test_out_of_bounds_rejected(self):
-        with pytest.raises(PlanOutOfBoundsError):
+        with pytest.raises(PlanOutOfBoundsError) as info:
             apply_plan(single_edge_net(a=1, b=3), Plan({"e": 3}))
+        assert str(info.value) == "edge 'e': amount 3 exceeds crashable days 2"
+
+    def test_unknown_edge_rejected(self):
+        # the first unknown edge in plan order is named
+        for amounts, unknown in (({"z": 1}, "z"), ({"y": 1, "e": 1, "z": 1}, "y")):
+            with pytest.raises(PlanOutOfBoundsError) as info:
+                apply_plan(single_edge_net(a=1, b=3), Plan(amounts))
+            assert str(info.value) == f"plan names unknown edge {unknown!r}"
+
+    def test_partial_crash_keeps_rest_of_schedule(self):
+        e = Edge("e", "s", "t", 0, 3, (Fraction(2), Fraction(5), Fraction(7)))
+        f = Edge("f", "s", "t", 0, 1, (Fraction(1),))
+        net = ProjectNetwork(("s", "t"), "s", "t", (e, f))
+        crashed = apply_plan(net, Plan({"e": 1}))
+        assert crashed.edges == (Edge("e", "s", "t", 0, 2, (Fraction(5), Fraction(7))), f)
+        assert crashed.edges[1] is f
 
     def test_never_beats_full_crash(self):
         import random
@@ -301,11 +317,53 @@ class TestIsKCrashing:
             if not is_k_crashing(net, plan, 1):
                 continue
             checked += 1
-            assert removing_disconnects(critical_graph(net), plan.support() & crit_ids)
+            assert removing_disconnects(critical_graph(net), frozenset(plan.amounts) & crit_ids)
         assert checked > 5
 
 
+_NAME_RULE = "node and edge names must be strings or integers"
+_JSON_RULES = {
+    "edges": '"edges" must be a list',
+    "nodes": '"nodes" must be a list',
+    "source": _NAME_RULE,
+    "sink": _NAME_RULE,
+    "id": _NAME_RULE,
+    "from": _NAME_RULE,
+    "to": _NAME_RULE,
+    "a": '"a" must be a whole number of days',
+    "b": '"b" must be a whole number of days',
+    "c": '"c" must be a cost or a list of costs',
+}
+_MISSING = object()
+
+
+def _json_error_cases():
+    """(key, value or _MISSING, exact message) for single faults in a valid
+    two-edge project; edge keys are set on the second edge."""
+    for key, rule in _JSON_RULES.items():
+        where = "the project" if key in ("edges", "nodes", "source", "sink") else "edge 1"
+        yield pytest.param(key, _MISSING, f'{where} has no "{key}"', id=f"{key}-missing")
+        for value in (True, None, {}):
+            yield pytest.param(key, value, f"{rule}, got {value!r}", id=f"{key}-{value!r}")
+    yield pytest.param("nodes", ["s", "u", None, "t"], f"{_NAME_RULE}, got None", id="nodes-item")
+    yield pytest.param("c", [1, None, 2], f"{_JSON_RULES['c']}, got None", id="c-item")
+    yield pytest.param("b", 1_000_001, "edge 'f': b - a = 1000001 exceeds 1000000 crashable days",
+                       id="days-cap")
+
+
 class TestJson:
+    @pytest.mark.parametrize("key, value, message", _json_error_cases())
+    def test_error_table(self, key, value, message):
+        data = self._two_edge_project(1, 1)
+        target = data if key in data else data["edges"][1]
+        if value is _MISSING:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(NetworkValidationError) as info:
+            network_from_json(data)
+        assert str(info.value) == message
+
     def test_round_trip(self):
         net = counterexample_network()
         assert network_from_json(network_to_json(net)) == net
@@ -378,6 +436,12 @@ class TestPlan:
     def test_equal_plans_hash_equal(self):
         assert hash(Plan({"j1": 1, "j5": 2, "j2": 0})) == hash(Plan({"j5": 2, "j1": 1}))
         assert len({Plan({"j1": 1}), Plan({"j1": 1}), Plan({"j1": 2})}) == 2
+
+    @pytest.mark.parametrize("x", [0.5, 1.5, 2.0, Fraction(3, 2), True])
+    def test_amounts_must_be_integers(self, x):
+        with pytest.raises(PlanOutOfBoundsError) as info:
+            Plan({"j1": x})
+        assert str(info.value) == f"crash amount {x!r} for edge 'j1' is not an integer"
 
     def test_pickle_round_trip(self):
         plan = Plan({"j1": 1, "j5": 2})
