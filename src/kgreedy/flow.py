@@ -2,26 +2,35 @@
 
 Capacities are exact Fractions or the distinct ``UNBOUNDED`` sentinel; no
 "large finite number" stand-in is ever used, so unbounded cuts can never be
-confused with expensive finite ones.  The solver is Edmonds-Karp (shortest
-augmenting paths) over one residual array that stores arcs in pairs: residual
-arc 2i runs along arc i and holds its unused capacity, and 2i+1 runs against
-it and holds its flow, so ``j ^ 1`` is the partner of residual arc ``j``.
-Rooms are exact integers in units of 1/scale, where scale is the least common
-multiple of the finite capacities' denominators, so the flow stays exact while
-its inner loop adds and compares plain ints; the value is scaled back to a
-Fraction on return.
+confused with expensive finite ones.  The solver is Dinic's algorithm (Dinic
+1970) over one residual array that stores arcs in pairs: residual arc 2i runs
+along arc i and holds its unused capacity, and 2i+1 runs against it and holds
+its flow, so ``j ^ 1`` is the partner of residual arc ``j``.  Nodes are
+indices 0..n-1.  Rooms are exact integers in units of 1/scale, where scale is
+the least common multiple of the finite capacities' denominators, so the flow
+stays exact while its inner loop adds and compares plain ints; the value is
+scaled back to a Fraction on return.
+
+Each phase labels nodes with their residual distance from the source by BFS,
+then augments a blocking flow along arcs that climb one level.  A depth-first
+walk keeps a current arc per node and drops a node from the phase once it is
+a dead end.  After a phase no shortest path is left, so the source-to-sink
+distance grows with every phase and, being at most n - 1, bounds the number
+of phases.
 
 Unbounded flows need no separate check.  Reverse rooms are finite, so an
 augmenting path without a finite room consists of unbounded arcs only and no
-finite cut exists.  Every other augmentation saturates a finite room, so
-Edmonds-Karp still ends, with such a path or with the sink cut off.  A source
-that is also the sink is the empty such path: it has no finite cut either.
+finite cut exists.  Every other augmentation saturates a finite room on the
+level graph, whose reverse runs down a level and so is not used again in the
+phase; each phase therefore ends, with such a path or with the sink cut off.
+A source that is also the sink is the empty such path: it has no finite cut
+either.
 
 The reported cut is the set of nodes reachable from the source in the final
-residual graph.  After any maximum flow that set is the smallest source side
-of a minimum cut (it lies inside every other one), a property of the graph
-alone, so the cut, its sides and its cost do not depend on the order in which
-paths were augmented.
+residual graph, which are the nodes the last BFS labelled.  After any maximum
+flow that set is the smallest source side of a minimum cut (it lies inside
+every other one), a property of the graph alone, so the cut, its sides and
+its cost do not depend on the order in which paths were augmented.
 """
 
 from __future__ import annotations
@@ -76,55 +85,85 @@ class CutResult:
 def min_cut(g: FlowGraph) -> CutResult:
     """A minimum s-t cut with a deterministic, source-nearest witness.
 
-    Edmonds-Karp; the cost is the maximum flow value, by duality.  The source
-    side is the residual-reachable set, also when no flow is possible: then
-    the cut costs 0 and lists the zero-capacity arcs, if any, that leave the
-    nodes reachable over positive capacity.  If every s-t cut crosses an
-    unbounded arc, or the source is the sink, no finite cut exists: the cost
-    is UNBOUNDED and the cut arcs and source side are empty.
+    Dinic's blocking flows; the cost is the maximum flow value, by duality.
+    The source side is the residual-reachable set, also when no flow is
+    possible: then the cut costs 0 and lists the zero-capacity arcs, if any,
+    that leave the nodes reachable over positive capacity.  If every s-t cut
+    crosses an unbounded arc, or the source is the sink, no finite cut exists:
+    the cost is UNBOUNDED and the cut arcs and source side are empty.
     """
-    # Rooms are never negative, so a truthy room is a usable residual arc;
-    # UNBOUNDED is truthy and never changes.
+    # Nodes are list indices.  Rooms are never negative, so a truthy room is a
+    # usable residual arc; UNBOUNDED is truthy and never changes.
+    index = {v: i for i, v in enumerate(g.nodes)}
     scale = math.lcm(*(a.capacity.denominator for a in g.arcs if a.capacity is not UNBOUNDED))
-    head: list[str] = []
+    head: list[int] = []
     room: list[int | _Unbounded] = []
-    out: dict[str, list[int]] = {v: [] for v in g.nodes}
+    out: list[list[int]] = [[] for _ in g.nodes]
     for i, arc in enumerate(g.arcs):
         c = arc.capacity
-        head += (arc.dst, arc.src)
+        u, v = index[arc.src], index[arc.dst]
+        head += (v, u)
         room += (c if c is UNBOUNDED else c.numerator * (scale // c.denominator), 0)
-        out[arc.src].append(2 * i)
-        out[arc.dst].append(2 * i + 1)
+        out[u].append(2 * i)
+        out[v].append(2 * i + 1)
+    s, t = index[g.source], index[g.sink]
 
     total = 0
     while True:
-        # BFS for the shortest residual path; parent[v] is the residual arc into v.
-        parent: dict[str, int | None] = {g.source: None}
-        frontier = [g.source]
-        while frontier and g.sink not in parent:
+        # BFS levels: level[v] is v's residual distance from s, None if unseen.
+        level: list[int | None] = [None] * len(out)
+        level[s] = 0
+        frontier = [s]
+        while frontier and level[t] is None:
             next_frontier = []
             for u in frontier:
+                d = level[u] + 1
                 for j in out[u]:
                     v = head[j]
-                    if v not in parent and room[j]:
-                        parent[v] = j
+                    if level[v] is None and room[j]:
+                        level[v] = d
                         next_frontier.append(v)
             frontier = next_frontier
-        if g.sink not in parent:
-            crossing = frozenset(a.id for a in g.arcs if a.src in parent and a.dst not in parent)
-            return CutResult(crossing, frozenset(parent), Fraction(total, scale))
-        path = []
-        v = g.sink
-        while v != g.source:
-            j = parent[v]
-            path.append(j)
-            v = head[j ^ 1]
-        bottleneck = min((room[j] for j in path if room[j] is not UNBOUNDED), default=UNBOUNDED)
-        if bottleneck is UNBOUNDED:
-            return CutResult(frozenset(), frozenset(), UNBOUNDED)
-        for j in path:
-            if room[j] is not UNBOUNDED:
-                room[j] -= bottleneck
-            if room[j ^ 1] is not UNBOUNDED:
-                room[j ^ 1] += bottleneck
-        total += bottleneck
+        if level[t] is None:
+            crossing = frozenset(
+                a.id for i, a in enumerate(g.arcs)
+                if level[head[2 * i + 1]] is not None and level[head[2 * i]] is None
+            )
+            side = frozenset(v for v, d in zip(g.nodes, level) if d is not None)
+            return CutResult(crossing, side, Fraction(total, scale))
+
+        # Blocking flow: a DFS over arcs that climb one level and have room.
+        # ptr[u] is u's current arc; path holds the residual arcs from s to u.
+        ptr = [0] * len(out)
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                bottleneck = min((room[j] for j in path if room[j] is not UNBOUNDED),
+                                 default=UNBOUNDED)
+                if bottleneck is UNBOUNDED:
+                    return CutResult(frozenset(), frozenset(), UNBOUNDED)
+                for j in path:
+                    if room[j] is not UNBOUNDED:
+                        room[j] -= bottleneck
+                    if room[j ^ 1] is not UNBOUNDED:
+                        room[j ^ 1] += bottleneck
+                total += bottleneck
+                # resume from the tail of the first arc the path saturated
+                k = next(k for k, j in enumerate(path) if not room[j])
+                u = head[path[k] ^ 1]
+                del path[k:]
+                continue
+            arcs, i, d = out[u], ptr[u], level[u] + 1
+            while i < len(arcs) and not (room[arcs[i]] and level[head[arcs[i]]] == d):
+                i += 1
+            ptr[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = head[arcs[i]]
+            elif u == s:
+                break
+            else:
+                # a dead end: no arc into u is taken again in this phase
+                level[u] = None
+                u = head[path.pop() ^ 1]

@@ -31,7 +31,9 @@ def as_cost(value) -> Fraction:
     """Coerce a cost literal to an exact Fraction.
 
     Accepts ints, Fractions, and strings ("3", "0.1", "7/2").  Floats are
-    converted through their decimal repr so that 0.1 means one tenth.
+    converted through their decimal repr so that 0.1 means one tenth.  A
+    literal that is not a number raises ValueError; one with a zero
+    denominator raises NetworkValidationError.
     """
     if isinstance(value, Fraction):
         return value
@@ -40,7 +42,7 @@ def as_cost(value) -> Fraction:
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"cost {value!r} has a zero denominator") from None
+        raise NetworkValidationError(f"cost {value!r} has a zero denominator") from None
 
 
 def linear_schedule(cost, days: int) -> tuple[Fraction, ...]:
@@ -330,7 +332,18 @@ def _json_value(value, types, rule: str):
     return value
 
 
+def _json_parsed(parse, value, types, rule: str):
+    """``parse(value)`` for a ``value`` that ``_json_value`` accepts; a literal
+    that ``parse`` cannot read breaks ``rule`` too."""
+    try:
+        return parse(_json_value(value, types, rule))
+    except ValueError:
+        raise NetworkValidationError(f"{rule}, got {value!r:.80}") from None
+
+
 _NAME_RULE = "node and edge names must be strings or integers"
+_COST_RULE = '"c" must be a cost or a list of costs'
+_COST_TYPES = (int, float, str, Fraction)
 _PROJECT_KEYS = itemgetter("edges", "nodes", "source", "sink")
 _EDGE_KEYS = itemgetter("id", "from", "to", "a", "b", "c")
 
@@ -341,8 +354,9 @@ def network_from_json(data: dict) -> ProjectNetwork:
     A scalar "c" is a constant per-day cost; a list gives the convex schedule
     explicitly and must have b - a entries.  Costs given as strings are
     parsed exactly.  Missing keys, values of the wrong JSON type (names must
-    be strings or integers), and edges with more than MAX_CRASHABLE_DAYS
-    crashable days raise NetworkValidationError.
+    be strings or integers), day counts and costs that do not parse, and
+    edges with more than MAX_CRASHABLE_DAYS crashable days raise
+    NetworkValidationError.
     """
     _json_value(data, dict, "a project must be a JSON object")
     try:
@@ -359,18 +373,17 @@ def network_from_json(data: dict) -> ProjectNetwork:
         edge_id, src, dst = [
             str(_json_value(v, (int, str), _NAME_RULE)) for v in (edge_id, src, dst)
         ]
-        a = int(_json_value(a, (int, str), '"a" must be a whole number of days'))
-        b = int(_json_value(b, (int, str), '"b" must be a whole number of days'))
+        a = _json_parsed(int, a, (int, str), '"a" must be a whole number of days')
+        b = _json_parsed(int, b, (int, str), '"b" must be a whole number of days')
         if b - a > MAX_CRASHABLE_DAYS:
             raise NetworkValidationError(
                 f"edge {edge_id!r}: b - a = {b - a} exceeds {MAX_CRASHABLE_DAYS} crashable days"
             )
-        for x in c if isinstance(c, list) else [c]:
-            _json_value(x, (int, float, str, Fraction), '"c" must be a cost or a list of costs')
         if isinstance(c, list):
-            schedule = tuple(as_cost(x) for x in c)
+            schedule = tuple(_json_parsed(as_cost, x, _COST_TYPES, _COST_RULE) for x in c)
         else:
-            schedule = linear_schedule(c, max(b - a, 0))
+            schedule = linear_schedule(_json_parsed(as_cost, c, _COST_TYPES, _COST_RULE),
+                                       max(b - a, 0))
         edges.append(Edge(edge_id, src, dst, a, b, schedule))
     _json_value(nodes, list, '"nodes" must be a list')
     *nodes, source, sink = [

@@ -117,6 +117,40 @@ def test_min_cut_matches_networkx_on_rational_capacities():
     assert outcomes == {"bounded", "unbounded"}
 
 
+def _layered_graph(seed):
+    """``width`` by ``depth`` layers in which node j of a layer has arcs to
+    nodes j and j + 1 (wrapping around) of the next one, the source feeds the
+    first layer and the last feeds the sink: every source-to-sink path has
+    depth + 1 arcs, so all of them tie as shortest.  Capacities are rational,
+    a share of them UNBOUNDED (about a tenth in most graphs) and a few zero."""
+    rng = random.Random(seed)
+    width, depth = rng.randint(2, 10), rng.randint(1, 12)
+    unbounded_share = rng.choice([0.1, 0.1, 0.1, 0.5])
+    layers = [[f"v{i}_{j}" for j in range(width)] for i in range(depth)]
+    pairs = [("s", v) for v in layers[0]] + [(v, "t") for v in layers[-1]]
+    for here, there in zip(layers, layers[1:]):
+        pairs += [(u, there[(j + step) % width]) for j, u in enumerate(here) for step in (0, 1)]
+    arcs = []
+    for n, (u, v) in enumerate(pairs):
+        draw = rng.random()
+        if draw < unbounded_share:
+            cap = UNBOUNDED
+        elif draw < unbounded_share + 0.03:
+            cap = Fraction(0)
+        else:
+            cap = Fraction(rng.randint(1, 30), rng.randint(1, 9))
+        arcs.append(Arc(f"a{n}", u, v, cap))
+    nodes = ("s", *(v for layer in layers for v in layer), "t")
+    return FlowGraph(nodes, "s", "t", tuple(arcs))
+
+
+def test_min_cut_matches_networkx_on_layered_critical_graphs():
+    graphs = [_layered_graph(seed) for seed in range(80)]
+    assert sum(len(g.arcs) > 100 for g in graphs) >= 15
+    outcomes = _check_min_cuts(graphs, _denominator_lcm)
+    assert outcomes == {"bounded", "unbounded"}
+
+
 def test_duration_matches_networkx():
     rng = random.Random(7)
     for seed in range(40):

@@ -148,6 +148,20 @@ def test_deterministic_results():
             assert again == first
 
 
+def test_flow_sent_back_along_a_reverse_arc():
+    # The first shortest path is s-1-4-t.  The second, s-3-4-1-2-t, takes back
+    # the flow on 1->4; before it is found, 3 and 4 lead nowhere new.
+    arcs = [("s", "1"), ("s", "3"), ("1", "4"), ("1", "2"), ("3", "4"), ("2", "t"), ("4", "t")]
+    g = FlowGraph(
+        ("s", "1", "2", "3", "4", "t"), "s", "t",
+        tuple(Arc(u + v, u, v, Fraction(1)) for u, v in arcs),
+    )
+    cut = min_cut(g)
+    assert cut.cost == 2
+    assert cut.cut_arcs == {"s1", "s3"}
+    assert cut.source_side == {"s"}
+
+
 def test_tied_minimum_cuts_resolve_source_nearest():
     # two equal-cost cuts in a chain; the witness hugs the source
     g = FlowGraph(

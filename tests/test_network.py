@@ -347,6 +347,13 @@ def _json_error_cases():
             yield pytest.param(key, value, f"{rule}, got {value!r}", id=f"{key}-{value!r}")
     yield pytest.param("nodes", ["s", "u", None, "t"], f"{_NAME_RULE}, got None", id="nodes-item")
     yield pytest.param("c", [1, None, 2], f"{_JSON_RULES['c']}, got None", id="c-item")
+    # literals of the right JSON type that do not parse; the CLI reads JSON
+    # floats as strings, so "a": 1.0 arrives as '1.0'
+    for key, value in (("a", "x"), ("a", "1.0"), ("b", "3 days"), ("c", "abc"),
+                       ("c", float("inf")), ("c", float("nan")), ("c", ["1", "oops"])):
+        got = value[-1] if isinstance(value, list) else value
+        yield pytest.param(key, value, f"{_JSON_RULES[key]}, got {got!r}",
+                           id=f"{key}-literal-{value!r}")
     yield pytest.param("b", 1_000_001, "edge 'f': b - a = 1000001 exceeds 1000000 crashable days",
                        id="days-cap")
 
