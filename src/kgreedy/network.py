@@ -32,13 +32,17 @@ def as_cost(value) -> Fraction:
 
     Accepts ints, Fractions, and strings ("3", "0.1", "7/2").  Floats are
     converted through their decimal repr so that 0.1 means one tenth.  A
-    literal that is not a number raises ValueError; one with a zero
-    denominator raises NetworkValidationError.
+    literal that is not a number raises ValueError, and so does a string
+    with an underscore, which ``Fraction`` reads as a digit separator only
+    from Python 3.11 on; one with a zero denominator raises
+    NetworkValidationError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(repr(value))
+    if isinstance(value, str) and "_" in value:
+        raise ValueError(f"cost {value!r} has an underscore")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -72,7 +76,10 @@ class Edge:
         return self.normal_len - self.min_len
 
     def is_linear(self) -> bool:
-        return len(set(self.cost_schedule)) <= 1
+        # count() tests identity before equality, and a scalar "c" repeats
+        # one object, so a constant schedule costs no Fraction compare.
+        s = self.cost_schedule
+        return not s or s.count(s[0]) == len(s)
 
 
 @dataclass(frozen=True)
@@ -159,17 +166,18 @@ def validate(net: ProjectNetwork) -> None:
                 f"edge {e.id!r}: schedule has {len(e.cost_schedule)} entries, "
                 f"expected {e.crashable_days}"
             )
-        # A non-decreasing schedule is non-negative once its first day is.
+        # A non-decreasing schedule is non-negative once its first day is,
+        # and a constant one needs no day-by-day compare.
         schedule = e.cost_schedule
         if schedule and schedule[0] < 0:
             raise NetworkValidationError(f"edge {e.id!r}: negative cost at day 0")
-        # A scalar "c" repeats one object, so equal neighbours cost no compare.
-        for d in range(1, len(schedule)):
-            if schedule[d] is not schedule[d - 1] and schedule[d] < schedule[d - 1]:
-                raise NetworkValidationError(
-                    f"edge {e.id!r}: schedule must be non-decreasing (convex), "
-                    f"day {d} is cheaper than day {d - 1}"
-                )
+        if not e.is_linear():
+            for d in range(1, len(schedule)):
+                if schedule[d] < schedule[d - 1]:
+                    raise NetworkValidationError(
+                        f"edge {e.id!r}: schedule must be non-decreasing (convex), "
+                        f"day {d} is cheaper than day {d - 1}"
+                    )
 
     outgoing = _longest_dists(net)[2]  # raises on a cycle
 
@@ -353,16 +361,36 @@ def network_from_json(data: dict) -> ProjectNetwork:
 
     A scalar "c" is a constant per-day cost; a list gives the convex schedule
     explicitly and must have b - a entries.  Costs given as strings are
-    parsed exactly.  Missing keys, values of the wrong JSON type (names must
-    be strings or integers), day counts and costs that do not parse, and
-    edges with more than MAX_CRASHABLE_DAYS crashable days raise
-    NetworkValidationError.
+    parsed exactly, and each distinct cost literal is parsed once per call.
+    Missing keys, values of the wrong JSON type (names must be strings or
+    integers), day counts and costs that do not parse, and edges with more
+    than MAX_CRASHABLE_DAYS crashable days raise NetworkValidationError.
     """
     _json_value(data, dict, "a project must be a JSON object")
     try:
         records, nodes, source, sink = _PROJECT_KEYS(data)
     except KeyError as missing:
         raise NetworkValidationError(f'the project has no "{missing.args[0]}"') from None
+
+    # Keyed by type too: 2**70 and float(2**70) are equal but parse apart.
+    # A bool's type is not a cost type, so True never meets a cached 1.
+    costs: dict = {}
+
+    def cost(x) -> Fraction:
+        if type(x) not in _COST_TYPES:
+            return _json_parsed(as_cost, x, _COST_TYPES, _COST_RULE)
+        key = (type(x), x)
+        parsed = costs.get(key)
+        if parsed is None:
+            parsed = costs[key] = _json_parsed(as_cost, x, _COST_TYPES, _COST_RULE)
+        return parsed
+
+    def name(v) -> str:
+        return v if type(v) is str else str(_json_value(v, (int, str), _NAME_RULE))
+
+    def days(v, rule: str) -> int:
+        return v if type(v) is int else _json_parsed(int, v, (int, str), rule)
+
     edges = []
     for pos, rec in enumerate(_json_value(records, list, '"edges" must be a list')):
         _json_value(rec, dict, "each edge must be a JSON object")
@@ -370,25 +398,20 @@ def network_from_json(data: dict) -> ProjectNetwork:
             edge_id, src, dst, a, b, c = _EDGE_KEYS(rec)
         except KeyError as missing:
             raise NetworkValidationError(f'edge {pos} has no "{missing.args[0]}"') from None
-        edge_id, src, dst = [
-            str(_json_value(v, (int, str), _NAME_RULE)) for v in (edge_id, src, dst)
-        ]
-        a = _json_parsed(int, a, (int, str), '"a" must be a whole number of days')
-        b = _json_parsed(int, b, (int, str), '"b" must be a whole number of days')
+        edge_id, src, dst = name(edge_id), name(src), name(dst)
+        a = days(a, '"a" must be a whole number of days')
+        b = days(b, '"b" must be a whole number of days')
         if b - a > MAX_CRASHABLE_DAYS:
             raise NetworkValidationError(
                 f"edge {edge_id!r}: b - a = {b - a} exceeds {MAX_CRASHABLE_DAYS} crashable days"
             )
         if isinstance(c, list):
-            schedule = tuple(_json_parsed(as_cost, x, _COST_TYPES, _COST_RULE) for x in c)
+            schedule = tuple([cost(x) for x in c])
         else:
-            schedule = linear_schedule(_json_parsed(as_cost, c, _COST_TYPES, _COST_RULE),
-                                       max(b - a, 0))
+            schedule = (cost(c),) * max(b - a, 0)
         edges.append(Edge(edge_id, src, dst, a, b, schedule))
     _json_value(nodes, list, '"nodes" must be a list')
-    *nodes, source, sink = [
-        str(_json_value(v, (int, str), _NAME_RULE)) for v in (*nodes, source, sink)
-    ]
+    *nodes, source, sink = [name(v) for v in (*nodes, source, sink)]
     return ProjectNetwork(tuple(nodes), source, sink, tuple(edges))
 
 

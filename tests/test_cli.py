@@ -153,6 +153,9 @@ class TestCrash:
         ('{"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": ['
          '{"id": "e", "from": "s", "to": "t", "a": 1, "b": 2, "c": NaN}]}',
          '"c" must be a cost or a list of costs, got nan'),
+        (json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
+            {"id": "e", "from": "s", "to": "t", "a": 1, "b": 2, "c": "1_0"}]}),
+         '"c" must be a cost or a list of costs, got \'1_0\''),
         ("[" * 100_000, "nested too deeply"),
         (json.dumps({"nodes": ["s", "t"], "source": "s", "edges": [
             {"id": "e", "from": "s", "to": "t", "a": 1, "b": 2, "c": 1}]}),
@@ -170,8 +173,8 @@ class TestCrash:
             {"id": {"x": 1}, "from": "s", "to": "t", "a": 1, "b": 2, "c": 1}]}),
          "names must be strings or integers"),
     ], ids=["top-level-list", "edges-not-list", "bool-days", "zero-denominator", "float-days",
-            "nan-cost", "deep-nesting", "missing-sink", "edge-missing-id", "null-id",
-            "bool-node", "object-id"])
+            "nan-cost", "underscore-cost", "deep-nesting", "missing-sink", "edge-missing-id",
+            "null-id", "bool-node", "object-id"])
     def test_malformed_project_exits_three(self, capsys, tmp_path, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

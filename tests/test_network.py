@@ -121,6 +121,22 @@ class TestValidate:
             with pytest.raises(NetworkValidationError, match=message):
                 validate(ProjectNetwork(("s", "t"), "s", "t", (e,)))
 
+    def test_repeated_day_objects_are_still_compared(self):
+        x = Fraction(2)
+        e = Edge("a", "s", "t", 0, 3, (x, x, Fraction(1)))
+        with pytest.raises(NetworkValidationError, match="day 2 is cheaper than day 1"):
+            validate(ProjectNetwork(("s", "t"), "s", "t", (e,)))
+
+    def test_equal_distinct_day_objects_are_accepted(self):
+        e = Edge("a", "s", "t", 1, 3, (Fraction(3), Fraction(3)))
+        validate(ProjectNetwork(("s", "t"), "s", "t", (e,)))
+
+    def test_is_linear(self):
+        x = Fraction(2)
+        for schedule, linear in (((), True), ((x,), True), ((x, Fraction(2)), True),
+                                 ((x, Fraction(3)), False)):
+            assert Edge("a", "s", "t", 0, len(schedule), schedule).is_linear() is linear
+
     def test_duplicate_edge_id_rejected(self):
         e = Edge("a", "s", "t", 1, 3, linear_schedule(5, 2))
         with pytest.raises(NetworkValidationError, match="edge id 'a' appears twice"):
@@ -349,8 +365,11 @@ def _json_error_cases():
     yield pytest.param("c", [1, None, 2], f"{_JSON_RULES['c']}, got None", id="c-item")
     # literals of the right JSON type that do not parse; the CLI reads JSON
     # floats as strings, so "a": 1.0 arrives as '1.0'
+    # a cost with an underscore is rejected on every Python, although
+    # Fraction() accepts "1_0" from 3.11 on
     for key, value in (("a", "x"), ("a", "1.0"), ("b", "3 days"), ("c", "abc"),
-                       ("c", float("inf")), ("c", float("nan")), ("c", ["1", "oops"])):
+                       ("c", float("inf")), ("c", float("nan")), ("c", ["1", "oops"]),
+                       ("c", "1_0"), ("c", ["1", "1_000/3"])):
         got = value[-1] if isinstance(value, list) else value
         yield pytest.param(key, value, f"{_JSON_RULES[key]}, got {got!r}",
                            id=f"{key}-literal-{value!r}")
@@ -431,6 +450,38 @@ class TestJson:
         assert net.edges[0].cost_schedule[0] == Fraction(1180591620717411303424)
         assert net.edges[0].cost_schedule[1] == Fraction(1180591620717411300000)
         assert net.edges[1].cost_schedule == (Fraction(big),) * 3
+
+
+    def test_equal_literals_across_edges_parse_alike(self):
+        net = network_from_json(self._two_edge_project("7/2", ["7/2", "7/2", 4]))
+        validate(net)
+        assert net.edges[0].cost_schedule == (Fraction(7, 2),) * 3
+        assert net.edges[1].cost_schedule == (Fraction(7, 2), Fraction(7, 2), Fraction(4))
+        net = network_from_json(self._two_edge_project(["2", 2, "2/1"], 2))
+        for e in net.edges:
+            assert e.cost_schedule == (Fraction(2),) * 3 and e.is_linear()
+            assert all(type(x) is Fraction for x in e.cost_schedule)
+
+    def test_subclassed_names_and_day_counts_load_as_plain_values(self):
+        class Name(str):
+            pass
+
+        class Days(int):
+            pass
+
+        data = self._two_edge_project(1, [1, 2, 3])
+        data["nodes"] = [Name(v) for v in data["nodes"]]
+        data["source"], data["sink"] = Name("s"), Name("t")
+        for rec in data["edges"]:
+            for key in ("id", "from", "to"):
+                rec[key] = Name(rec[key])
+            rec["a"], rec["b"] = Days(rec["a"]), Days(rec["b"])
+        net = network_from_json(data)
+        assert net == network_from_json(self._two_edge_project(1, [1, 2, 3]))
+        assert all(type(v) is str for v in (*net.nodes, net.source, net.sink))
+        for e in net.edges:
+            assert type(e.id) is str and type(e.src) is str and type(e.dst) is str
+            assert type(e.min_len) is int and type(e.normal_len) is int
 
 
 class TestPlan:
