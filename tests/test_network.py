@@ -364,9 +364,8 @@ def _json_error_cases():
     yield pytest.param("nodes", ["s", "u", None, "t"], f"{_NAME_RULE}, got None", id="nodes-item")
     yield pytest.param("c", [1, None, 2], f"{_JSON_RULES['c']}, got None", id="c-item")
     # literals of the right JSON type that do not parse; the CLI reads JSON
-    # floats as strings, so "a": 1.0 arrives as '1.0'
-    # a cost with an underscore is rejected on every Python, although
-    # Fraction() accepts "1_0" from 3.11 on
+    # floats as strings, so "a": 1.0 arrives as '1.0'; a cost with an
+    # underscore is rejected although Fraction() reads "1_0" from 3.11 on
     for key, value in (("a", "x"), ("a", "1.0"), ("b", "3 days"), ("c", "abc"),
                        ("c", float("inf")), ("c", float("nan")), ("c", ["1", "oops"]),
                        ("c", "1_0"), ("c", ["1", "1_000/3"])):
@@ -450,7 +449,6 @@ class TestJson:
         assert net.edges[0].cost_schedule[0] == Fraction(1180591620717411303424)
         assert net.edges[0].cost_schedule[1] == Fraction(1180591620717411300000)
         assert net.edges[1].cost_schedule == (Fraction(big),) * 3
-
 
     def test_equal_literals_across_edges_parse_alike(self):
         net = network_from_json(self._two_edge_project("7/2", ["7/2", "7/2", 4]))
