@@ -5,7 +5,10 @@ computes the critical graph, prices every still-crashable critical edge at
 its next marginal cost (exhausted edges get unbounded capacity), and takes a
 minimum s-t cut as the cheapest one-day plan.  Convex schedules work
 transparently because the next marginal cost is always the head of the
-remaining schedule.
+remaining schedule.  The network is indexed once per call, over one
+topological order, and the days run on plain lists by edge position (current
+lengths, schedule entries used) through ``flow.min_cut_indexed``, so no day
+builds a network, edge or flow-graph object.
 
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
 restricted minimum cuts whose costs are provably monotone, and stores each
@@ -20,16 +23,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import flow
 from .errors import ConvexNotSupportedError, NotCrashableError, NotKCrashingError
 from .network import (
-    Edge,
     EdgeId,
     Plan,
     ProjectNetwork,
-    _critical_pass,
+    _critical_positions,
+    _topological_order,
     apply_plan,
     critical_graph,
     duration,
@@ -62,14 +64,15 @@ class GreedyCrashResult:
     durations: tuple[int, ...]
 
 
-def _cut_graph(critical: ProjectNetwork, cuttable: Callable[[Edge], bool]) -> flow.FlowGraph:
+def _cut_graph(critical: ProjectNetwork, remaining: Plan) -> flow.FlowGraph:
     """The critical graph as a flow graph for a minimum cut.
 
-    Cuttable edges are priced at their next marginal cost.  All others get
-    unbounded capacity, so a finite minimum cut consists of cuttable edges only.
+    Edges in the remaining plan are priced at their next marginal cost.  All
+    others get unbounded capacity, so a finite minimum cut lies in the plan.
     """
+    amounts = remaining.amounts
     arcs = tuple(
-        flow.Arc(e.id, e.src, e.dst, e.cost_schedule[0] if cuttable(e) else flow.UNBOUNDED)
+        flow.Arc(e.id, e.src, e.dst, e.cost_schedule[0] if e.id in amounts else flow.UNBOUNDED)
         for e in critical.edges
     )
     return flow.FlowGraph(critical.nodes, critical.source, critical.sink, arcs)
@@ -79,22 +82,39 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     """Run the one-day greedy k times, accumulating the plan as a multiset.
 
     With k = 1 the plan is a cheapest plan shortening the project by one day.
-    One longest-path pass per day gives both the duration the previous day
-    reached and the critical graph the next day cuts.
+    The network is indexed once, over one topological order, and the days
+    run on lists by edge position: each edge's current length and how many
+    of its schedule entries are used.  One longest-path pass per day gives
+    both the duration the previous day reached and the critical edges the
+    next day cuts.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    current = net
-    critical, _ = _critical_pass(net)
+    tails, heads, order = _topological_order(net)
+    n = len(net.nodes)
+    source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
+    length = [e.normal_len for e in net.edges]
+    schedule = [e.cost_schedule for e in net.edges]
+    used = [0] * len(length)
+    critical, _ = _critical_positions(order, tails, heads, length, n, sink)
     steps: list[CrashStep] = []
     durations: list[int] = []
     for i in range(1, k + 1):
-        cut = flow.min_cut(_cut_graph(critical, lambda e: e.crashable_days > 0))
-        if cut.cost is flow.UNBOUNDED:
+        caps = [
+            schedule[j][used[j]] if used[j] < len(schedule[j]) else flow.UNBOUNDED
+            for j in critical
+        ]
+        crossing, _, cost = flow.min_cut_indexed(
+            n, source, sink, [tails[j] for j in critical], [heads[j] for j in critical], caps
+        )
+        if cost is flow.UNBOUNDED:
             raise NotCrashableError(f"no {k}-day plan exists: day {i} cannot be saved")
-        current = apply_plan(current, Plan({edge_id: 1 for edge_id in cut.cut_arcs}))
-        critical, reached = _critical_pass(current)
-        steps.append(CrashStep(edges=cut.cut_arcs, cost=cut.cost))
+        cut = [critical[p] for p in crossing]
+        for j in cut:
+            length[j] -= 1
+            used[j] += 1
+        critical, reached = _critical_positions(order, tails, heads, length, n, sink)
+        steps.append(CrashStep(edges=frozenset(net.edges[j].id for j in cut), cost=cost))
         durations.append(reached)
     return GreedyCrashResult(
         steps=tuple(steps),
@@ -148,7 +168,7 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     remaining = plan
     for i in range(1, k + 1):
         critical = critical_graph(current)
-        cut = flow.min_cut(_cut_graph(critical, lambda e: e.id in remaining.amounts))
+        cut = flow.min_cut(_cut_graph(critical, remaining))
         if cut.cost is flow.UNBOUNDED:
             raise NotKCrashingError(
                 f"level {i}: the remaining plan contains no cut of the critical graph"

@@ -5,11 +5,13 @@ Capacities are exact Fractions or the distinct ``UNBOUNDED`` sentinel; no
 confused with expensive finite ones.  The solver is Dinic's algorithm (Dinic
 1970) over one residual array that stores arcs in pairs: residual arc 2i runs
 along arc i and holds its unused capacity, and 2i+1 runs against it and holds
-its flow, so ``j ^ 1`` is the partner of residual arc ``j``.  Nodes are
-indices 0..n-1.  Rooms are exact integers in units of 1/scale, where scale is
-the least common multiple of the finite capacities' denominators, so the flow
-stays exact while its inner loop adds and compares plain ints; the value is
-scaled back to a Fraction on return.
+its flow, so ``j ^ 1`` is the partner of residual arc ``j``.  The solver's
+entry point, ``min_cut_indexed``, takes nodes as indices 0..n-1 and arcs as
+parallel lists of tails, heads and capacities; ``min_cut`` maps a
+``FlowGraph``'s names to those indices and back.  Rooms are exact integers
+in units of 1/scale, where scale is the least common multiple of the finite
+capacities' denominators, so the flow stays exact while its inner loop adds
+and compares plain ints; the value is scaled back to a Fraction on return.
 
 Each phase labels nodes with their residual distance from the source by BFS,
 then augments a blocking flow along arcs that climb one level.  A depth-first
@@ -85,33 +87,54 @@ class CutResult:
 def min_cut(g: FlowGraph) -> CutResult:
     """A minimum s-t cut with a deterministic, source-nearest witness.
 
-    Dinic's blocking flows; the cost is the maximum flow value, by duality.
-    The source side is the residual-reachable set, also when no flow is
-    possible: then the cut costs 0 and lists the zero-capacity arcs, if any,
-    that leave the nodes reachable over positive capacity.  If every s-t cut
-    crosses an unbounded arc, or the source is the sink, no finite cut exists:
-    the cost is UNBOUNDED and the cut arcs and source side are empty.
+    The cost is the maximum flow value, by duality.  The source side is the
+    residual-reachable set, also when no flow is possible: then the cut costs
+    0 and lists the zero-capacity arcs, if any, that leave the nodes reachable
+    over positive capacity.  If every s-t cut crosses an unbounded arc, or the
+    source is the sink, no finite cut exists: the cost is UNBOUNDED and the
+    cut arcs and source side are empty.  ``min_cut_indexed`` does the work on
+    the graph's node and arc positions.
     """
-    # Nodes are list indices.  Rooms are never negative, so a truthy room is a
-    # usable residual arc; UNBOUNDED is truthy and never changes.
     index = {v: i for i, v in enumerate(g.nodes)}
-    scale = math.lcm(*(a.capacity.denominator for a in g.arcs if a.capacity is not UNBOUNDED))
+    arcs = g.arcs
+    crossing, reached, cost = min_cut_indexed(
+        len(g.nodes), index[g.source], index[g.sink],
+        [index[a.src] for a in arcs], [index[a.dst] for a in arcs], [a.capacity for a in arcs],
+    )
+    return CutResult(
+        frozenset(arcs[i].id for i in crossing),
+        frozenset(v for v, r in zip(g.nodes, reached) if r),
+        cost,
+    )
+
+
+def min_cut_indexed(
+    n: int, source: int, sink: int, tails: list[int], heads: list[int], caps: list[Capacity],
+) -> tuple[list[int], list[bool], Capacity]:
+    """``min_cut`` on nodes 0..n-1, with arc i running from ``tails[i]`` to
+    ``heads[i]`` at capacity ``caps[i]``.
+
+    Returns the positions of the crossing arcs in arc order, a reached flag
+    per node (the source side), and the cost.  When no finite cut exists the
+    cost is UNBOUNDED and both lists are empty.
+    """
+    # Rooms are never negative, so a truthy room is a usable residual arc;
+    # UNBOUNDED is truthy and never changes.
+    scale = math.lcm(*(c.denominator for c in caps if c is not UNBOUNDED))
     head: list[int] = []
     room: list[int | _Unbounded] = []
-    out: list[list[int]] = [[] for _ in g.nodes]
-    for i, arc in enumerate(g.arcs):
-        c = arc.capacity
-        u, v = index[arc.src], index[arc.dst]
+    out: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v, c) in enumerate(zip(tails, heads, caps)):
         head += (v, u)
         room += (c if c is UNBOUNDED else c.numerator * (scale // c.denominator), 0)
         out[u].append(2 * i)
         out[v].append(2 * i + 1)
-    s, t = index[g.source], index[g.sink]
+    s, t = source, sink
 
     total = 0
     while True:
         # BFS levels: level[v] is v's residual distance from s, None if unseen.
-        level: list[int | None] = [None] * len(out)
+        level: list[int | None] = [None] * n
         level[s] = 0
         frontier = [s]
         while frontier and level[t] is None:
@@ -125,16 +148,15 @@ def min_cut(g: FlowGraph) -> CutResult:
                         next_frontier.append(v)
             frontier = next_frontier
         if level[t] is None:
-            crossing = frozenset(
-                a.id for i, a in enumerate(g.arcs)
-                if level[head[2 * i + 1]] is not None and level[head[2 * i]] is None
-            )
-            side = frozenset(v for v, d in zip(g.nodes, level) if d is not None)
-            return CutResult(crossing, side, Fraction(total, scale))
+            crossing = [
+                i for i, (u, v) in enumerate(zip(tails, heads))
+                if level[u] is not None and level[v] is None
+            ]
+            return crossing, [d is not None for d in level], Fraction(total, scale)
 
         # Blocking flow: a DFS over arcs that climb one level and have room.
         # ptr[u] is u's current arc; path holds the residual arcs from s to u.
-        ptr = [0] * len(out)
+        ptr = [0] * n
         path: list[int] = []
         u = s
         while True:
@@ -142,7 +164,7 @@ def min_cut(g: FlowGraph) -> CutResult:
                 bottleneck = min((room[j] for j in path if room[j] is not UNBOUNDED),
                                  default=UNBOUNDED)
                 if bottleneck is UNBOUNDED:
-                    return CutResult(frozenset(), frozenset(), UNBOUNDED)
+                    return [], [], UNBOUNDED
                 for j in path:
                     if room[j] is not UNBOUNDED:
                         room[j] -= bottleneck

@@ -169,7 +169,7 @@ def validate(net: ProjectNetwork) -> None:
         # A non-decreasing schedule is non-negative once its first day is,
         # and a constant one needs no day-by-day compare.
         schedule = e.cost_schedule
-        if schedule and schedule[0] < 0:
+        if schedule and schedule[0].numerator < 0:
             raise NetworkValidationError(f"edge {e.id!r}: negative cost at day 0")
         if not e.is_linear():
             for d in range(1, len(schedule)):
@@ -179,15 +179,15 @@ def validate(net: ProjectNetwork) -> None:
                         f"day {d} is cheaper than day {d - 1}"
                     )
 
-    outgoing = _longest_dists(net)[2]  # raises on a cycle
+    tails, heads, _ = _topological_order(net)  # raises on a cycle
 
     # In a DAG whose only node without in-edges is the source and only node
     # without out-edges is the sink, walking back from any node ends at the
     # source and walking forward ends at the sink: every node lies on an
     # s-t path, so no reachability pass is needed.
-    has_in = {e.dst for e in net.edges}
-    sources = [v for v in net.nodes if v not in has_in]
-    sinks = [v for v in net.nodes if not outgoing[v]]
+    has_in, has_out = set(heads), set(tails)
+    sources = [v for i, v in enumerate(net.nodes) if i not in has_in]
+    sinks = [v for i, v in enumerate(net.nodes) if i not in has_out]
     if len(sources) != 1 or sources[0] != net.source:
         raise NetworkValidationError(
             f"nodes without incoming edges: {sorted(sources)}, declared source: {net.source!r}"
@@ -199,75 +199,101 @@ def validate(net: ProjectNetwork) -> None:
 
 
 # -- duration and criticality -------------------------------------------------
+#
+# The private routines work on positions: node i is ``net.nodes[i]`` and
+# edge i is ``net.edges[i]``, running from node ``tails[i]`` to ``heads[i]``.
 
-def _longest_dists(
-    net: ProjectNetwork,
-) -> tuple[dict[NodeId, int], list[NodeId], dict[NodeId, list[Edge]]]:
-    """Longest-path distances from the source, a topological order, and
-    each node's out-edges.
+def _topological_order(net: ProjectNetwork) -> tuple[list[int], list[int], list[int]]:
+    """Each edge's tail and head, and the edge positions listed in a
+    topological order of their tails.
 
-    Kahn's algorithm frees a node once all its in-edges are relaxed.  The
-    nodes never freed, a cycle and all downstream of it, raise
-    NetworkValidationError.
+    Kahn's algorithm frees a node once all its in-edges are counted and then
+    lists its out-edges.  The nodes never freed, a cycle and all downstream
+    of it, raise NetworkValidationError.
     """
-    indeg = {v: 0 for v in net.nodes}
-    outgoing: dict[NodeId, list[Edge]] = {v: [] for v in net.nodes}
-    for e in net.edges:
-        indeg[e.dst] += 1
-        outgoing[e.src].append(e)
-    from_src = {v: 0 for v in net.nodes}
-    free = [v for v in net.nodes if indeg[v] == 0]
-    order: list[NodeId] = []
+    index = {v: i for i, v in enumerate(net.nodes)}
+    tails = [index[e.src] for e in net.edges]
+    heads = [index[e.dst] for e in net.edges]
+    indeg = [0] * len(net.nodes)
+    outgoing: list[list[int]] = [[] for _ in net.nodes]
+    for i, (u, v) in enumerate(zip(tails, heads)):
+        indeg[v] += 1
+        outgoing[u].append(i)
+    free = [u for u, d in enumerate(indeg) if d == 0]
+    order: list[int] = []
+    freed = 0
     while free:
-        u = free.pop()
-        order.append(u)
-        dist = from_src[u]
-        for e in outgoing[u]:
-            v = e.dst
-            cand = dist + e.normal_len
-            if cand > from_src[v]:
-                from_src[v] = cand
+        out = outgoing[free.pop()]
+        freed += 1
+        order += out
+        for i in out:
+            v = heads[i]
             indeg[v] -= 1
             if indeg[v] == 0:
                 free.append(v)
-    if len(order) != len(net.nodes):
-        stuck = sorted(v for v, d in indeg.items() if d > 0)
+    if freed != len(net.nodes):
+        stuck = sorted(v for v, d in zip(net.nodes, indeg) if d > 0)
         raise NetworkValidationError(f"cycle through nodes {stuck}")
-    return from_src, order, outgoing
+    return tails, heads, order
+
+
+def _longest_dists(
+    order, tails: list[int], heads: list[int], lengths: list[int], n: int
+) -> list[int]:
+    """Longest distances to each of the n nodes, relaxing edge i from
+    ``tails[i]`` to ``heads[i]`` at ``lengths[i]``, in ``order``.
+
+    With the edges in topological order of their tails these are the
+    distances from the source; with the order reversed and tails and heads
+    swapped, the distances to the sink.
+    """
+    dist = [0] * n
+    for i in order:
+        d = dist[tails[i]] + lengths[i]
+        if d > dist[heads[i]]:
+            dist[heads[i]] = d
+    return dist
+
+
+def _critical_positions(
+    order: list[int], tails: list[int], heads: list[int], lengths: list[int], n: int, sink: int
+) -> tuple[list[int], int]:
+    """The positions of the edges on some longest source-to-sink path, in
+    edge order, and the duration; ``order`` is ``_topological_order``'s."""
+    from_src = _longest_dists(order, tails, heads, lengths, n)
+    to_sink = _longest_dists(reversed(order), heads, tails, lengths, n)
+    total = from_src[sink]
+    kept = [
+        i for i, (u, v, x) in enumerate(zip(tails, heads, lengths))
+        if from_src[u] + x + to_sink[v] == total
+    ]
+    return kept, total
 
 
 def duration(net: ProjectNetwork) -> int:
     """Project duration: length of the longest source-to-sink path, in days."""
-    return _longest_dists(net)[0][net.sink]
-
-
-def _critical_pass(net: ProjectNetwork) -> tuple[ProjectNetwork, int]:
-    """The critical graph and the duration, from one longest-path pass.
-
-    Distances to the sink are relaxed over the pass's topological order,
-    backwards; only the critical graph needs them.
-    """
-    from_src, order, outgoing = _longest_dists(net)
-    to_sink = {v: 0 for v in net.nodes}
-    for u in reversed(order):
-        for e in outgoing[u]:
-            cand = to_sink[e.dst] + e.normal_len
-            if cand > to_sink[u]:
-                to_sink[u] = cand
-    total = from_src[net.sink]
-    kept = tuple(
-        e for e in net.edges
-        if from_src[e.src] + e.normal_len + to_sink[e.dst] == total
-    )
-    # A node lies on a longest path exactly when its two distances add up to
-    # the duration, and then it is the source, the sink or an end of a kept edge.
-    nodes = tuple(v for v in net.nodes if from_src[v] + to_sink[v] == total)
-    return ProjectNetwork(nodes, net.source, net.sink, kept), total
+    tails, heads, order = _topological_order(net)
+    lengths = [e.normal_len for e in net.edges]
+    return _longest_dists(order, tails, heads, lengths, len(net.nodes))[net.nodes.index(net.sink)]
 
 
 def critical_graph(net: ProjectNetwork) -> ProjectNetwork:
-    """The subnetwork of edges lying on some longest source-to-sink path."""
-    return _critical_pass(net)[0]
+    """The subnetwork of edges lying on some longest source-to-sink path.
+
+    It keeps the network's node and edge order.
+    """
+    tails, heads, order = _topological_order(net)
+    lengths = [e.normal_len for e in net.edges]
+    kept, _ = _critical_positions(
+        order, tails, heads, lengths, len(net.nodes), net.nodes.index(net.sink)
+    )
+    # A node lies on a longest path exactly when it is the source, the sink
+    # or an end of a kept edge.
+    ends = {tails[i] for i in kept} | {heads[i] for i in kept}
+    nodes = tuple(
+        v for i, v in enumerate(net.nodes) if i in ends or v == net.source or v == net.sink
+    )
+    return ProjectNetwork(nodes, net.source, net.sink, tuple(net.edges[i] for i in kept))
 
 
 # -- plan application ---------------------------------------------------------

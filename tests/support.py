@@ -3,8 +3,11 @@
 Everything here enumerates or sums directly: paths for durations and
 criticality, node partitions for cuts, index subsets for subsequences,
 schedule prefixes for plan costs.  None of it shares code with the library's
-fast paths, so agreement is meaningful.  The one CLI helper,
-`assert_exit_defined`, checks the exit contract of `kgreedy.cli.main`.
+fast paths, so agreement is meaningful.  The exception is `reference_greedy`,
+which composes the greedy's days from the library's public one-day pieces,
+so that `greedy_crash`'s index-level day loop is checked against them.  The
+one CLI helper, `assert_exit_defined`, checks the exit contract of
+`kgreedy.cli.main`.
 """
 
 import contextlib
@@ -15,8 +18,8 @@ import random
 from fractions import Fraction
 
 from kgreedy.cli import main
-from kgreedy.flow import Arc, FlowGraph, UNBOUNDED
-from kgreedy.network import Plan
+from kgreedy.flow import Arc, FlowGraph, UNBOUNDED, min_cut
+from kgreedy.network import Plan, apply_plan, critical_graph, duration
 
 
 def random_flow_graph(seed, max_nodes=7, max_arcs=12, unbounded_share=0.15,
@@ -58,6 +61,32 @@ def plan_cost(net, plan):
         assert x <= len(schedule), edge_id
         total += sum(schedule[:x], Fraction(0))
     return total
+
+
+def reference_greedy(net, k):
+    """Up to k greedy days, each from public one-day pieces: the critical
+    graph, a flow graph pricing each critical edge at the head of its
+    remaining schedule (unbounded once it is empty), a minimum cut, and a
+    plan of one unit per cut edge.
+
+    Returns one (cut edges, cost, duration reached, plan so far) tuple per
+    day, and stops before the first day that no finite cut saves.
+    """
+    days = []
+    current, plan = net, Plan()
+    for _ in range(k):
+        critical = critical_graph(current)
+        arcs = tuple(
+            Arc(e.id, e.src, e.dst, e.cost_schedule[0] if e.cost_schedule else UNBOUNDED)
+            for e in critical.edges
+        )
+        cut = min_cut(FlowGraph(critical.nodes, critical.source, critical.sink, arcs))
+        if cut.cost is UNBOUNDED:
+            break
+        day = Plan({edge_id: 1 for edge_id in cut.cut_arcs})
+        current, plan = apply_plan(current, day), merge(plan, day)
+        days.append((cut.cut_arcs, cut.cost, duration(current), plan))
+    return days
 
 
 def failures(report):

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -30,7 +31,14 @@ from kgreedy.network import (
     linear_schedule,
 )
 from kgreedy.oracle import exact_crash_cost
-from support import brute_duration, failures, merge, plan_cost, removing_disconnects
+from support import (
+    brute_duration,
+    failures,
+    merge,
+    plan_cost,
+    reference_greedy,
+    removing_disconnects,
+)
 
 
 def small_nets(count=60):
@@ -155,6 +163,42 @@ class TestGreedyCrash:
             for k in range(1, km + 1):
                 _, opt = exact_crash_cost(net, k)
                 assert opt >= k * one
+
+
+def reference_suite(count=300):
+    """Seeded random networks with 3-7 nodes, each as drawn, with convex
+    schedules, and with each edge's costs divided by its own 2..7."""
+    for seed in range(count):
+        nodes = 3 + seed % 5
+        spec = RandomNetSpec(
+            node_count=nodes, edge_count=nodes - 1 + seed % 7, max_crashable=3, seed=seed
+        )
+        net = random_network(spec)
+        rng = random.Random(seed)
+        scaled = tuple(
+            replace(e, cost_schedule=tuple(c / rng.randint(2, 7) for c in e.cost_schedule))
+            for e in net.edges
+        )
+        yield net
+        yield with_convex_schedules(net, seed=seed + 1000)
+        yield replace(net, edges=scaled)
+
+
+class TestGreedyMatchesReference:
+    def test_every_k_matches_the_one_day_pieces(self):
+        for net in reference_suite():
+            top = k_max(net)
+            days = reference_greedy(net, top + 1)
+            assert len(days) == top
+            for k in range(1, top + 1):
+                result = greedy_crash(net, k)
+                assert [(s.edges, s.cost) for s in result.steps] == [d[:2] for d in days[:k]]
+                assert result.durations == tuple(d[2] for d in days[:k])
+                assert result.plan == days[k - 1][3]
+                assert result.total_cost == sum((d[1] for d in days[:k]), Fraction(0))
+            message = f"no {top + 1}-day plan exists: day {len(days) + 1} cannot be saved"
+            with pytest.raises(NotCrashableError, match=message):
+                greedy_crash(net, top + 1)
 
 
 class TestDecompose:

@@ -9,6 +9,7 @@ from kgreedy.flow import (
     CutResult,
     FlowGraph,
     min_cut,
+    min_cut_indexed,
 )
 from support import brute_min_cut_cost, cut_capacity, random_flow_graph
 
@@ -222,3 +223,28 @@ def test_rational_capacities_random_suite():
     assert (cut.cost.numerator, cut.cost.denominator) == (152, 231)
     assert cut.cost == cut_capacity(g, cut.source_side)
     assert cut.cut_arcs == {"sa", "sb", "ct"}
+
+
+def test_indexed_core_returns_positions_and_flags():
+    # nodes s=0, u=1, t=2; arc 1 (u->t) is the cheaper of the two in series
+    tails, heads = [0, 1, 0], [1, 2, 2]
+    caps = [Fraction(5), Fraction(2), Fraction(1, 3)]
+    crossing, reached, cost = min_cut_indexed(3, 0, 2, tails, heads, caps)
+    assert (crossing, reached, cost) == ([1, 2], [True, True, False], Fraction(7, 3))
+    assert min_cut_indexed(3, 0, 2, tails, heads, [UNBOUNDED] * 3) == ([], [], UNBOUNDED)
+    assert min_cut_indexed(1, 0, 0, [], [], []) == ([], [], UNBOUNDED)
+
+
+def test_adapter_matches_indexed_core():
+    for seed in range(100):
+        g = random_flow_graph(seed)
+        index = {v: i for i, v in enumerate(g.nodes)}
+        crossing, reached, cost = min_cut_indexed(
+            len(g.nodes), index[g.source], index[g.sink],
+            [index[a.src] for a in g.arcs], [index[a.dst] for a in g.arcs],
+            [a.capacity for a in g.arcs],
+        )
+        cut = min_cut(g)
+        assert cut.cost == cost, seed
+        assert cut.cut_arcs == {g.arcs[i].id for i in crossing}, seed
+        assert cut.source_side == {v for v, r in zip(g.nodes, reached) if r}, seed

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kgreedy.crashing import greedy_crash
 from kgreedy.errors import NetworkValidationError, PlanOutOfBoundsError
 from kgreedy.generators import RandomNetSpec, counterexample_network, random_network
 from kgreedy.network import (
@@ -121,6 +122,16 @@ class TestValidate:
             with pytest.raises(NetworkValidationError, match=message):
                 validate(ProjectNetwork(("s", "t"), "s", "t", (e,)))
 
+    def test_first_day_sign_checked_for_fractions_and_ints(self):
+        def net(first):
+            e = Edge("a", "s", "t", 1, 3, (first, Fraction(2)))
+            return ProjectNetwork(("s", "t"), "s", "t", (e,))
+
+        for first in (Fraction(-1, 2), -1):
+            with pytest.raises(NetworkValidationError, match="^edge 'a': negative cost at day 0$"):
+                validate(net(first))
+        validate(net(0))
+
     def test_repeated_day_objects_are_still_compared(self):
         x = Fraction(2)
         e = Edge("a", "s", "t", 0, 3, (x, x, Fraction(1)))
@@ -203,6 +214,32 @@ class TestCriticalGraph:
 
     def test_counterexample(self):
         assert set(edge_ids(critical_graph(counterexample_network()))) == {"j1", "j3", "j5"}
+
+    def test_keeps_node_and_edge_order(self):
+        # s-u-t and s-t are longest (5 days); s-w-t (2 days) is not.  The
+        # input order runs against the topological one.
+        edges = (
+            Edge("c", "s", "t", 5, 5, ()),
+            Edge("x", "s", "w", 1, 1, ()),
+            Edge("b", "u", "t", 2, 2, ()),
+            Edge("y", "w", "t", 1, 1, ()),
+            Edge("a", "s", "u", 3, 3, ()),
+        )
+        net = ProjectNetwork(("t", "u", "w", "s"), "s", "t", edges)
+        validate(net)
+        crit = critical_graph(net)
+        assert crit.nodes == ("t", "u", "s")
+        assert edge_ids(crit) == ("c", "b", "a")
+        assert (crit.source, crit.sink) == ("s", "t")
+
+    def test_cycle_rejected_by_every_longest_path_pass(self):
+        arcs = ["su", "uv", "vu", "vt"]
+        edges = tuple(Edge(f"e{i}", u, v, 1, 2, (Fraction(1),)) for i, (u, v) in enumerate(arcs))
+        net = ProjectNetwork(tuple("suvt"), "s", "t", edges)
+        message = re.escape("cycle through nodes ['t', 'u', 'v']")
+        for run in (duration, critical_graph, lambda n: greedy_crash(n, 1)):
+            with pytest.raises(NetworkValidationError, match=message):
+                run(net)
 
     def test_matches_path_enumeration(self):
         for net in random_suite():
