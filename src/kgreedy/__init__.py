@@ -10,7 +10,7 @@ from .crashing import (
     greedy_crash,
     verify_trace,
 )
-from .flow import UNBOUNDED, Arc, CutResult, FlowGraph, min_cut
+from .flow import UNBOUNDED
 from .generators import (
     RandomNetSpec,
     counterexample_network,
@@ -32,7 +32,6 @@ from .network import (
     Plan,
     ProjectNetwork,
     apply_plan,
-    critical_graph,
     duration,
     full_plan,
     is_k_crashing,
@@ -43,11 +42,8 @@ from .network import (
 from .oracle import exact_crash_cost, exact_klis
 
 __all__ = [
-    "Arc",
-    "CutResult",
     "DecompositionTrace",
     "Edge",
-    "FlowGraph",
     "GreedyCrashResult",
     "Plan",
     "ProjectNetwork",
@@ -57,7 +53,6 @@ __all__ = [
     "apply_plan",
     "cost_ratio_bound",
     "counterexample_network",
-    "critical_graph",
     "decompose",
     "duration",
     "exact_crash_cost",
@@ -72,7 +67,6 @@ __all__ = [
     "lis",
     "matrix_optimal_parts",
     "matrix_sequence",
-    "min_cut",
     "random_network",
     "random_sequence",
     "total_ratio_bound",

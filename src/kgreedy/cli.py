@@ -93,7 +93,7 @@ def _cmd_crash(args) -> int:
         trace = crashing.decompose(net, plan, args.k)
         report = crashing.verify_trace(trace)
         payload["trace"] = {
-            "cuts": [sorted(level.cut) for level in trace.levels],
+            "cuts": [sorted(net.edges[j].id for j in level.cut) for level in trace.levels],
             "cut_costs": [_frac(level.cut_cost) for level in trace.levels],
             "report": {
                 "passed": report.passed,

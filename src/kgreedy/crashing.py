@@ -11,11 +11,14 @@ lengths, schedule entries used) through ``flow.min_cut_indexed``, so no day
 builds a network, edge or flow-graph object.
 
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
-restricted minimum cuts whose costs are provably monotone, and stores each
-level once.  ``verify_trace`` derives the cut-overlap partitions that witness
-the monotonicity from those levels and checks them, so a changed level is
-checked as it stands.  Together they are the machine-checkable counterpart
-of the greedy cost bound.
+restricted minimum cuts whose costs are provably monotone.  It runs on the
+same position lists and flow core as the greedy's days, keeps the input
+network once in the trace, and stores each level as lists by edge and node
+position: lengths, remaining plan units, critical edges, cut edges and the
+cut's reached nodes.  ``verify_trace`` derives the cut-overlap partitions
+that witness the monotonicity from those levels and checks them, so a
+changed level is checked as it stands.  Together they are the
+machine-checkable counterpart of the greedy cost bound.
 """
 
 from __future__ import annotations
@@ -31,10 +34,8 @@ from .network import (
     Plan,
     ProjectNetwork,
     _critical_positions,
+    _longest_dists,
     _topological_order,
-    apply_plan,
-    critical_graph,
-    duration,
     is_k_crashing,
 )
 
@@ -62,20 +63,6 @@ class GreedyCrashResult:
     plan: Plan
     total_cost: Fraction
     durations: tuple[int, ...]
-
-
-def _cut_graph(critical: ProjectNetwork, remaining: Plan) -> flow.FlowGraph:
-    """The critical graph as a flow graph for a minimum cut.
-
-    Edges in the remaining plan are priced at their next marginal cost.  All
-    others get unbounded capacity, so a finite minimum cut lies in the plan.
-    """
-    amounts = remaining.amounts
-    arcs = tuple(
-        flow.Arc(e.id, e.src, e.dst, e.cost_schedule[0] if e.id in amounts else flow.UNBOUNDED)
-        for e in critical.edges
-    )
-    return flow.FlowGraph(critical.nodes, critical.source, critical.sink, arcs)
 
 
 def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
@@ -128,24 +115,30 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
 
 @dataclass(frozen=True)
 class TraceLevel:
-    """One level of the decomposition.
+    """One level of the decomposition, by edge and node position in the
+    trace's network.
 
-    ``network`` is the level's project, ``critical`` its critical graph, and
-    ``cut`` the minimum cut of ``critical`` restricted to the edges still
-    carried by ``remaining_plan``.  ``source_side`` is the cut's partition
-    side that holds the source.
+    ``lengths`` are the edge lengths the level starts from and ``remaining``
+    the plan units each edge still carries.  ``critical`` lists, in edge
+    order, the edges on a longest source-to-sink path through the previous
+    level's critical edges (through all edges at level 1), so an edge that
+    left the critical graph never returns, even when it ties again.
+    ``cut`` is the minimum cut of the critical edges restricted to those
+    with remaining units, ``cut_cost`` its cost, and ``reached`` flags the
+    nodes on its source side.
     """
 
-    network: ProjectNetwork
-    critical: ProjectNetwork
-    remaining_plan: Plan
-    cut: frozenset[EdgeId]
+    lengths: tuple[int, ...]
+    remaining: tuple[int, ...]
+    critical: tuple[int, ...]
+    cut: frozenset[int]
     cut_cost: Fraction
-    source_side: frozenset[str]
+    reached: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
 class DecompositionTrace:
+    network: ProjectNetwork
     levels: tuple[TraceLevel, ...]
 
 
@@ -153,7 +146,7 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     """Build the k-level cut decomposition of a k-day plan.
 
     Linear schedules only: the cost of a cut must not depend on the order in
-    which plan units are consumed.
+    which plan units are consumed, so each edge keeps one price throughout.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -163,29 +156,36 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     if not is_k_crashing(net, plan, k):
         raise NotKCrashingError(f"plan shortens the project by fewer than {k} days")
 
+    tails, heads, order = _topological_order(net)
+    n = len(net.nodes)
+    source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
+    length = [e.normal_len for e in net.edges]
+    remaining = [plan.amounts.get(e.id, 0) for e in net.edges]
+    price = [e.cost_schedule[0] if e.cost_schedule else flow.UNBOUNDED for e in net.edges]
+    live = range(len(length))  # the previous level's critical edges
     levels: list[TraceLevel] = []
-    current = net
-    remaining = plan
     for i in range(1, k + 1):
-        critical = critical_graph(current)
-        cut = flow.min_cut(_cut_graph(critical, remaining))
-        if cut.cost is flow.UNBOUNDED:
+        # ``order`` holds the live edges only, but the kept list spans all.
+        kept, _ = _critical_positions(order, tails, heads, length, n, sink)
+        critical = [j for j in kept if j in live]
+        crossing, reached, cost = flow.min_cut_indexed(
+            n, source, sink, [tails[j] for j in critical], [heads[j] for j in critical],
+            [price[j] if remaining[j] else flow.UNBOUNDED for j in critical],
+        )
+        if cost is flow.UNBOUNDED:
             raise NotKCrashingError(
                 f"level {i}: the remaining plan contains no cut of the critical graph"
             )
+        cut = frozenset(critical[p] for p in crossing)
         levels.append(
-            TraceLevel(
-                network=current,
-                critical=critical,
-                remaining_plan=remaining,
-                cut=cut.cut_arcs,
-                cut_cost=cut.cost,
-                source_side=cut.source_side,
-            )
+            TraceLevel(tuple(length), tuple(remaining), tuple(critical), cut, cost, tuple(reached))
         )
-        current = apply_plan(critical, Plan({edge_id: 1 for edge_id in cut.cut_arcs}))
-        remaining = remaining.subtract_units(cut.cut_arcs)
-    return DecompositionTrace(tuple(levels))
+        for j in cut:
+            length[j] -= 1
+            remaining[j] -= 1
+        live = set(critical)
+        order = [j for j in order if j in live]
+    return DecompositionTrace(net, tuple(levels))
 
 
 # -- trace verification -------------------------------------------------------
@@ -207,34 +207,37 @@ class TraceReport:
         return all(c.passed for c in self.checks)
 
 
-def _disconnects(g: ProjectNetwork, removed: frozenset[EdgeId]) -> bool:
-    out: dict[str, list[str]] = {v: [] for v in g.nodes}
-    for e in g.edges:
-        if e.id not in removed:
-            out[e.src].append(e.dst)
-    seen = {g.source}
-    stack = [g.source]
+def _disconnects(n, source, sink, tails, heads, edges, removed: frozenset[int]) -> bool:
+    """True iff the listed edges, less the removed ones, leave no path from
+    node ``source`` to node ``sink``."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for j in edges:
+        if j not in removed:
+            out[tails[j]].append(heads[j])
+    seen = [False] * n
+    seen[source] = True
+    stack = [source]
     while stack:
         for v in out[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
+            if not seen[v]:
+                seen[v] = True
                 stack.append(v)
-    return g.sink not in seen
+    return not seen[sink]
 
 
-def _edge_classes(level: TraceLevel):
+def _edge_classes(level: TraceLevel, tails, heads):
     """The level's critical edges within the source side, within the sink
     side, and crossing from the sink side back to the source side."""
+    reached = level.reached
     within_src, within_snk, reverse = set(), set(), set()
-    for e in level.critical.edges:
-        src_in = e.src in level.source_side
-        dst_in = e.dst in level.source_side
+    for j in level.critical:
+        src_in, dst_in = reached[tails[j]], reached[heads[j]]
         if src_in and dst_in:
-            within_src.add(e.id)
+            within_src.add(j)
         elif not src_in and not dst_in:
-            within_snk.add(e.id)
-        elif not src_in and dst_in:
-            reverse.add(e.id)
+            within_snk.add(j)
+        elif dst_in:
+            reverse.add(j)
     return within_src, within_snk, reverse
 
 
@@ -243,40 +246,53 @@ def verify_trace(trace: DecompositionTrace) -> TraceReport:
 
     Failures are reported rather than raised: a genuine failure would mean
     the monotone-cut argument itself is broken, which is exactly what the
-    report is for.
+    report is for.  Edge lists in the details name edges by id.
     """
-    checks: list[TraceCheck] = []
-    base = duration(trace.levels[0].network)
+    net = trace.network
+    ids = [e.id for e in net.edges]
+    tails, heads, order = _topological_order(net)
+    n = len(net.nodes)
+    source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
+    base = _longest_dists(order, tails, heads, [e.normal_len for e in net.edges], n)[sink]
 
+    def disconnects(edges, removed):
+        return _disconnects(n, source, sink, tails, heads, edges, removed)
+
+    def crosses(level: TraceLevel, j: int) -> bool:
+        return level.reached[tails[j]] and not level.reached[heads[j]]
+
+    checks: list[TraceCheck] = []
     for i, level in enumerate(trace.levels, start=1):
-        got = duration(level.network)
+        # A level's longest paths run through its critical edges only.
+        critical = set(level.critical)
+        live = [j for j in order if j in critical]
+        got = _longest_dists(live, tails, heads, level.lengths, n)[sink]
         want = base - (i - 1)
-        not_in_plan = level.cut - level.remaining_plan.amounts.keys()
+        not_in_plan = sorted(ids[j] for j in level.cut if not level.remaining[j])
         checks += [
             TraceCheck("duration-decrement", i, got == want, f"duration {got}, expected {want}"),
             TraceCheck(
                 "cut-within-plan", i, not not_in_plan,
-                f"cut edges outside the remaining plan: {sorted(not_in_plan)}",
+                f"cut edges outside the remaining plan: {not_in_plan}",
             ),
             TraceCheck(
-                "cut-disconnects", i, _disconnects(level.critical, level.cut),
+                "cut-disconnects", i, disconnects(level.critical, level.cut),
                 "removing the cut must disconnect the critical graph",
             ),
         ]
 
-    classes = [_edge_classes(level) for level in trace.levels]
+    classes = [_edge_classes(level, tails, heads) for level in trace.levels]
     for i, (cur, nxt) in enumerate(zip(trace.levels, trace.levels[1:]), start=1):
         cur_src, cur_snk, cur_rev = classes[i - 1]
         nxt_src, nxt_snk, nxt_rev = classes[i]
-        next_critical_ids = frozenset(e.id for e in nxt.critical.edges)
+        next_critical = frozenset(nxt.critical)
         # The next cut split by the current level's edge classes, and the
         # current cut by the next level's: ahead, shared and behind parts,
         # and for the current cut also the part crossing backwards.
+        shared = cur.cut & nxt.cut
         next_ahead = nxt.cut & cur_snk
-        next_shared = nxt.cut & cur.cut
         next_behind = nxt.cut & cur_src
         cur_ahead = cur.cut & nxt_snk
-        cur_shared = cur.cut & nxt.cut
         cur_behind = cur.cut & nxt_src
         cur_reverse = cur.cut & nxt_rev
         checks += [
@@ -285,9 +301,9 @@ def verify_trace(trace: DecompositionTrace) -> TraceReport:
                 "next cut must avoid arcs crossing the current partition backwards",
             ),
             TraceCheck(
-                "cut-stays-critical", i, cur.cut <= next_critical_ids,
+                "cut-stays-critical", i, cur.cut <= next_critical,
                 f"cut edges dropped from the next critical graph: "
-                f"{sorted(cur.cut - next_critical_ids)}",
+                f"{sorted(ids[j] for j in cur.cut - next_critical)}",
             ),
             TraceCheck(
                 "cut-cost-monotone", i, cur.cut_cost <= nxt.cut_cost,
@@ -295,26 +311,27 @@ def verify_trace(trace: DecompositionTrace) -> TraceReport:
             ),
             TraceCheck(
                 "next-cut-partitioned", i,
-                _is_partition((next_ahead, next_shared, next_behind), nxt.cut),
+                _is_partition((next_ahead, shared, next_behind), nxt.cut),
                 "ahead/shared/behind must partition the next cut",
             ),
             TraceCheck(
                 "cur-cut-partitioned", i,
-                _is_partition((cur_ahead, cur_shared, cur_behind, cur_reverse), cur.cut),
+                _is_partition((cur_ahead, shared, cur_behind, cur_reverse), cur.cut),
                 "ahead/shared/behind/reverse must partition the current cut",
             ),
             TraceCheck(
-                "shared-classes-equal", i, next_shared == cur_shared,
+                "shared-classes-equal", i,
+                all(crosses(cur, j) and crosses(nxt, j) for j in shared),
                 "both cuts must agree on their shared part",
             ),
             TraceCheck(
                 "forward-mix-contains-cut", i,
-                _disconnects(cur.critical, next_ahead | cur_shared | cur_ahead),
+                disconnects(cur.critical, next_ahead | shared | cur_ahead),
                 "next-ahead + shared + cur-ahead must contain a cut of the current critical graph",
             ),
             TraceCheck(
                 "backward-mix-contains-cut", i,
-                _disconnects(cur.critical, next_behind | cur_shared | cur_behind),
+                disconnects(cur.critical, next_behind | shared | cur_behind),
                 "next-behind + shared + cur-behind must contain a cut of the current critical graph",
             ),
         ]

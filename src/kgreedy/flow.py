@@ -5,10 +5,10 @@ Capacities are exact Fractions or the distinct ``UNBOUNDED`` sentinel; no
 confused with expensive finite ones.  The solver is Dinic's algorithm (Dinic
 1970) over one residual array that stores arcs in pairs: residual arc 2i runs
 along arc i and holds its unused capacity, and 2i+1 runs against it and holds
-its flow, so ``j ^ 1`` is the partner of residual arc ``j``.  The solver's
-entry point, ``min_cut_indexed``, takes nodes as indices 0..n-1 and arcs as
-parallel lists of tails, heads and capacities; ``min_cut`` maps a
-``FlowGraph``'s names to those indices and back.  Rooms are exact integers
+its flow, so ``j ^ 1`` is the partner of residual arc ``j``.  The one entry
+point, ``min_cut_indexed``, takes nodes as indices 0..n-1 and arcs as
+parallel lists of tails, heads and capacities; its callers keep their own
+names, so the module has no graph type of its own.  Rooms are exact integers
 in units of 1/scale, where scale is the least common multiple of the finite
 capacities' denominators, so the flow stays exact while its inner loop adds
 and compares plain ints; the value is scaled back to a Fraction on return.
@@ -38,7 +38,6 @@ its cost do not depend on the order in which paths were augmented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -59,64 +58,20 @@ UNBOUNDED = _Unbounded()
 Capacity = Union[Fraction, _Unbounded]
 
 
-@dataclass(frozen=True)
-class Arc:
-    id: str
-    src: str
-    dst: str
-    capacity: Capacity
-
-
-@dataclass(frozen=True)
-class FlowGraph:
-    nodes: tuple[str, ...]
-    source: str
-    sink: str
-    arcs: tuple[Arc, ...]
-
-
-@dataclass(frozen=True)
-class CutResult:
-    """A minimum s-t cut: the crossing arcs and the source side that witnesses them."""
-
-    cut_arcs: frozenset[str]
-    source_side: frozenset[str]
-    cost: Capacity
-
-
-def min_cut(g: FlowGraph) -> CutResult:
-    """A minimum s-t cut with a deterministic, source-nearest witness.
-
-    The cost is the maximum flow value, by duality.  The source side is the
-    residual-reachable set, also when no flow is possible: then the cut costs
-    0 and lists the zero-capacity arcs, if any, that leave the nodes reachable
-    over positive capacity.  If every s-t cut crosses an unbounded arc, or the
-    source is the sink, no finite cut exists: the cost is UNBOUNDED and the
-    cut arcs and source side are empty.  ``min_cut_indexed`` does the work on
-    the graph's node and arc positions.
-    """
-    index = {v: i for i, v in enumerate(g.nodes)}
-    arcs = g.arcs
-    crossing, reached, cost = min_cut_indexed(
-        len(g.nodes), index[g.source], index[g.sink],
-        [index[a.src] for a in arcs], [index[a.dst] for a in arcs], [a.capacity for a in arcs],
-    )
-    return CutResult(
-        frozenset(arcs[i].id for i in crossing),
-        frozenset(v for v, r in zip(g.nodes, reached) if r),
-        cost,
-    )
-
-
 def min_cut_indexed(
     n: int, source: int, sink: int, tails: list[int], heads: list[int], caps: list[Capacity],
 ) -> tuple[list[int], list[bool], Capacity]:
-    """``min_cut`` on nodes 0..n-1, with arc i running from ``tails[i]`` to
-    ``heads[i]`` at capacity ``caps[i]``.
+    """A minimum s-t cut on nodes 0..n-1, with arc i running from
+    ``tails[i]`` to ``heads[i]`` at capacity ``caps[i]``.
 
     Returns the positions of the crossing arcs in arc order, a reached flag
-    per node (the source side), and the cost.  When no finite cut exists the
-    cost is UNBOUNDED and both lists are empty.
+    per node (the source side), and the cost, which is the maximum flow
+    value by duality.  The source side is the residual-reachable set, also
+    when no flow is possible: then the cut costs 0 and lists the
+    zero-capacity arcs, if any, that leave the nodes reachable over positive
+    capacity.  If every s-t cut crosses an unbounded arc, or the source is
+    the sink, no finite cut exists: the cost is UNBOUNDED and both lists
+    are empty.
     """
     # Rooms are never negative, so a truthy room is a usable residual arc;
     # UNBOUNDED is truthy and never changes.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import NetworkValidationError, PlanOutOfBoundsError
 
@@ -120,19 +120,6 @@ class Plan:
     def __reduce__(self):
         # A mapping proxy cannot be pickled or copied; rebuild from a plain dict.
         return Plan, (dict(self.amounts),)
-
-    def subtract_units(self, edge_ids: Iterable[EdgeId]) -> "Plan":
-        """Multiset difference: remove one unit per listed edge."""
-        reduced = dict(self.amounts)
-        for edge_id in edge_ids:
-            left = reduced.get(edge_id, 0) - 1
-            if left < 0:
-                raise PlanOutOfBoundsError(f"edge {edge_id!r} has no unit left to remove")
-            if left == 0:
-                reduced.pop(edge_id, None)
-            else:
-                reduced[edge_id] = left
-        return Plan(reduced)
 
 
 def full_plan(net: ProjectNetwork) -> Plan:
@@ -275,25 +262,6 @@ def duration(net: ProjectNetwork) -> int:
     tails, heads, order = _topological_order(net)
     lengths = [e.normal_len for e in net.edges]
     return _longest_dists(order, tails, heads, lengths, len(net.nodes))[net.nodes.index(net.sink)]
-
-
-def critical_graph(net: ProjectNetwork) -> ProjectNetwork:
-    """The subnetwork of edges lying on some longest source-to-sink path.
-
-    It keeps the network's node and edge order.
-    """
-    tails, heads, order = _topological_order(net)
-    lengths = [e.normal_len for e in net.edges]
-    kept, _ = _critical_positions(
-        order, tails, heads, lengths, len(net.nodes), net.nodes.index(net.sink)
-    )
-    # A node lies on a longest path exactly when it is the source, the sink
-    # or an end of a kept edge.
-    ends = {tails[i] for i in kept} | {heads[i] for i in kept}
-    nodes = tuple(
-        v for i, v in enumerate(net.nodes) if i in ends or v == net.source or v == net.sink
-    )
-    return ProjectNetwork(nodes, net.source, net.sink, tuple(net.edges[i] for i in kept))
 
 
 # -- plan application ---------------------------------------------------------

@@ -3,11 +3,18 @@
 Everything here enumerates or sums directly: paths for durations and
 criticality, node partitions for cuts, index subsets for subsequences,
 schedule prefixes for plan costs.  None of it shares code with the library's
-fast paths, so agreement is meaningful.  The exception is `reference_greedy`,
-which composes the greedy's days from the library's public one-day pieces,
-so that `greedy_crash`'s index-level day loop is checked against them.  The
-one CLI helper, `assert_exit_defined`, checks the exit contract of
-`kgreedy.cli.main`.
+fast paths, so agreement is meaningful.
+
+The exception is the named reference path.  `Arc`, `FlowGraph`, `CutResult`
+and `min_cut` are flow graphs and cuts by name, and `critical_graph` is a
+network's critical subnetwork; all are thin adapters over the library's
+private index routines (`flow.min_cut_indexed`, `network._critical_positions`).
+`reference_greedy` and `reference_decompose` compose the greedy's days and
+the decomposition's levels from them and `apply_plan`, one named network per
+day or level, so that the library's loops over edge positions are checked
+against them; `reference_verify` checks named levels as `verify_trace` does.
+The flow, network and differential tests use the adapters too.  The one CLI
+helper, `assert_exit_defined`, checks the exit contract of `kgreedy.cli.main`.
 """
 
 import contextlib
@@ -15,11 +22,78 @@ import io
 import itertools
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from kgreedy.cli import main
-from kgreedy.flow import Arc, FlowGraph, UNBOUNDED, min_cut
-from kgreedy.network import Plan, apply_plan, critical_graph, duration
+from kgreedy.flow import UNBOUNDED, Capacity, min_cut_indexed
+from kgreedy.network import (
+    Plan,
+    ProjectNetwork,
+    _critical_positions,
+    _topological_order,
+    apply_plan,
+    duration,
+)
+
+
+# -- the named reference path -------------------------------------------------
+
+@dataclass(frozen=True)
+class Arc:
+    id: str
+    src: str
+    dst: str
+    capacity: Capacity
+
+
+@dataclass(frozen=True)
+class FlowGraph:
+    nodes: tuple[str, ...]
+    source: str
+    sink: str
+    arcs: tuple[Arc, ...]
+
+
+@dataclass(frozen=True)
+class CutResult:
+    """A minimum s-t cut: the crossing arcs and the source side that witnesses them."""
+
+    cut_arcs: frozenset[str]
+    source_side: frozenset[str]
+    cost: Capacity
+
+
+def min_cut(g):
+    """`min_cut_indexed` on the graph's node and arc positions, mapped back
+    to names."""
+    index = {v: i for i, v in enumerate(g.nodes)}
+    arcs = g.arcs
+    crossing, reached, cost = min_cut_indexed(
+        len(g.nodes), index[g.source], index[g.sink],
+        [index[a.src] for a in arcs], [index[a.dst] for a in arcs], [a.capacity for a in arcs],
+    )
+    return CutResult(
+        frozenset(arcs[i].id for i in crossing),
+        frozenset(v for v, r in zip(g.nodes, reached) if r),
+        cost,
+    )
+
+
+def critical_graph(net):
+    """The subnetwork of edges lying on some longest source-to-sink path,
+    in the network's node and edge order; a node is kept when it is the
+    source, the sink or an end of a kept edge."""
+    tails, heads, order = _topological_order(net)
+    lengths = [e.normal_len for e in net.edges]
+    kept, _ = _critical_positions(
+        order, tails, heads, lengths, len(net.nodes), net.nodes.index(net.sink)
+    )
+    ends = {tails[i] for i in kept} | {heads[i] for i in kept}
+    nodes = tuple(
+        v for i, v in enumerate(net.nodes) if i in ends or v == net.source or v == net.sink
+    )
+    return ProjectNetwork(nodes, net.source, net.sink, tuple(net.edges[i] for i in kept))
 
 
 def random_flow_graph(seed, max_nodes=7, max_arcs=12, unbounded_share=0.15,
@@ -87,6 +161,107 @@ def reference_greedy(net, k):
         current, plan = apply_plan(current, day), merge(plan, day)
         days.append((cut.cut_arcs, cut.cost, duration(current), plan))
     return days
+
+
+@dataclass(frozen=True)
+class ReferenceLevel:
+    """One decomposition level by name: the level's network, its critical
+    graph, the plan units left, and the cut with its cost and source side."""
+
+    network: ProjectNetwork
+    critical: ProjectNetwork
+    remaining_plan: Plan
+    cut: frozenset[str]
+    cut_cost: Fraction
+    source_side: frozenset[str]
+
+
+def reference_decompose(net, plan, k):
+    """The k levels of a linear k-crashing plan's decomposition, each from
+    named pieces: the critical graph of the level's network, a flow graph
+    pricing each critical edge that the remaining plan still carries at its
+    cost (unbounded otherwise), a minimum cut, and as the next level's
+    network the critical graph with each cut edge one day shorter."""
+    levels = []
+    current, remaining = net, dict(plan.amounts)
+    for _ in range(k):
+        critical = critical_graph(current)
+        arcs = tuple(
+            Arc(e.id, e.src, e.dst, e.cost_schedule[0] if remaining.get(e.id) else UNBOUNDED)
+            for e in critical.edges
+        )
+        cut = min_cut(FlowGraph(critical.nodes, critical.source, critical.sink, arcs))
+        assert cut.cost is not UNBOUNDED
+        levels.append(ReferenceLevel(
+            current, critical, Plan(remaining), cut.cut_arcs, cut.cost, cut.source_side
+        ))
+        current = apply_plan(critical, Plan({edge_id: 1 for edge_id in cut.cut_arcs}))
+        for edge_id in cut.cut_arcs:
+            remaining[edge_id] -= 1
+    return levels
+
+
+def _is_partition(parts, whole):
+    return sum(map(len, parts)) == len(whole) and set().union(*parts) == whole
+
+
+def reference_verify(levels):
+    """The decomposition's checks on named levels, as (name, level, passed,
+    detail) tuples in `verify_trace`'s order and wording."""
+    checks = []
+    base = duration(levels[0].network)
+    for i, level in enumerate(levels, start=1):
+        got, want = duration(level.network), base - (i - 1)
+        outside = sorted(level.cut - level.remaining_plan.amounts.keys())
+        checks += [
+            ("duration-decrement", i, got == want, f"duration {got}, expected {want}"),
+            ("cut-within-plan", i, not outside,
+             f"cut edges outside the remaining plan: {outside}"),
+            ("cut-disconnects", i, removing_disconnects(level.critical, level.cut),
+             "removing the cut must disconnect the critical graph"),
+        ]
+
+    ends = {e.id: (e.src, e.dst) for e in levels[0].network.edges}
+
+    def sides(level, edge_id):
+        """Whether the edge's tail and its head are on the level's source side."""
+        return tuple(v in level.source_side for v in ends[edge_id])
+
+    def part(cut, level, key):
+        """The cut edges that are critical at the level with sides ``key``."""
+        critical = {e.id for e in level.critical.edges}
+        return frozenset(e for e in cut if e in critical and sides(level, e) == key)
+
+    within_src, within_snk, reverse = (True, True), (False, False), (False, True)
+    for i, (cur, nxt) in enumerate(zip(levels, levels[1:]), start=1):
+        next_critical = {e.id for e in nxt.critical.edges}
+        shared = cur.cut & nxt.cut
+        next_ahead, next_behind = part(nxt.cut, cur, within_snk), part(nxt.cut, cur, within_src)
+        cur_ahead, cur_behind = part(cur.cut, nxt, within_snk), part(cur.cut, nxt, within_src)
+        cur_reverse = part(cur.cut, nxt, reverse)
+        checks += [
+            ("reverse-cut-disjoint", i, not part(nxt.cut, cur, reverse),
+             "next cut must avoid arcs crossing the current partition backwards"),
+            ("cut-stays-critical", i, cur.cut <= next_critical,
+             f"cut edges dropped from the next critical graph: {sorted(cur.cut - next_critical)}"),
+            ("cut-cost-monotone", i, cur.cut_cost <= nxt.cut_cost,
+             f"cost {cur.cut_cost} then {nxt.cut_cost}"),
+            ("next-cut-partitioned", i, _is_partition((next_ahead, shared, next_behind), nxt.cut),
+             "ahead/shared/behind must partition the next cut"),
+            ("cur-cut-partitioned", i,
+             _is_partition((cur_ahead, shared, cur_behind, cur_reverse), cur.cut),
+             "ahead/shared/behind/reverse must partition the current cut"),
+            ("shared-classes-equal", i,
+             all(sides(cur, e) == sides(nxt, e) == (True, False) for e in shared),
+             "both cuts must agree on their shared part"),
+            ("forward-mix-contains-cut", i,
+             removing_disconnects(cur.critical, next_ahead | shared | cur_ahead),
+             "next-ahead + shared + cur-ahead must contain a cut of the current critical graph"),
+            ("backward-mix-contains-cut", i,
+             removing_disconnects(cur.critical, next_behind | shared | cur_behind),
+             "next-behind + shared + cur-behind must contain a cut of the current critical graph"),
+        ]
+    return checks
 
 
 def failures(report):

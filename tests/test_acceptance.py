@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from kgreedy.cli import main
 from kgreedy.crashing import cost_ratio_bound, decompose, greedy_crash, verify_trace
-from kgreedy.flow import UNBOUNDED, min_cut
+from kgreedy.flow import UNBOUNDED
 from kgreedy.generators import (
     RandomNetSpec,
     counterexample_network,
@@ -29,7 +29,7 @@ from kgreedy.generators import (
 from kgreedy.klis import greedy_klis, greedy_klis_scripted, total_ratio_bound
 from kgreedy.network import k_max
 from kgreedy.oracle import exact_crash_cost, exact_klis
-from support import brute_min_cut_cost, cut_capacity, failures, random_flow_graph
+from support import brute_min_cut_cost, cut_capacity, failures, min_cut, random_flow_graph
 
 
 def conclude(number, description, ok, started):

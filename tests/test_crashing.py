@@ -27,16 +27,21 @@ from kgreedy.network import (
     ProjectNetwork,
     apply_plan,
     duration,
+    full_plan,
     k_max,
     linear_schedule,
 )
 from kgreedy.oracle import exact_crash_cost
 from support import (
     brute_duration,
+    critical_graph,
+    edge_ids,
     failures,
     merge,
     plan_cost,
+    reference_decompose,
     reference_greedy,
+    reference_verify,
     removing_disconnects,
 )
 
@@ -201,11 +206,23 @@ class TestGreedyMatchesReference:
                 greedy_crash(net, top + 1)
 
 
+def cut_ids(net, level):
+    """The level's cut edges by id."""
+    return {net.edges[j].id for j in level.cut}
+
+
+def positions(net, *names):
+    """The named edges' positions."""
+    ids = edge_ids(net)
+    return frozenset(ids.index(name) for name in names)
+
+
 class TestDecompose:
     def test_counterexample_trace(self):
         net = counterexample_network()
         trace = decompose(net, Plan({"j1": 1, "j5": 1}), 2)
-        cuts = [level.cut for level in trace.levels]
+        assert trace.network == net
+        cuts = [cut_ids(net, level) for level in trace.levels]
         assert sorted(map(sorted, cuts)) == [["j1"], ["j5"]]
         assert [level.cut_cost for level in trace.levels] == [10, 10]
         assert trace.levels[0].cut_cost <= trace.levels[1].cut_cost
@@ -215,9 +232,12 @@ class TestDecompose:
         trace = decompose(net, Plan({"j1": 1, "j5": 1}), 1)
         assert len(trace.levels) == 1
         level = trace.levels[0]
-        assert level.cut <= frozenset(Plan({"j1": 1, "j5": 1}).amounts)
+        assert level.cut <= positions(net, "j1", "j5")
         assert level.cut_cost == 10
-        assert removing_disconnects(level.critical, level.cut)
+        critical = ProjectNetwork(
+            net.nodes, net.source, net.sink, tuple(net.edges[j] for j in level.critical)
+        )
+        assert removing_disconnects(critical, cut_ids(net, level))
 
     def test_rejects_insufficient_plan(self):
         with pytest.raises(NotKCrashingError):
@@ -240,8 +260,95 @@ class TestDecompose:
         net = counterexample_network()
         plan, _ = exact_crash_cost(net, 3)
         trace = decompose(net, plan, 3)
+        assert trace.levels[0].remaining == tuple(plan.amounts.get(e, 0) for e in edge_ids(net))
         for cur, nxt in zip(trace.levels, trace.levels[1:]):
-            assert nxt.remaining_plan == cur.remaining_plan.subtract_units(cur.cut)
+            assert nxt.remaining == tuple(x - (j in cur.cut) for j, x in enumerate(cur.remaining))
+            assert nxt.lengths == tuple(x - (j in cur.cut) for j, x in enumerate(cur.lengths))
+
+    def test_edge_that_left_the_critical_graph_stays_out(self):
+        # b is shorter than a, so level 1 keeps a alone and cuts it.  After
+        # the cut b ties a again, but level 2 looks only at level 1's
+        # critical edges, so b stays out of it and out of its cut.
+        a = Edge("a", "s", "t", 0, 3, linear_schedule(1, 3))
+        b = Edge("b", "s", "t", 0, 2, linear_schedule(1, 2))
+        net = ProjectNetwork(("s", "t"), "s", "t", (a, b))
+        assert edge_ids(critical_graph(apply_plan(net, Plan({"a": 1})))) == ("a", "b")
+        plan = Plan({"a": 2, "b": 1})
+        trace = decompose(net, plan, 2)
+        assert [level.critical for level in trace.levels] == [(0,), (0,)]
+        assert [level.cut for level in trace.levels] == [{0}, {0}]
+        assert trace.levels[1].lengths == (2, 2)
+        reference = reference_decompose(net, plan, 2)
+        assert edge_ids(reference[1].critical) == ("a",)
+        assert verify_trace(trace).passed
+
+
+def _named_levels(net, trace):
+    """Each level's critical edges, lengths, plan left, cut, cost and
+    source side, by name."""
+    ids = edge_ids(net)
+    return [
+        (
+            tuple(ids[j] for j in level.critical),
+            {ids[j]: level.lengths[j] for j in level.critical},
+            Plan({ids[j]: x for j, x in enumerate(level.remaining)}),
+            {ids[j] for j in level.cut},
+            level.cut_cost,
+            {v for v, r in zip(net.nodes, level.reached) if r},
+        )
+        for level in trace.levels
+    ]
+
+
+def _reference_named_levels(levels):
+    return [
+        (
+            edge_ids(level.critical),
+            {e.id: e.normal_len for e in level.critical.edges},
+            level.remaining_plan,
+            level.cut,
+            level.cut_cost,
+            level.source_side,
+        )
+        for level in levels
+    ]
+
+
+def _report(trace):
+    return [(c.name, c.level, c.passed, c.detail) for c in verify_trace(trace).checks]
+
+
+class TestDecomposeMatchesReference:
+    def test_levels_and_reports_match_the_named_path(self):
+        # greedy plans for every k, the full plan at k_max and at a random
+        # k; then one level's cut swapped for a random edge set in both
+        rng = random.Random(0)
+        traces = 0
+        for seed in range(150):
+            nodes = 4 + seed % 4
+            net = random_network(RandomNetSpec(
+                node_count=nodes, edge_count=nodes + seed % 6, max_crashable=3, seed=seed
+            ))
+            top = k_max(net)
+            if top < 1:
+                continue
+            cases = [(greedy_crash(net, k).plan, k) for k in range(1, top + 1)]
+            cases += [(full_plan(net), top), (full_plan(net), rng.randint(1, top))]
+            for plan, k in cases:
+                trace = decompose(net, plan, k)
+                reference = reference_decompose(net, plan, k)
+                assert _named_levels(net, trace) == _reference_named_levels(reference), seed
+                assert _report(trace) == reference_verify(reference), seed
+
+                i = rng.randrange(k)
+                cut = frozenset(rng.sample(range(len(net.edges)), rng.randint(0, 3)))
+                tampered = list(trace.levels)
+                tampered[i] = replace(tampered[i], cut=cut)
+                reference[i] = replace(reference[i], cut=frozenset(net.edges[j].id for j in cut))
+                tampered_trace = replace(trace, levels=tuple(tampered))
+                assert _report(tampered_trace) == reference_verify(reference), seed
+                traces += 1
+        assert traces >= 300
 
 
 class TestVerifyTrace:
@@ -256,7 +363,7 @@ class TestVerifyTrace:
         # j2 is in the greedy plan but off the critical path j1, j3, j5.
         net = counterexample_network()
         trace = decompose(net, greedy_crash(net, 2).plan, 2)
-        tampered = replace(trace.levels[0], cut=frozenset({"j2"}))
+        tampered = replace(trace.levels[0], cut=positions(net, "j2"))
         report = verify_trace(replace(trace, levels=(tampered,) + trace.levels[1:]))
         assert not report.passed
         assert ("cut-disconnects", 1) in [(c.name, c.level) for c in failures(report)]
@@ -267,9 +374,26 @@ class TestVerifyTrace:
         # behind part of the level-1 cut, so that cut is not partitioned.
         net = counterexample_network()
         trace = decompose(net, Plan({"j1": 1, "j5": 1}), 2)
-        tampered = replace(trace.levels[1], cut=frozenset({"j1", "j3"}))
+        tampered = replace(trace.levels[1], cut=positions(net, "j1", "j3"))
         report = verify_trace(replace(trace, levels=trace.levels[:1] + (tampered,)))
         assert ("cur-cut-partitioned", 1) in [(c.name, c.level) for c in failures(report)]
+
+    def test_shared_cut_edge_must_cross_both_partitions(self):
+        # Levels 1 and 2 of the optimal 3-day plan both cut j1 (1 -> 2);
+        # putting node 2 on level 2's source side leaves j1 in both cuts
+        # without crossing level 2's partition.
+        net = counterexample_network()
+        plan, _ = exact_crash_cost(net, 3)
+        trace = decompose(net, plan, 3)
+        j1 = positions(net, "j1")
+        assert trace.levels[0].cut == trace.levels[1].cut == j1
+        assert verify_trace(trace).passed
+        reached = list(trace.levels[1].reached)
+        reached[net.nodes.index("2")] = True
+        tampered = replace(trace.levels[1], reached=tuple(reached))
+        levels = (trace.levels[0], tampered, trace.levels[2])
+        report = verify_trace(replace(trace, levels=levels))
+        assert ("shared-classes-equal", 1) in [(c.name, c.level) for c in failures(report)]
 
     def test_random_oracle_plans_all_pass(self):
         # 200 seeded instances, oracle-optimal plans, every claim checked

@@ -11,10 +11,10 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from kgreedy.flow import UNBOUNDED, Arc, FlowGraph, min_cut
+from kgreedy.flow import UNBOUNDED
 from kgreedy.generators import RandomNetSpec, random_network
 from kgreedy.network import apply_plan, duration, full_plan
-from support import cut_capacity
+from support import Arc, FlowGraph, cut_capacity, min_cut
 
 
 def _random_graph(seed, capacity=lambda rng: Fraction(rng.randint(0, 9))):

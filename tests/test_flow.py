@@ -3,15 +3,16 @@ import math
 import pickle
 from fractions import Fraction
 
-from kgreedy.flow import (
-    UNBOUNDED,
+from kgreedy.flow import UNBOUNDED, min_cut_indexed
+from support import (
     Arc,
     CutResult,
     FlowGraph,
+    brute_min_cut_cost,
+    cut_capacity,
     min_cut,
-    min_cut_indexed,
+    random_flow_graph,
 )
-from support import brute_min_cut_cost, cut_capacity, random_flow_graph
 
 
 def test_single_arc():

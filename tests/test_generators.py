@@ -13,9 +13,9 @@ from kgreedy.generators import (
     with_convex_schedules,
 )
 from kgreedy.klis import greedy_klis_scripted
-from kgreedy.network import critical_graph, duration, validate
+from kgreedy.network import duration, validate
 from kgreedy.oracle import exact_crash_cost, exact_klis
-from support import edge_ids
+from support import critical_graph, edge_ids
 
 
 class TestCounterexampleNetwork:

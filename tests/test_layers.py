@@ -5,8 +5,8 @@ The package has no runtime dependency, so every absolute import names a
 standard-library module.  `flow` works on its own arc graphs and imports no
 other module of the package.  `kgreedy.__all__` names exactly the public
 names the package binds, so a deleted API cannot stay exported, and every
-exported function has a caller in the library or the benchmark, so an API
-that only the tests read cannot stay in the library.  Every class
+exported function and class has a caller in the library or the benchmark, so
+an API that only the tests read cannot stay in the library.  Every class
 in `errors.py` is raised somewhere in the package, or is a base of one that
 is, so an error class cannot outlive its last `raise`.
 """
@@ -64,12 +64,13 @@ def test_all_lists_every_public_name():
 
 def _referenced_names(tree):
     """Every Name id and Attribute attr in the tree, except those inside a
-    function of the same name: a recursive call is not a caller."""
+    function or class of the same name: a recursive call, or a class naming
+    itself, is not a caller."""
     found = set()
     stack = [(tree, frozenset())]
     while stack:
         node, enclosing = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing |= {node.name}
         elif isinstance(node, ast.Name):
             found |= {node.id} - enclosing
@@ -80,8 +81,9 @@ def _referenced_names(tree):
 
 
 def test_every_exported_function_has_a_caller():
-    functions = {
-        name for name in kgreedy.__all__ if inspect.isfunction(getattr(kgreedy, name))
+    exported = {
+        name for name in kgreedy.__all__
+        if inspect.isfunction(getattr(kgreedy, name)) or inspect.isclass(getattr(kgreedy, name))
     }
     called = set()
     for path in SOURCES:
@@ -90,7 +92,7 @@ def test_every_exported_function_has_a_caller():
             called |= _referenced_names(tree)
     for path in sorted((ROOT / "bench").glob("*.py")):
         called |= set(re.findall(r"\bkg\.\w+\.(\w+)", path.read_text(encoding="utf-8")))
-    assert sorted(functions - called) == []
+    assert sorted(exported - called) == []
 
 
 def test_every_error_class_is_raised():

@@ -13,7 +13,6 @@ from kgreedy.network import (
     Plan,
     ProjectNetwork,
     apply_plan,
-    critical_graph,
     duration,
     full_plan,
     is_k_crashing,
@@ -27,6 +26,7 @@ from support import (
     all_st_paths,
     brute_critical_edge_ids,
     brute_duration,
+    critical_graph,
     edge_ids,
     merge,
     plan_cost,
