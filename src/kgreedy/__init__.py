@@ -1,5 +1,5 @@
 """Greedy approximation algorithms for project crashing and k-fold
-longest-increasing-subsequence extraction, with exact brute-force oracles,
+longest-increasing-subsequence extraction, with exact oracles,
 instance generators, and a ratio-experiment harness."""
 
 from .crashing import (
@@ -39,7 +39,7 @@ from .network import (
     linear_schedule,
     validate,
 )
-from .oracle import exact_crash_cost, exact_klis
+from .oracle import exact_crash_cost, exact_klis, exact_klis_total
 
 __all__ = [
     "DecompositionTrace",
@@ -57,6 +57,7 @@ __all__ = [
     "duration",
     "exact_crash_cost",
     "exact_klis",
+    "exact_klis_total",
     "full_plan",
     "greedy_crash",
     "greedy_klis",

@@ -184,7 +184,7 @@ def _klis_outcome(k: int, greedy: int, opt: int):
 def _klis_random_trial(args, seed: int):
     values = generators.random_sequence(args.length, args.range, seed)
     greedy = klis.greedy_klis(values, args.k).total_length
-    opt = oracle.exact_klis(values, args.k).total_length
+    opt = oracle.exact_klis_total(values, args.k)
     return _klis_outcome(args.k, greedy, opt)
 
 
@@ -292,14 +292,14 @@ def _build_parser() -> argparse.ArgumentParser:
     crash = sub.add_parser("crash", help="find a plan shortening a project by k days")
     crash.add_argument("--input", required=True, help="project JSON file")
     crash.add_argument("-k", type=_count, required=True, help="days to save")
-    crash.add_argument("--exact", action="store_true", help="exhaustive optimum instead of greedy")
+    crash.add_argument("--exact", action="store_true", help="exact optimum instead of greedy")
     crash.add_argument("--trace", action="store_true",
                        help="decompose the produced plan and verify the cut chain")
 
     kl = sub.add_parser("klis", help="extract k disjoint increasing subsequences")
     kl.add_argument("-k", type=_count, required=True)
     kl.add_argument("--input", help="sequence file (default: stdin)")
-    kl.add_argument("--exact", action="store_true", help="exhaustive optimum instead of greedy")
+    kl.add_argument("--exact", action="store_true", help="exact optimum instead of greedy")
     kl.add_argument("--script", help="JSON file with one index list per round to replay")
 
     li = sub.add_parser("lis", help="one longest increasing subsequence")

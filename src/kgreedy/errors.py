@@ -42,4 +42,4 @@ class ScriptError(KGreedyError):
 # -- oracles ------------------------------------------------------------------
 
 class BudgetExceededError(KGreedyError):
-    """An exhaustive oracle would enumerate more states than its budget allows."""
+    """An exact oracle would hold more states than its budget allows."""

@@ -2,8 +2,10 @@
 
 Everything here enumerates or sums directly: paths for durations and
 criticality, node partitions for cuts, index subsets for subsequences,
-schedule prefixes for plan costs.  None of it shares code with the library's
-fast paths, so agreement is meaningful.
+schedule prefixes for plan costs, and integer plans for the exact crash
+cost.  None of it shares code with the library's fast paths, so agreement is
+meaningful.  The plan enumeration, `reference_exact_crash_cost`, reads the
+network's topological order, which the oracle it checks never uses.
 
 The exception is the named reference path.  `Arc`, `FlowGraph`, `CutResult`
 and `min_cut` are flow graphs and cuts by name, and `critical_graph` is a
@@ -135,6 +137,49 @@ def plan_cost(net, plan):
         assert x <= len(schedule), edge_id
         total += sum(schedule[:x], Fraction(0))
     return total
+
+
+def reference_exact_crash_cost(net, k):
+    """Cheapest k-crashing plan and its cost, by enumerating every in-bounds
+    integer plan with cost-bound pruning; among equal-cost optima the first
+    in per-edge lexicographic order wins.  Needs 1 <= k <= k_max."""
+    tails, heads, order = _topological_order(net)
+    sink = net.nodes.index(net.sink)
+
+    def duration(lengths):
+        dist = [0] * len(net.nodes)
+        for j in order:
+            dist[heads[j]] = max(dist[heads[j]], dist[tails[j]] + lengths[j])
+        return dist[sink]
+
+    lengths = [e.normal_len for e in net.edges]
+    target = duration(lengths) - k
+    prefix = [list(itertools.accumulate(e.cost_schedule, initial=Fraction(0)))
+              for e in net.edges]
+    # Only crashable edges are branched on: any other edge has the single choice 0.
+    crashable = [j for j, e in enumerate(net.edges) if e.crashable_days > 0]
+    xs = [0] * len(net.edges)
+    best = [None, None]  # cost, amounts
+
+    def search(depth, cost):
+        if best[0] is not None and cost >= best[0]:
+            return
+        if depth == len(crashable):
+            if duration(lengths) <= target:
+                best[:] = cost, xs.copy()
+            return
+        j = crashable[depth]
+        normal = lengths[j]
+        for x in range(net.edges[j].crashable_days + 1):
+            xs[j] = x
+            lengths[j] = normal - x
+            search(depth + 1, cost + prefix[j][x])
+        xs[j] = 0
+        lengths[j] = normal
+
+    search(0, Fraction(0))
+    assert best[0] is not None, f"no {k}-crashing plan"
+    return Plan({e.id: x for e, x in zip(net.edges, best[1]) if x > 0}), best[0]
 
 
 def reference_greedy(net, k):

@@ -1,7 +1,7 @@
 """End-to-end acceptance suite.
 
 Every test re-derives its expected values from an independent route (exact
-enumeration, partition brute force, constructive certificates) and prints
+oracles, partition brute force, constructive certificates) and prints
 one pass/fail line; run with ``pytest -s tests/test_acceptance.py`` to see
 them all.  Exact rational comparisons throughout; stated runtime limits are
 asserted.

@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from kgreedy import crashing, generators, klis, network
 from kgreedy.cli import main
 from kgreedy.network import network_from_json, validate
-from support import assert_exit_defined
+from support import assert_exit_defined, plan_cost
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -48,20 +50,39 @@ def test_usage_error_exits_three(tmp_path, fig2_path, argv, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["experiment", "--problem", "klis", "--trials", "2", "-k", "2", "--length", "40"],
-    ["crash", "--input", "{series}", "-k", "1", "--exact"],
-], ids=["experiment-klis", "crash-exact"])
-def test_over_oracle_cap_exits_three(tmp_path, argv):
-    # 21 one-day jobs in series: 2^21 plans
-    series = tmp_path / "series.json"
-    series.write_text(json.dumps({
-        "nodes": [f"v{i}" for i in range(22)], "source": "v0", "sink": "v21",
-        "edges": [{"id": f"e{i}", "from": f"v{i}", "to": f"v{i + 1}", "a": 1, "b": 2, "c": 1}
-                  for i in range(21)],
-    }))
-    err = assert_exit_defined([arg.format(series=series) for arg in argv], {3})
-    assert "exceed the budget" in err
+@pytest.mark.parametrize("k", [1, 5, 36])
+def test_crash_exact_on_200_edges(tmp_path, capsys, k):
+    # k_max is 36; a minimum cut is optimal for one day, so at k = 1 the
+    # greedy's cost is the optimum
+    net = generators.random_network(generators.RandomNetSpec(
+        node_count=40, edge_count=200, seed=1))
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network.network_to_json(net)))
+    code, out = run(capsys, ["crash", "--input", str(path), "-k", str(k), "--exact"])
+    assert code == 0
+    exact = json.loads(out)
+    plan = network.Plan(exact["plan"]["amounts"])
+    cost = Fraction(exact["total_cost"])
+    assert network.is_k_crashing(net, plan, k)
+    assert plan_cost(net, plan) == cost
+    greedy = crashing.greedy_crash(net, k).total_cost
+    assert cost == greedy if k == 1 else cost <= greedy
+
+
+def test_klis_experiment_of_length_40_exits_zero(capsys):
+    code, out = run(capsys, ["experiment", "--problem", "klis", "--trials", "2", "-k", "2",
+                             "--length", "40"])
+    assert code == 0
+    rows = out.splitlines()[2:4]
+    assert [row.split(",")[:3] for row in rows] == [["0", "0", "2"], ["1", "1", "2"]]
+    assert all(row.endswith(",yes") for row in rows)
+
+
+def test_klis_exact_over_state_budget_exits_three(tmp_path):
+    seq = tmp_path / "seq.txt"
+    seq.write_text(klis.format_sequence(generators.random_sequence(60, 1000, seed=1)))
+    err = assert_exit_defined(["klis", "-k", "4", "--exact", "--input", str(seq)], {3})
+    assert err.startswith("error: ") and "budget" in err
 
 
 def test_shell_exit_codes(tmp_path):

@@ -3,7 +3,8 @@ export list, and its error classes.
 
 The package has no runtime dependency, so every absolute import names a
 standard-library module.  `flow` works on its own arc graphs and imports no
-other module of the package.  `kgreedy.__all__` names exactly the public
+other module of the package, and `oracle` imports only the error classes and
+the data types it reads and returns.  `kgreedy.__all__` names exactly the public
 names the package binds, so a deleted API cannot stay exported, and every
 exported function and class has a caller in the library or the benchmark, so
 an API that only the tests read cannot stay in the library.  Every class
@@ -52,6 +53,24 @@ def test_absolute_imports_are_stdlib():
 def test_flow_imports_no_package_module():
     imported = _imports(PACKAGE / "flow.py")
     assert [m for level, m in imported if level > 0 or m.partition(".")[0] == "kgreedy"] == []
+
+
+def test_oracle_imports_only_data_types():
+    # the oracles check the greedy paths, so they share no algorithm with them
+    allowed = {"errors": None, "network": {"Plan", "ProjectNetwork"}, "klis": {"SubseqSelection"}}
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.partition(".")[0] != "kgreedy" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                package, _, module = module.partition(".")
+                if package != "kgreedy":
+                    continue
+            names = {alias.name for alias in node.names}
+            assert module in allowed, f"oracle.py imports from {module or 'the package'}"
+            assert allowed[module] is None or names <= allowed[module], names
 
 
 def test_all_lists_every_public_name():

@@ -1,3 +1,6 @@
+import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,10 +12,23 @@ from kgreedy.generators import (
     matrix_sequence,
     random_network,
     random_sequence,
+    with_convex_schedules,
 )
-from kgreedy.network import Edge, Plan, ProjectNetwork, linear_schedule
-from kgreedy.oracle import exact_crash_cost, exact_klis
-from support import assert_valid_selection, brute_lis_length
+from kgreedy.network import Edge, Plan, ProjectNetwork, is_k_crashing, k_max, linear_schedule
+from kgreedy.oracle import (
+    MAX_KLIS_STATES,
+    _check_plan,
+    _DurationEvaluator,
+    exact_crash_cost,
+    exact_klis,
+    exact_klis_total,
+)
+from support import (
+    assert_valid_selection,
+    brute_lis_length,
+    plan_cost,
+    reference_exact_crash_cost,
+)
 
 
 class TestExactCrashCost:
@@ -40,14 +56,49 @@ class TestExactCrashCost:
         with pytest.raises(NotCrashableError):
             exact_crash_cost(counterexample_network(), 7)
 
-    def test_budget_is_enforced(self):
-        # 21 one-day jobs in series: 2^21 plans, rejected before any search
+    def test_long_series_solves(self):
+        # 21 one-day jobs in series: 2^21 plans, past what enumeration reaches
         edges = tuple(
             Edge(f"e{i}", f"v{i}", f"v{i + 1}", 1, 2, linear_schedule(1, 1)) for i in range(21)
         )
         net = ProjectNetwork(tuple(f"v{i}" for i in range(22)), "v0", "v21", edges)
-        with pytest.raises(BudgetExceededError, match="2097152 plans exceed the budget of 2000000"):
-            exact_crash_cost(net, 1)
+        assert exact_crash_cost(net, 1)[1] == 1
+        plan, cost = exact_crash_cost(net, 21)
+        assert cost == 21
+        assert plan == Plan({e.id: 1 for e in edges})
+
+    def test_fig2_cost_curve(self):
+        net = counterexample_network()
+        curve = [exact_crash_cost(net, k)[1] for k in range(k_max(net) + 1)]
+        assert curve == [0, 9, 20, 39, 59, 87, 115]
+
+    @pytest.mark.parametrize("form", ["fig2", "convex-suite", "linear", "convex", "rational"])
+    def test_matches_plan_enumeration_at_every_k(self, form):
+        runs = 0
+        for net in _cross_check_networks(form):
+            for k in range(1, k_max(net) + 1):
+                plan, cost = exact_crash_cost(net, k)
+                assert cost == reference_exact_crash_cost(net, k)[1], (form, net, k)
+                assert is_k_crashing(net, plan, k)
+                assert plan_cost(net, plan) == cost
+                runs += 1
+        assert runs > {"fig2": 5, "convex-suite": 100}.get(form, 300)
+
+    def test_self_check_rejects_a_plan_one_unit_short(self):
+        # fig2 lasts 9 days; {j1: 1, j5: 1} is its 2-crashing optimum at 20
+        net = counterexample_network()
+        evaluator = _DurationEvaluator(net)
+        amounts = [{"j1": 1, "j5": 1}.get(e.id, 0) for e in net.edges]
+        _check_plan(net, evaluator, 7, amounts, Fraction(20))
+        amounts[[e.id for e in net.edges].index("j5")] = 0
+        with pytest.raises(RuntimeError, match="misses the target duration 7"):
+            _check_plan(net, evaluator, 7, amounts, Fraction(10))
+
+    def test_self_check_rejects_a_cost_off_by_one(self):
+        net = counterexample_network()
+        amounts = [{"j1": 1, "j5": 1}.get(e.id, 0) for e in net.edges]
+        with pytest.raises(RuntimeError, match="costs 20, not the optimum 21"):
+            _check_plan(net, _DurationEvaluator(net), 7, amounts, Fraction(21))
 
     def test_cost_non_decreasing_in_k(self):
         for seed in range(20):
@@ -129,10 +180,19 @@ class TestExactKlis:
             for k in (2, 3):
                 assert exact_klis(values, k).total_length == exact_klis(remapped, k).total_length
 
-    def test_budget_is_enforced(self):
-        # 5^12 assignments, rejected before any search
-        with pytest.raises(BudgetExceededError, match="244140625 assignments exceed the budget"):
-            exact_klis(list(range(12)), 4)
+    def test_twelve_elements_at_k_four(self):
+        # (k+1)^n is 5^12 here, but the DP holds a few thousand states
+        values = [4, 8, 3, 1, 6, 4, 9, 6, 2, 5, 1, 5]
+        sel = exact_klis(values, 4)
+        assert sel.total_length == 11
+        assert_valid_selection(sel, values, 4)
+        assert exact_klis(list(range(12)), 4).total_length == 12
+
+    def test_state_budget_fails_fast(self):
+        started = time.monotonic()
+        with pytest.raises(BudgetExceededError, match=f"budget of {MAX_KLIS_STATES} states"):
+            exact_klis(random_sequence(60, 1000, seed=1), 4)
+        assert time.monotonic() - started < 5.0
 
     def test_single_class_agrees_with_both_lis_routes(self):
         from kgreedy.klis import lis
@@ -143,3 +203,54 @@ class TestExactKlis:
             assert total == len(lis(values))
             assert total == brute_lis_length(values)
 
+
+class TestExactKlisTotal:
+    def test_matches_tail_state_dp(self):
+        # n <= 11 and value ranges from 3 to 20, so values repeat
+        for seed in range(3000):
+            rng = random.Random(seed)
+            values = [rng.randint(1, rng.randint(3, 20)) for _ in range(rng.randint(0, 11))]
+            k = rng.randint(1, 4)
+            assert exact_klis_total(values, k) == exact_klis(values, k).total_length, (values, k)
+
+    def test_staircase_is_k_squared(self):
+        for k in range(1, 9):
+            values, _ = matrix_sequence(k)
+            assert exact_klis_total(values, k) == k * k
+
+    def test_equal_values_never_share_a_subsequence(self):
+        assert exact_klis_total([5] * 6, 4) == 4
+        assert exact_klis_total([], 3) == 0
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError):
+            exact_klis_total([1, 2], 0)
+
+
+def _cross_check_networks(form):
+    """fig2, the convex acceptance suite, or 300 seeded networks with linear,
+    convex, or convex rational schedules (each edge's schedule divided by one
+    number, so it stays convex)."""
+    if form == "fig2":
+        yield counterexample_network()
+        return
+    if form == "convex-suite":
+        for seed in range(100):
+            base = random_network(RandomNetSpec(node_count=5, edge_count=8, seed=seed))
+            yield with_convex_schedules(base, cost_range=(1, 9), seed=seed + 10_000)
+        return
+    for seed in range(300):
+        rng = random.Random(seed)
+        nodes = rng.randint(2, 6)
+        net = random_network(RandomNetSpec(
+            node_count=nodes, edge_count=rng.randint(nodes - 1, 8), max_crashable=3, seed=seed,
+        ))
+        if form != "linear":
+            net = with_convex_schedules(net, seed=seed + 1)
+        if form == "rational":
+            edges = []
+            for e in net.edges:
+                d = rng.randint(2, 7)
+                edges.append(replace(e, cost_schedule=tuple(c / d for c in e.cost_schedule)))
+            net = replace(net, edges=tuple(edges))
+        yield net
