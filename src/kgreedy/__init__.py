@@ -33,7 +33,6 @@ from .network import (
     ProjectNetwork,
     apply_plan,
     duration,
-    full_plan,
     is_k_crashing,
     k_max,
     linear_schedule,
@@ -58,7 +57,6 @@ __all__ = [
     "exact_crash_cost",
     "exact_klis",
     "exact_klis_total",
-    "full_plan",
     "greedy_crash",
     "greedy_klis",
     "greedy_klis_scripted",

@@ -195,11 +195,10 @@ def _klis_matrix_trial(args, seed: int):
     # The optimum is k^2: k disjoint subsequences hold at most all k^2
     # elements, and the k increasing column copies of 1..k reach that.
     parts = generators.matrix_optimal_parts(k)
-    assert len(parts) == k and sorted(i for p in parts for i in p) == list(range(k * k))
-    assert all(
-        a < b and values[a] < values[b]
-        for p in parts for a, b in zip(p, p[1:])
-    )
+    if len(parts) != k or sorted(i for p in parts for i in p) != list(range(k * k)) or any(
+        a >= b or values[a] >= values[b] for p in parts for a, b in zip(p, p[1:])
+    ):
+        raise RuntimeError(f"bad staircase optimum for k={k}")
     return _klis_outcome(k, greedy, k * k)
 
 

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all kgreedy modules.
 
-A class exists only where some operation or the CLI tells it apart: every
-structural defect of a network is a NetworkValidationError and every failed
-scripted round a ScriptError, with the specifics in the message.
+A class exists only where an operation or the CLI tells it apart: every
+network defect is a NetworkValidationError and every failed scripted round
+a ScriptError, with the specifics in the message.  A failed oracle
+self-check is a bug, so it raises RuntimeError.
 """
 
 
@@ -37,9 +38,3 @@ class ConvexNotSupportedError(KGreedyError):
 class ScriptError(KGreedyError):
     """A scripted round is not an increasing subsequence of the residue, or is
     shorter than the residue's longest one."""
-
-
-# -- oracles ------------------------------------------------------------------
-
-class BudgetExceededError(KGreedyError):
-    """An exact oracle would hold more states than its budget allows."""

@@ -122,11 +122,6 @@ class Plan:
         return Plan, (dict(self.amounts),)
 
 
-def full_plan(net: ProjectNetwork) -> Plan:
-    """The maximal plan: every edge crashed to its minimum length."""
-    return Plan({e.id: e.crashable_days for e in net.edges if e.crashable_days > 0})
-
-
 # -- validation ---------------------------------------------------------------
 
 def validate(net: ProjectNetwork) -> None:
@@ -293,7 +288,11 @@ def apply_plan(net: ProjectNetwork, plan: Plan) -> ProjectNetwork:
 
 def k_max(net: ProjectNetwork) -> int:
     """Largest achievable duration reduction."""
-    return duration(net) - duration(apply_plan(net, full_plan(net)))
+    tails, heads, order = _topological_order(net)
+    n, sink = len(net.nodes), net.nodes.index(net.sink)
+    normal = _longest_dists(order, tails, heads, [e.normal_len for e in net.edges], n)
+    floor = _longest_dists(order, tails, heads, [e.min_len for e in net.edges], n)
+    return normal[sink] - floor[sink]
 
 
 def is_k_crashing(net: ProjectNetwork, plan: Plan, k: int) -> bool:

@@ -1,14 +1,9 @@
 """Exact solvers used as ground truth for ratio checks.
 
-These deliberately share no algorithmic machinery with the greedy paths.
-The crash optimum is a max-gain flow on the dual of the crash LP, with its
-own residual graph, Dijkstra and duration evaluator (no cuts, no critical
-graphs), and every plan it returns is checked against that evaluator and
-the schedules' prefix sums.  The k-subsequence total keeps k rows of RSK
-(Greene's theorem) instead of patience piles, and the witnesses of ``klis
---exact`` come from a tail-state dynamic program, whose states are capped
-at ``MAX_KLIS_STATES``: an oracle that silently truncates would be worse
-than no oracle at all.
+They share no algorithm with the greedy paths: both optima are max-gain
+flows on one residual graph with its own Dijkstra.  Each crash plan is
+checked by the oracle's own duration evaluator and prefix sums, and each
+klis witness total against k rows of RSK (Greene's theorem).
 """
 
 from __future__ import annotations
@@ -19,14 +14,11 @@ from bisect import bisect
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceededError, NotCrashableError
+from .errors import NotCrashableError
 from .klis import SubseqSelection
 from .network import Plan, ProjectNetwork
 
 _INF = float("inf")
-_NEG_INF = float("-inf")
-
-MAX_KLIS_STATES = 100_000
 
 
 class _DurationEvaluator:
@@ -66,6 +58,88 @@ class _DurationEvaluator:
         return dist[self.sink_index]
 
 
+class _Residual:
+    """Residual arcs of integer gain: arc a runs to ``heads[a]``, and
+    ``a ^ 1`` is its reverse, with the negated gain and no capacity until
+    flow is pushed.  The forward arcs form a DAG."""
+
+    def __init__(self, n: int):
+        self.out = [[] for _ in range(n)]
+        self.heads, self.gains, self.caps = [], [], []
+
+    def add_arc(self, u: int, v: int, gain: int, cap) -> None:
+        a = len(self.heads)
+        self.out[u].append(a)
+        self.out[v].append(a + 1)
+        self.heads.extend((v, u))
+        self.gains.extend((gain, -gain))
+        self.caps.extend((cap, 0))
+
+    def potentials(self, order) -> list[int]:
+        """Longest gains before any flow, relaxing nodes in ``order``, a
+        topological order of the forward arcs."""
+        potential = [0] * len(self.out)
+        for u in order:
+            for a in self.out[u]:
+                v, gain = self.heads[a], potential[u] + self.gains[a]
+                if self.caps[a] and gain > potential[v]:
+                    potential[v] = gain
+        return potential
+
+    def augment(self, potential: list[int], s: int, t: int, target: int) -> int:
+        """Push flow along longest residual s-t paths while one gains G > T =
+        ``target``; return the sum of amount * (G - T).  Paths with no
+        capacity limit must gain at most T."""
+        caps = self.caps
+        total = 0
+        while True:
+            parent = self.longest(potential, {s: 0})
+            gain = potential[t]
+            if gain <= target:
+                return total
+            path = []
+            v = t
+            while v != s:
+                path.append(parent[v])
+                v = self.heads[parent[v] ^ 1]
+            amount = min(caps[a] for a in path)
+            for a in path:
+                caps[a] -= amount
+                caps[a ^ 1] += amount
+            total += amount * (gain - target)
+
+    def longest(self, potential: list[int], starts: dict[int, int]) -> list[int]:
+        """Longest gains from the start nodes over the residual arcs, by
+        Dijkstra on reduced costs ``potential[v] - potential[u] - gain >= 0``;
+        ``starts`` maps each start node to its reduced label.  Updates
+        ``potential`` in place and returns each node's last arc (-1 for none).
+        """
+        out, heads, gains, caps = self.out, self.heads, self.gains, self.caps
+        reduced = [_INF] * len(potential)
+        parent = [-1] * len(potential)
+        heap = []
+        for v, label in starts.items():
+            reduced[v] = label
+            heap.append((label, v))
+        heapq.heapify(heap)
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > reduced[u]:
+                continue
+            base = du - potential[u]
+            for a in out[u]:
+                if caps[a]:
+                    v = heads[a]
+                    dv = base + potential[v] - gains[a]
+                    if dv < reduced[v]:
+                        reduced[v] = dv
+                        parent[v] = a
+                        heapq.heappush(heap, (dv, v))
+        for v, dv in enumerate(reduced):
+            potential[v] -= dv
+        return parent
+
+
 def exact_crash_cost(net: ProjectNetwork, k: int) -> tuple[Plan, Fraction]:
     """Cheapest plan shortening the project by at least k days, by max-gain flow.
 
@@ -93,62 +167,28 @@ def exact_crash_cost(net: ProjectNetwork, k: int) -> tuple[Plan, Fraction]:
         raise NotCrashableError(f"k_max is {base - floor}, no {k}-day plan exists")
     target = base - k
 
-    # Residual arcs: arc a runs to heads[a], and a ^ 1 is its reverse, with
-    # the negated gain and no capacity until flow is pushed.
     scale = math.lcm(*(c.denominator for e in net.edges for c in e.cost_schedule))
     index = evaluator.index
-    heads: list[int] = []
-    gains: list[int] = []
-    caps: list = []
-    out: list[list[int]] = [[] for _ in net.nodes]
-
-    def add_arc(u: int, v: int, gain: int, cap) -> None:
-        out[u].append(len(heads))
-        out[v].append(len(heads) + 1)
-        heads.extend((v, u))
-        gains.extend((gain, -gain))
-        caps.extend((cap, 0))
-
+    graph = _Residual(len(net.nodes))
     for e in net.edges:
         u, v = index[e.src], index[e.dst]
         previous = 0
         for i, c in enumerate(e.cost_schedule):
             scaled = c.numerator * (scale // c.denominator)
             if scaled > previous:
-                add_arc(u, v, e.normal_len - i, scaled - previous)
+                graph.add_arc(u, v, e.normal_len - i, scaled - previous)
             previous = scaled
-        add_arc(u, v, e.min_len, _INF)
+        # A path of these arcs only gains at most ``floor <= target``.
+        graph.add_arc(u, v, e.min_len, _INF)
 
-    # Longest distances before any flow: the forward arcs form a DAG.
-    potential = [0] * len(net.nodes)
-    for u in evaluator.order:
-        for a in out[u]:
-            if caps[a] and potential[u] + gains[a] > potential[heads[a]]:
-                potential[heads[a]] = potential[u] + gains[a]
-
+    potential = graph.potentials(evaluator.order)
     s, t = index[net.source], index[net.sink]
-    opt = 0
-    while True:
-        parent = _longest_residual(out, heads, gains, caps, potential, {s: 0})
-        gain = potential[t]
-        if gain <= target:
-            break
-        path = []
-        v = t
-        while v != s:
-            path.append(parent[v])
-            v = heads[parent[v] ^ 1]
-        # A path of unlimited arcs only gains at most ``floor <= target``.
-        amount = min(caps[a] for a in path)
-        for a in path:
-            caps[a] -= amount
-            caps[a ^ 1] += amount
-        opt += amount * (gain - target)
+    opt = graph.augment(potential, s, t, target)
 
     # With flow, the return arc t -> s of gain -T is matched by s -> t of
     # gain T, so the sink's potential is exactly T; without, at most T.
     if opt:
-        _longest_residual(out, heads, gains, caps, potential, {s: 0, t: potential[t] - target})
+        graph.longest(potential, {s: 0, t: potential[t] - target})
     amounts = [
         min(max(e.normal_len - (potential[index[e.dst]] - potential[index[e.src]]), 0),
             e.crashable_days)
@@ -157,37 +197,6 @@ def exact_crash_cost(net: ProjectNetwork, k: int) -> tuple[Plan, Fraction]:
     cost = Fraction(opt, scale)
     _check_plan(net, evaluator, target, amounts, cost)
     return Plan({e.id: x for e, x in zip(net.edges, amounts) if x > 0}), cost
-
-
-def _longest_residual(out, heads, gains, caps, potential, starts) -> list[int]:
-    """Longest gains from the start nodes over the residual arcs, by Dijkstra
-    on reduced costs ``potential[v] - potential[u] - gain >= 0``; ``starts``
-    maps each start node to its reduced label.  Updates ``potential`` in
-    place and returns each node's last arc (-1 for none).
-    """
-    reduced = [_INF] * len(potential)
-    parent = [-1] * len(potential)
-    heap = []
-    for v, label in starts.items():
-        reduced[v] = label
-        heap.append((label, v))
-    heapq.heapify(heap)
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > reduced[u]:
-            continue
-        base = du - potential[u]
-        for a in out[u]:
-            if caps[a]:
-                v = heads[a]
-                dv = base + potential[v] - gains[a]
-                if dv < reduced[v]:
-                    reduced[v] = dv
-                    parent[v] = a
-                    heapq.heappush(heap, (dv, v))
-    for v, dv in enumerate(reduced):
-        potential[v] -= dv
-    return parent
 
 
 def _check_plan(
@@ -232,69 +241,49 @@ def exact_klis_total(values: Sequence[int], k: int) -> int:
 def exact_klis(values: Sequence[int], k: int) -> SubseqSelection:
     """Maximum-total k disjoint increasing subsequences, with witnesses.
 
-    Every assignment of positions to {unused, class 1..k} maps onto a path
-    through (position, sorted class-tails) states, so the search over that
-    state space is exact.  Every position's states are kept for the walk
-    back, and their number is checked as it grows: more than
-    ``MAX_KLIS_STATES`` raises BudgetExceededError.  Parts are returned
-    longest first.
+    A max-gain flow of at most k units.  Position i is an arc of gain 1 and
+    capacity 1 beside a bypass of gain 0, and i leads to j > i only where j
+    covers i: no value between them lies strictly between theirs (equal
+    values are never comparable), at most n²/4 pairs.  So each unit, walked
+    from the source, is one increasing subsequence.  A total other than
+    ``exact_klis_total`` raises RuntimeError.  Parts are returned longest
+    first.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
 
-    start = (_NEG_INF,) * k
-    states: dict[tuple, int] = {start: 0}
-    parents: list[dict[tuple, tuple[tuple, object]]] = []
-    held = 1
+    # Node 0 is the source, 1 the hub, 2i + 2 and 2i + 3 the two ends of
+    # position i, and 2n + 2 the sink.
+    sink = 2 * len(values) + 2
+    graph = _Residual(sink + 1)
+    graph.add_arc(0, 1, 0, k)
+    for i, v in enumerate(values):
+        head = 2 * i + 3
+        graph.add_arc(1, head - 1, 0, k)
+        graph.add_arc(head - 1, head, 1, 1)
+        graph.add_arc(head - 1, head, 0, k)
+        graph.add_arc(head, sink, 0, k)
+        bound = _INF
+        for j, w in enumerate(values[i + 1:], i + 1):
+            if v < w <= bound:
+                bound = w
+                graph.add_arc(head, 2 * j + 2, 0, k)
+    graph.augment(graph.potentials(range(sink + 1)), 0, sink, 0)
 
-    for v in values:
-        nxt: dict[tuple, int] = {}
-        back: dict[tuple, tuple[tuple, object]] = {}
-        for tails, count in states.items():
-            if tails not in nxt or count > nxt[tails]:
-                nxt[tails] = count
-                back[tails] = (tails, None)
-            seen = set()
-            for tail in tails:
-                if tail in seen or tail >= v:
-                    continue
-                seen.add(tail)
-                grown = list(tails)
-                grown.remove(tail)
-                grown.append(v)
-                grown_key = tuple(sorted(grown))
-                if grown_key not in nxt or count + 1 > nxt[grown_key]:
-                    nxt[grown_key] = count + 1
-                    back[grown_key] = (tails, tail)
-            if held + len(nxt) > MAX_KLIS_STATES:
-                raise BudgetExceededError(
-                    f"the exact DP would hold more than its budget of {MAX_KLIS_STATES} states"
-                )
-        held += len(nxt)
-        states = nxt
-        parents.append(back)
+    # The flow on forward arc 2m is its reverse's capacity.
+    flow = graph.caps[1::2]
+    parts = [[] for _ in range(k)]
+    for part in parts[:flow[0]]:
+        u = 1
+        while u != sink:
+            a = next(a for a in graph.out[u] if not a & 1 and flow[a >> 1])
+            flow[a >> 1] -= 1
+            if graph.gains[a]:
+                part.append(u // 2 - 1)
+            u = graph.heads[a]
+    total, greene = sum(len(part) for part in parts), exact_klis_total(values, k)
+    if total != greene:
+        raise RuntimeError(f"oracle witnesses total {total}, not Greene's {greene}")
 
-    best_count = max(states.values())
-    best_tails = min(t for t, c in states.items() if c == best_count)
-
-    actions: list[object] = []
-    cur = best_tails
-    for back in reversed(parents):
-        prev, action = back[cur]
-        actions.append(action)
-        cur = prev
-    actions.reverse()
-
-    classes: list[list[int]] = [[] for _ in range(k)]
-    live = [_NEG_INF] * k
-    for i, action in enumerate(actions):
-        if action is None:
-            continue
-        slot = live.index(action)
-        classes[slot].append(i)
-        live[slot] = values[i]
-
-    classes.sort(key=lambda part: (-len(part), part))
-    rounds = tuple(tuple(part) for part in classes)
-    return SubseqSelection(rounds, sum(len(r) for r in rounds))
-
+    parts.sort(key=lambda part: (-len(part), part))
+    return SubseqSelection(tuple(tuple(part) for part in parts), total)

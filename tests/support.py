@@ -2,10 +2,14 @@
 
 Everything here enumerates or sums directly: paths for durations and
 criticality, node partitions for cuts, index subsets for subsequences,
-schedule prefixes for plan costs, and integer plans for the exact crash
-cost.  None of it shares code with the library's fast paths, so agreement is
-meaningful.  The plan enumeration, `reference_exact_crash_cost`, reads the
-network's topological order, which the oracle it checks never uses.
+schedule prefixes for plan costs, integer plans for the exact crash cost,
+and tail states for the exact k subsequences.  None of it shares code with
+the library's fast paths, so agreement is meaningful.  The plan
+enumeration, `reference_exact_crash_cost`, reads the network's topological
+order, which the oracle it checks never uses; the tail-state search,
+`reference_exact_klis`, is exponential in k and checks both the klis flow's
+witnesses and the RSK totals.  `full_plan`, every edge crashed to its
+minimum, builds the floor network the tests compare `k_max` against.
 
 The exception is the named reference path.  `Arc`, `FlowGraph`, `CutResult`
 and `min_cut` are flow graphs and cuts by name, and `critical_graph` is a
@@ -29,6 +33,7 @@ from fractions import Fraction
 
 from kgreedy.cli import main
 from kgreedy.flow import UNBOUNDED, Capacity, min_cut_indexed
+from kgreedy.klis import SubseqSelection
 from kgreedy.network import (
     Plan,
     ProjectNetwork,
@@ -128,6 +133,11 @@ def merge(plan, other):
     return Plan(merged)
 
 
+def full_plan(net):
+    """The maximal plan: every edge crashed to its minimum length."""
+    return Plan({e.id: e.crashable_days for e in net.edges if e.crashable_days > 0})
+
+
 def plan_cost(net, plan):
     """Reference cost of a plan: the first x schedule entries of each edge, summed."""
     by_id = {e.id: e for e in net.edges}
@@ -180,6 +190,54 @@ def reference_exact_crash_cost(net, k):
     search(0, Fraction(0))
     assert best[0] is not None, f"no {k}-crashing plan"
     return Plan({e.id: x for e, x in zip(net.edges, best[1]) if x > 0}), best[0]
+
+
+def reference_exact_klis(values, k):
+    """Maximum-total k disjoint increasing subsequences by a tail-state DP.
+
+    Every assignment of positions to {unused, class 1..k} maps onto a path
+    through (position, sorted class-tails) states, so the search over that
+    state space is exact; its state count grows exponentially in k.  Parts
+    are returned longest first, as a SubseqSelection.
+    """
+    start = (float("-inf"),) * k
+    states = {start: 0}
+    parents = []
+    for v in values:
+        nxt, back = {}, {}
+        for tails, count in states.items():
+            if tails not in nxt or count > nxt[tails]:
+                nxt[tails] = count
+                back[tails] = (tails, None)
+            for tail in set(tails):
+                if tail >= v:
+                    continue
+                grown = list(tails)
+                grown.remove(tail)
+                grown_key = tuple(sorted(grown + [v]))
+                if grown_key not in nxt or count + 1 > nxt[grown_key]:
+                    nxt[grown_key] = count + 1
+                    back[grown_key] = (tails, tail)
+        states = nxt
+        parents.append(back)
+
+    best_count = max(states.values())
+    cur = min(t for t, c in states.items() if c == best_count)
+    actions = []
+    for back in reversed(parents):
+        cur, action = back[cur]
+        actions.append(action)
+    actions.reverse()
+
+    classes = [[] for _ in range(k)]
+    live = [float("-inf")] * k
+    for i, action in enumerate(actions):
+        if action is not None:
+            slot = live.index(action)
+            classes[slot].append(i)
+            live[slot] = values[i]
+    classes.sort(key=lambda part: (-len(part), part))
+    return SubseqSelection(tuple(tuple(part) for part in classes), best_count)
 
 
 def reference_greedy(net, k):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kgreedy import crashing, generators, klis, network
+from kgreedy import crashing, generators, klis, network, oracle
 from kgreedy.cli import main
 from kgreedy.network import network_from_json, validate
 from support import assert_exit_defined, plan_cost
@@ -78,11 +78,13 @@ def test_klis_experiment_of_length_40_exits_zero(capsys):
     assert all(row.endswith(",yes") for row in rows)
 
 
-def test_klis_exact_over_state_budget_exits_three(tmp_path):
+def test_klis_exact_on_60_elements_exits_zero(tmp_path, capsys):
+    values = generators.random_sequence(60, 1000, seed=1)
     seq = tmp_path / "seq.txt"
-    seq.write_text(klis.format_sequence(generators.random_sequence(60, 1000, seed=1)))
-    err = assert_exit_defined(["klis", "-k", "4", "--exact", "--input", str(seq)], {3})
-    assert err.startswith("error: ") and "budget" in err
+    seq.write_text(klis.format_sequence(values))
+    code, out = run(capsys, ["klis", "-k", "4", "--exact", "--input", str(seq)])
+    assert code == 0
+    assert json.loads(out)["total"] == oracle.exact_klis_total(values, 4) == 38
 
 
 def test_shell_exit_codes(tmp_path):
@@ -363,6 +365,19 @@ class TestExperiment:
             assert row[4] == str(k * k)
             assert row[5] == want_ratio
             assert row[7] == "yes"
+
+    @pytest.mark.parametrize("broken", [
+        lambda parts: parts[1:],
+        lambda parts: [parts[0] + parts[1][:1], parts[1][1:], *parts[2:]],
+        lambda parts: [parts[0], *parts[:-1]],
+    ], ids=["part-missing", "part-not-increasing", "part-repeated"])
+    def test_broken_matrix_optimum_raises_even_under_dash_o(self, monkeypatch, broken):
+        # an assert would vanish under python -O; this check must not
+        parts = generators.matrix_optimal_parts
+        monkeypatch.setattr(generators, "matrix_optimal_parts", lambda k: broken(parts(k)))
+        with pytest.raises(RuntimeError, match="bad staircase optimum for k=3"):
+            main(["experiment", "--problem", "klis", "--generator", "matrix",
+                  "--trials", "1", "-k", "3"])
 
     def test_matrix_generator_rejected_for_crashing(self, capsys):
         code = main(["experiment", "--problem", "crashing", "--generator", "matrix",

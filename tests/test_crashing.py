@@ -27,7 +27,6 @@ from kgreedy.network import (
     ProjectNetwork,
     apply_plan,
     duration,
-    full_plan,
     k_max,
     linear_schedule,
 )
@@ -37,6 +36,7 @@ from support import (
     critical_graph,
     edge_ids,
     failures,
+    full_plan,
     merge,
     plan_cost,
     reference_decompose,

@@ -13,8 +13,8 @@ nx = pytest.importorskip("networkx")
 
 from kgreedy.flow import UNBOUNDED
 from kgreedy.generators import RandomNetSpec, random_network
-from kgreedy.network import apply_plan, duration, full_plan
-from support import Arc, FlowGraph, cut_capacity, min_cut
+from kgreedy.network import apply_plan, duration
+from support import Arc, FlowGraph, cut_capacity, full_plan, min_cut
 
 
 def _random_graph(seed, capacity=lambda rng: Fraction(rng.randint(0, 9))):

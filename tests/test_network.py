@@ -14,7 +14,6 @@ from kgreedy.network import (
     ProjectNetwork,
     apply_plan,
     duration,
-    full_plan,
     is_k_crashing,
     k_max,
     linear_schedule,
@@ -28,6 +27,7 @@ from support import (
     brute_duration,
     critical_graph,
     edge_ids,
+    full_plan,
     merge,
     plan_cost,
     removing_disconnects,

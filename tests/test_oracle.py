@@ -1,11 +1,11 @@
 import random
-import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from kgreedy.errors import BudgetExceededError, NotCrashableError
+from kgreedy import oracle
+from kgreedy.errors import NotCrashableError
 from kgreedy.generators import (
     RandomNetSpec,
     counterexample_network,
@@ -16,7 +16,6 @@ from kgreedy.generators import (
 )
 from kgreedy.network import Edge, Plan, ProjectNetwork, is_k_crashing, k_max, linear_schedule
 from kgreedy.oracle import (
-    MAX_KLIS_STATES,
     _check_plan,
     _DurationEvaluator,
     exact_crash_cost,
@@ -28,6 +27,7 @@ from support import (
     brute_lis_length,
     plan_cost,
     reference_exact_crash_cost,
+    reference_exact_klis,
 )
 
 
@@ -181,18 +181,46 @@ class TestExactKlis:
                 assert exact_klis(values, k).total_length == exact_klis(remapped, k).total_length
 
     def test_twelve_elements_at_k_four(self):
-        # (k+1)^n is 5^12 here, but the DP holds a few thousand states
         values = [4, 8, 3, 1, 6, 4, 9, 6, 2, 5, 1, 5]
         sel = exact_klis(values, 4)
         assert sel.total_length == 11
         assert_valid_selection(sel, values, 4)
         assert exact_klis(list(range(12)), 4).total_length == 12
 
-    def test_state_budget_fails_fast(self):
-        started = time.monotonic()
-        with pytest.raises(BudgetExceededError, match=f"budget of {MAX_KLIS_STATES} states"):
-            exact_klis(random_sequence(60, 1000, seed=1), 4)
-        assert time.monotonic() - started < 5.0
+    def test_sixty_elements_at_k_four(self):
+        # the tail-state search holds over 100,000 states here
+        values = random_sequence(60, 1000, seed=1)
+        sel = exact_klis(values, 4)
+        assert sel.total_length == exact_klis_total(values, 4) == 38
+        assert_valid_selection(sel, values, 4)
+
+    def test_matches_tail_state_dp(self):
+        for values, k in _small_klis_inputs():
+            sel = exact_klis(values, k)
+            assert sel.total_length == reference_exact_klis(values, k).total_length, (values, k)
+            assert_valid_selection(sel, values, k)
+
+    def test_matches_greene_at_scale(self):
+        rng = random.Random(7)
+        cases = []
+        for _ in range(20):
+            n = rng.randint(300, 3000)
+            values = random_sequence(n, rng.choice([n // 10, n, 10 * n]), seed=rng.randrange(10**6))
+            cases.append((values, rng.randint(1, 6)))
+        # each of the first 200 values is covered by each of the last 200
+        cases.append((list(range(200, 0, -1)) + list(range(400, 200, -1)), 4))
+        cases += [(matrix_sequence(k)[0], k) for k in range(1, 9)]
+        for values, k in cases:
+            sel = exact_klis(values, k)
+            assert sel.total_length == exact_klis_total(values, k), (len(values), k)
+            assert_valid_selection(sel, values, k)
+
+    def test_self_check_rejects_a_total_off_by_one(self, monkeypatch):
+        values = [4, 8, 3, 1, 6, 4, 9, 6, 2, 5, 1, 5]
+        greene = oracle.exact_klis_total
+        monkeypatch.setattr(oracle, "exact_klis_total", lambda values, k: greene(values, k) + 1)
+        with pytest.raises(RuntimeError, match="witnesses total 11, not Greene's 12"):
+            exact_klis(values, 4)
 
     def test_single_class_agrees_with_both_lis_routes(self):
         from kgreedy.klis import lis
@@ -206,12 +234,9 @@ class TestExactKlis:
 
 class TestExactKlisTotal:
     def test_matches_tail_state_dp(self):
-        # n <= 11 and value ranges from 3 to 20, so values repeat
-        for seed in range(3000):
-            rng = random.Random(seed)
-            values = [rng.randint(1, rng.randint(3, 20)) for _ in range(rng.randint(0, 11))]
-            k = rng.randint(1, 4)
-            assert exact_klis_total(values, k) == exact_klis(values, k).total_length, (values, k)
+        for values, k in _small_klis_inputs():
+            assert exact_klis_total(values, k) == reference_exact_klis(values, k).total_length, (
+                values, k)
 
     def test_staircase_is_k_squared(self):
         for k in range(1, 9):
@@ -225,6 +250,15 @@ class TestExactKlisTotal:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             exact_klis_total([1, 2], 0)
+
+
+def _small_klis_inputs():
+    """3,000 seeded (values, k): n <= 11 and value ranges from 3 to 20, so
+    values repeat, and k from 1 to 4."""
+    for seed in range(3000):
+        rng = random.Random(seed)
+        values = [rng.randint(1, rng.randint(3, 20)) for _ in range(rng.randint(0, 11))]
+        yield values, rng.randint(1, 4)
 
 
 def _cross_check_networks(form):
