@@ -10,7 +10,6 @@ from .crashing import (
     greedy_crash,
     verify_trace,
 )
-from .flow import UNBOUNDED
 from .generators import (
     RandomNetSpec,
     counterexample_network,
@@ -48,7 +47,6 @@ __all__ = [
     "ProjectNetwork",
     "RandomNetSpec",
     "SubseqSelection",
-    "UNBOUNDED",
     "apply_plan",
     "cost_ratio_bound",
     "counterexample_network",

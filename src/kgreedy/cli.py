@@ -298,8 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
     kl = sub.add_parser("klis", help="extract k disjoint increasing subsequences")
     kl.add_argument("-k", type=_count, required=True)
     kl.add_argument("--input", help="sequence file (default: stdin)")
-    kl.add_argument("--exact", action="store_true", help="exact optimum instead of greedy")
-    kl.add_argument("--script", help="JSON file with one index list per round to replay")
+    kl_mode = kl.add_mutually_exclusive_group()
+    kl_mode.add_argument("--exact", action="store_true", help="exact optimum instead of greedy")
+    kl_mode.add_argument("--script", help="JSON file with one index list per round to replay")
 
     li = sub.add_parser("lis", help="one longest increasing subsequence")
     li.add_argument("--input", help="sequence file (default: stdin)")

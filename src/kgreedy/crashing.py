@@ -2,13 +2,14 @@
 
 The greedy algorithm shortens the project one day at a time: each step
 computes the critical graph, prices every still-crashable critical edge at
-its next marginal cost (exhausted edges get unbounded capacity), and takes a
-minimum s-t cut as the cheapest one-day plan.  Convex schedules work
-transparently because the next marginal cost is always the head of the
-remaining schedule.  The network is indexed once per call, over one
-topological order, and the days run on plain lists by edge position (current
-lengths, schedule entries used) through ``flow.min_cut_indexed``, so no day
-builds a network, edge or flow-graph object.
+its next marginal cost (an exhausted edge gets capacity ``None``, no limit,
+so no cut crosses it), and takes a minimum s-t cut as the cheapest one-day
+plan.  Convex schedules work transparently because the next marginal cost is
+always the head of the remaining schedule.  The network is indexed once per
+call, over one topological order, and the days run on plain lists by edge
+position (current lengths, schedule entries used) through
+``flow.min_cut_indexed``, so no day builds a network, edge or flow-graph
+object.
 
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
 restricted minimum cuts whose costs are provably monotone.  It runs on the
@@ -88,13 +89,13 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     durations: list[int] = []
     for i in range(1, k + 1):
         caps = [
-            schedule[j][used[j]] if used[j] < len(schedule[j]) else flow.UNBOUNDED
+            schedule[j][used[j]] if used[j] < len(schedule[j]) else None
             for j in critical
         ]
         crossing, _, cost = flow.min_cut_indexed(
             n, source, sink, [tails[j] for j in critical], [heads[j] for j in critical], caps
         )
-        if cost is flow.UNBOUNDED:
+        if cost is None:
             raise NotCrashableError(f"no {k}-day plan exists: day {i} cannot be saved")
         cut = [critical[p] for p in crossing]
         for j in cut:
@@ -161,7 +162,7 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
     length = [e.normal_len for e in net.edges]
     remaining = [plan.amounts.get(e.id, 0) for e in net.edges]
-    price = [e.cost_schedule[0] if e.cost_schedule else flow.UNBOUNDED for e in net.edges]
+    price = [e.cost_schedule[0] if e.cost_schedule else None for e in net.edges]
     live = range(len(length))  # the previous level's critical edges
     levels: list[TraceLevel] = []
     for i in range(1, k + 1):
@@ -170,9 +171,9 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
         critical = [j for j in kept if j in live]
         crossing, reached, cost = flow.min_cut_indexed(
             n, source, sink, [tails[j] for j in critical], [heads[j] for j in critical],
-            [price[j] if remaining[j] else flow.UNBOUNDED for j in critical],
+            [price[j] if remaining[j] else None for j in critical],
         )
-        if cost is flow.UNBOUNDED:
+        if cost is None:
             raise NotKCrashingError(
                 f"level {i}: the remaining plan contains no cut of the critical graph"
             )

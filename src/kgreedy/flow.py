@@ -1,17 +1,20 @@
 """Exact maximum flow / minimum s-t cut over rational capacities.
 
-Capacities are exact Fractions or the distinct ``UNBOUNDED`` sentinel; no
-"large finite number" stand-in is ever used, so unbounded cuts can never be
-confused with expensive finite ones.  The solver is Dinic's algorithm (Dinic
-1970) over one residual array that stores arcs in pairs: residual arc 2i runs
-along arc i and holds its unused capacity, and 2i+1 runs against it and holds
-its flow, so ``j ^ 1`` is the partner of residual arc ``j``.  The one entry
-point, ``min_cut_indexed``, takes nodes as indices 0..n-1 and arcs as
-parallel lists of tails, heads and capacities; its callers keep their own
-names, so the module has no graph type of its own.  Rooms are exact integers
-in units of 1/scale, where scale is the least common multiple of the finite
+Capacities are exact Fractions, or ``None`` for an arc without a capacity
+limit; no "large finite number" stand-in is ever used, and arithmetic or
+ordering on ``None`` raises, so unbounded cuts can never be confused with
+expensive finite ones.  The solver is Dinic's algorithm (Dinic 1970) over one
+residual array that stores arcs in pairs: residual arc 2i runs along arc i
+and holds its unused capacity, and 2i+1 runs against it and holds its flow,
+so ``j ^ 1`` is the partner of residual arc ``j``.  The one entry point,
+``min_cut_indexed``, takes nodes as indices 0..n-1 and arcs as parallel
+lists of tails, heads and capacities; its callers keep their own names, so
+the module has no graph type of its own.  Rooms are exact integers in units
+of 1/scale, where scale is the least common multiple of the finite
 capacities' denominators, so the flow stays exact while its inner loop adds
-and compares plain ints; the value is scaled back to a Fraction on return.
+and compares plain ints; the value is scaled back to a Fraction on
+return.  An arc without a limit has room ``math.inf``, which stays
+``math.inf`` under every addition and subtraction of a finite amount.
 
 Each phase labels nodes with their residual distance from the source by BFS,
 then augments a blocking flow along arcs that climb one level.  A depth-first
@@ -39,28 +42,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
-
-
-class _Unbounded:
-    """Singleton sentinel for arcs that no finite budget can saturate."""
-
-    def __repr__(self):
-        return "UNBOUNDED"
-
-    def __reduce__(self):
-        # copy and pickle resolve the module-level name, so they keep the one instance
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _Unbounded()
-
-Capacity = Union[Fraction, _Unbounded]
 
 
 def min_cut_indexed(
-    n: int, source: int, sink: int, tails: list[int], heads: list[int], caps: list[Capacity],
-) -> tuple[list[int], list[bool], Capacity]:
+    n: int, source: int, sink: int, tails: list[int], heads: list[int],
+    caps: list[Fraction | None],
+) -> tuple[list[int], list[bool], Fraction | None]:
     """A minimum s-t cut on nodes 0..n-1, with arc i running from
     ``tails[i]`` to ``heads[i]`` at capacity ``caps[i]``.
 
@@ -70,18 +57,17 @@ def min_cut_indexed(
     when no flow is possible: then the cut costs 0 and lists the
     zero-capacity arcs, if any, that leave the nodes reachable over positive
     capacity.  If every s-t cut crosses an unbounded arc, or the source is
-    the sink, no finite cut exists: the cost is UNBOUNDED and both lists
-    are empty.
+    the sink, no finite cut exists: the cost is None and both lists are
+    empty.
     """
-    # Rooms are never negative, so a truthy room is a usable residual arc;
-    # UNBOUNDED is truthy and never changes.
-    scale = math.lcm(*(c.denominator for c in caps if c is not UNBOUNDED))
+    # Rooms are never negative, so a truthy room is a usable residual arc.
+    scale = math.lcm(*(c.denominator for c in caps if c is not None))
     head: list[int] = []
-    room: list[int | _Unbounded] = []
+    room: list[int | float] = []
     out: list[list[int]] = [[] for _ in range(n)]
     for i, (u, v, c) in enumerate(zip(tails, heads, caps)):
         head += (v, u)
-        room += (c if c is UNBOUNDED else c.numerator * (scale // c.denominator), 0)
+        room += (math.inf if c is None else c.numerator * (scale // c.denominator), 0)
         out[u].append(2 * i)
         out[v].append(2 * i + 1)
     s, t = source, sink
@@ -116,15 +102,12 @@ def min_cut_indexed(
         u = s
         while True:
             if u == t:
-                bottleneck = min((room[j] for j in path if room[j] is not UNBOUNDED),
-                                 default=UNBOUNDED)
-                if bottleneck is UNBOUNDED:
-                    return [], [], UNBOUNDED
+                bottleneck = min((room[j] for j in path), default=math.inf)
+                if bottleneck == math.inf:
+                    return [], [], None
                 for j in path:
-                    if room[j] is not UNBOUNDED:
-                        room[j] -= bottleneck
-                    if room[j ^ 1] is not UNBOUNDED:
-                        room[j ^ 1] += bottleneck
+                    room[j] -= bottleneck
+                    room[j ^ 1] += bottleneck
                 total += bottleneck
                 # resume from the tail of the first arc the path saturated
                 k = next(k for k, j in enumerate(path) if not room[j])

@@ -151,15 +151,12 @@ def random_network(spec: RandomNetSpec) -> ProjectNetwork:
     return ProjectNetwork(nodes=nodes, source=nodes[0], sink=nodes[-1], edges=tuple(edges))
 
 
-def with_convex_schedules(
-    net: ProjectNetwork, cost_range: tuple[int, int] = (1, 9), seed: int = 0
-) -> ProjectNetwork:
-    """Replace every schedule with random non-decreasing per-day costs."""
+def with_convex_schedules(net: ProjectNetwork, seed: int = 0) -> ProjectNetwork:
+    """Replace every schedule with random non-decreasing per-day costs in 1..9."""
     rng = random.Random(seed)
-    lo, hi = cost_range
     edges = []
     for e in net.edges:
-        days = sorted(rng.randint(lo, hi) for _ in range(e.crashable_days))
+        days = sorted(rng.randint(1, 9) for _ in range(e.crashable_days))
         edges.append(replace(e, cost_schedule=tuple(as_cost(c) for c in days)))
     return ProjectNetwork(net.nodes, net.source, net.sink, tuple(edges))
 
@@ -168,5 +165,7 @@ def random_sequence(n: int, value_range: int, seed: int = 0) -> list[int]:
     """n seeded uniform integers in 1..value_range."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if value_range < 1:
+        raise ValueError("value range must be at least 1")
     rng = random.Random(seed)
     return [rng.randint(1, value_range) for _ in range(n)]

@@ -18,8 +18,6 @@ from .errors import NotCrashableError
 from .klis import SubseqSelection
 from .network import Plan, ProjectNetwork
 
-_INF = float("inf")
-
 
 class _DurationEvaluator:
     """Longest-path evaluation against a mutable edge-length vector."""
@@ -115,7 +113,7 @@ class _Residual:
         ``potential`` in place and returns each node's last arc (-1 for none).
         """
         out, heads, gains, caps = self.out, self.heads, self.gains, self.caps
-        reduced = [_INF] * len(potential)
+        reduced = [math.inf] * len(potential)
         parent = [-1] * len(potential)
         heap = []
         for v, label in starts.items():
@@ -179,7 +177,7 @@ def exact_crash_cost(net: ProjectNetwork, k: int) -> tuple[Plan, Fraction]:
                 graph.add_arc(u, v, e.normal_len - i, scaled - previous)
             previous = scaled
         # A path of these arcs only gains at most ``floor <= target``.
-        graph.add_arc(u, v, e.min_len, _INF)
+        graph.add_arc(u, v, e.min_len, math.inf)
 
     potential = graph.potentials(evaluator.order)
     s, t = index[net.source], index[net.sink]
@@ -263,7 +261,7 @@ def exact_klis(values: Sequence[int], k: int) -> SubseqSelection:
         graph.add_arc(head - 1, head, 1, 1)
         graph.add_arc(head - 1, head, 0, k)
         graph.add_arc(head, sink, 0, k)
-        bound = _INF
+        bound = math.inf
         for j, w in enumerate(values[i + 1:], i + 1):
             if v < w <= bound:
                 bound = w

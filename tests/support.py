@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from kgreedy.cli import main
-from kgreedy.flow import UNBOUNDED, Capacity, min_cut_indexed
+from kgreedy.flow import min_cut_indexed
 from kgreedy.klis import SubseqSelection
 from kgreedy.network import (
     Plan,
@@ -51,7 +51,7 @@ class Arc:
     id: str
     src: str
     dst: str
-    capacity: Capacity
+    capacity: Fraction | None
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class CutResult:
 
     cut_arcs: frozenset[str]
     source_side: frozenset[str]
-    cost: Capacity
+    cost: Fraction | None
 
 
 def min_cut(g):
@@ -113,7 +113,7 @@ def random_flow_graph(seed, max_nodes=7, max_arcs=12, unbounded_share=0.15,
     for j in range(rng.randint(1, max_arcs)):
         u, v = rng.sample(range(n), 2)
         if rng.random() < unbounded_share:
-            cap = UNBOUNDED
+            cap = None
         else:
             cap = capacity(rng)
         arcs.append(Arc(f"a{j}", nodes[u], nodes[v], cap))
@@ -254,11 +254,11 @@ def reference_greedy(net, k):
     for _ in range(k):
         critical = critical_graph(current)
         arcs = tuple(
-            Arc(e.id, e.src, e.dst, e.cost_schedule[0] if e.cost_schedule else UNBOUNDED)
+            Arc(e.id, e.src, e.dst, e.cost_schedule[0] if e.cost_schedule else None)
             for e in critical.edges
         )
         cut = min_cut(FlowGraph(critical.nodes, critical.source, critical.sink, arcs))
-        if cut.cost is UNBOUNDED:
+        if cut.cost is None:
             break
         day = Plan({edge_id: 1 for edge_id in cut.cut_arcs})
         current, plan = apply_plan(current, day), merge(plan, day)
@@ -290,11 +290,11 @@ def reference_decompose(net, plan, k):
     for _ in range(k):
         critical = critical_graph(current)
         arcs = tuple(
-            Arc(e.id, e.src, e.dst, e.cost_schedule[0] if remaining.get(e.id) else UNBOUNDED)
+            Arc(e.id, e.src, e.dst, e.cost_schedule[0] if remaining.get(e.id) else None)
             for e in critical.edges
         )
         cut = min_cut(FlowGraph(critical.nodes, critical.source, critical.sink, arcs))
-        assert cut.cost is not UNBOUNDED
+        assert cut.cost is not None
         levels.append(ReferenceLevel(
             current, critical, Plan(remaining), cut.cut_arcs, cut.cost, cut.source_side
         ))
@@ -410,13 +410,14 @@ def cut_capacity(g, side):
     """Sum of the finite capacities of the arcs leaving ``side``."""
     return sum(
         (a.capacity for a in g.arcs
-         if a.src in side and a.dst not in side and a.capacity is not UNBOUNDED),
+         if a.src in side and a.dst not in side and a.capacity is not None),
         Fraction(0),
     )
 
 
 def brute_min_cut_cost(g):
-    """Minimum cut cost over every (S, T) partition with s in S, t in T."""
+    """Minimum cut cost over every (S, T) partition with s in S, t in T;
+    None when every partition is crossed by an unbounded arc."""
     middle = [v for v in g.nodes if v not in (g.source, g.sink)]
     best = None
     for bits in itertools.product((0, 1), repeat=len(middle)):
@@ -425,7 +426,7 @@ def brute_min_cut_cost(g):
         unbounded = False
         for a in g.arcs:
             if a.src in src_side and a.dst not in src_side:
-                if a.capacity is UNBOUNDED:
+                if a.capacity is None:
                     unbounded = True
                     break
                 cost += a.capacity
@@ -433,7 +434,7 @@ def brute_min_cut_cost(g):
             continue
         if best is None or cost < best:
             best = cost
-    return UNBOUNDED if best is None else best
+    return best
 
 
 def brute_lis_length(values):

@@ -39,9 +39,16 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     (["crash", "--input", "{fig2}", "-k", "0", "--exact"], "argument -k: must be at least 1"),
     (["klis", "-k", "0", "--input", "{seq}", "--script", "{script}"],
      "argument -k: must be at least 1"),
+    (["klis", "-k", "2", "--input", "{seq}", "--exact", "--script", "{script}"],
+     "argument --script: not allowed with argument --exact"),
     (["experiment", "--problem", "klis", "--trials", "0", "-k", "2"],
      "argument --trials: must be at least 1"),
-], ids=["k-not-int", "no-input", "no-k", "crash-k-zero", "klis-k-zero-script", "zero-trials"])
+    (["gen", "random-seq", "-n", "3", "--range", "0"], "value range must be at least 1"),
+    (["experiment", "--problem", "klis", "--trials", "1", "-k", "2", "--range", "0"],
+     "value range must be at least 1"),
+], ids=["k-not-int", "no-input", "no-k", "crash-k-zero", "klis-k-zero-script",
+        "klis-exact-and-script", "zero-trials", "random-seq-range-zero",
+        "experiment-range-zero"])
 def test_usage_error_exits_three(tmp_path, fig2_path, argv, message):
     (tmp_path / "seq.txt").write_text("1,2,3\n")
     (tmp_path / "script.json").write_text("[]")

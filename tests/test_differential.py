@@ -11,7 +11,6 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from kgreedy.flow import UNBOUNDED
 from kgreedy.generators import RandomNetSpec, random_network
 from kgreedy.network import apply_plan, duration
 from support import Arc, FlowGraph, cut_capacity, full_plan, min_cut
@@ -32,7 +31,7 @@ def _random_graph(seed, capacity=lambda rng: Fraction(rng.randint(0, 9))):
             # an earlier arc's endpoints: a parallel or an anti-parallel arc
             prev = rng.choice(arcs)
             u, v = rng.choice([(prev.src, prev.dst), (prev.dst, prev.src)])
-        cap = UNBOUNDED if rng.random() < unbounded_share else capacity(rng)
+        cap = None if rng.random() < unbounded_share else capacity(rng)
         arcs.append(Arc(f"a{j}", u, v, cap))
     s, t = rng.sample(nodes, 2)
     return FlowGraph(nodes, s, t, tuple(arcs))
@@ -47,7 +46,7 @@ def _to_networkx(g, scale=1):
         if not G.has_edge(a.src, a.dst):
             G.add_edge(a.src, a.dst, capacity=0)
         attrs = G[a.src][a.dst]
-        if a.capacity is UNBOUNDED:
+        if a.capacity is None:
             attrs.pop("capacity", None)
         elif "capacity" in attrs:
             scaled = a.capacity * scale
@@ -80,7 +79,7 @@ def _check_min_cuts(graphs, scale_of=lambda g: 1):
         try:
             expected = nx.minimum_cut_value(G, g.source, g.sink)
         except nx.NetworkXUnbounded:
-            assert cut.cost is UNBOUNDED, seed
+            assert cut.cost is None, seed
             outcomes.add("unbounded")
             continue
         assert cut.cost == cut_capacity(g, cut.source_side), seed
@@ -101,7 +100,7 @@ def _denominator_lcm(g):
     """Least common multiple of the finite capacities' denominators."""
     lcm = 1
     for a in g.arcs:
-        if a.capacity is not UNBOUNDED:
+        if a.capacity is not None:
             q = a.capacity.denominator
             lcm = lcm * q // gcd(lcm, q)
     return lcm
@@ -121,8 +120,8 @@ def _layered_graph(seed):
     """``width`` by ``depth`` layers in which node j of a layer has arcs to
     nodes j and j + 1 (wrapping around) of the next one, the source feeds the
     first layer and the last feeds the sink: every source-to-sink path has
-    depth + 1 arcs, so all of them tie as shortest.  Capacities are rational,
-    a share of them UNBOUNDED (about a tenth in most graphs) and a few zero."""
+    depth + 1 arcs, so all of them tie as shortest.  Capacities are rational
+    or None (no limit, about a tenth in most graphs), and a few are zero."""
     rng = random.Random(seed)
     width, depth = rng.randint(2, 10), rng.randint(1, 12)
     unbounded_share = rng.choice([0.1, 0.1, 0.1, 0.5])
@@ -134,7 +133,7 @@ def _layered_graph(seed):
     for n, (u, v) in enumerate(pairs):
         draw = rng.random()
         if draw < unbounded_share:
-            cap = UNBOUNDED
+            cap = None
         elif draw < unbounded_share + 0.03:
             cap = Fraction(0)
         else:

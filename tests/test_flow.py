@@ -1,9 +1,7 @@
-import copy
 import math
-import pickle
 from fractions import Fraction
 
-from kgreedy.flow import UNBOUNDED, min_cut_indexed
+from kgreedy.flow import min_cut_indexed
 from support import (
     Arc,
     CutResult,
@@ -56,12 +54,12 @@ def test_sink_unreachable_gives_empty_cut():
 
 
 def test_unbounded_path_makes_cut_unbounded():
-    unbounded = (Arc("a", "s", "u", UNBOUNDED), Arc("b", "u", "t", UNBOUNDED))
+    unbounded = (Arc("a", "s", "u", None), Arc("b", "u", "t", None))
     # with arc c, the shorter finite path s-t is augmented before s-u-t is found
     for arcs in (unbounded, unbounded + (Arc("c", "s", "t", Fraction(3)),)):
         g = FlowGraph(("s", "u", "t"), "s", "t", arcs)
         cut = min_cut(g)
-        assert cut.cost is UNBOUNDED
+        assert cut.cost is None
         assert cut.cut_arcs == cut.source_side == frozenset()
 
 
@@ -70,28 +68,15 @@ def test_source_that_is_the_sink_has_no_finite_cut():
         nodes = ("s", "u") if arcs else ("s",)
         g = FlowGraph(nodes, "s", "s", arcs)
         cut = min_cut(g)
-        assert cut.cost is UNBOUNDED
+        assert cut.cost is None
         # no finite cut exists, so nothing can witness one
         assert cut.cut_arcs == cut.source_side == frozenset()
-
-
-def test_unbounded_survives_pickle_and_deepcopy():
-    g = FlowGraph(("s", "t"), "s", "t", (Arc("a", "s", "t", UNBOUNDED),))
-    cut = min_cut(g)
-    for value in (UNBOUNDED, cut, g):
-        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
-            assert clone == value
-    assert pickle.loads(pickle.dumps(UNBOUNDED)) is UNBOUNDED
-    assert copy.deepcopy(UNBOUNDED) is UNBOUNDED
-    assert pickle.loads(pickle.dumps(cut)).cost is UNBOUNDED
-    assert copy.deepcopy(cut).cost is UNBOUNDED
-    assert copy.deepcopy(g).arcs[0].capacity is UNBOUNDED
 
 
 def test_unbounded_arc_avoided_when_finite_cut_exists():
     g = FlowGraph(
         ("s", "u", "t"), "s", "t",
-        (Arc("a", "s", "u", UNBOUNDED), Arc("b", "u", "t", Fraction(4))),
+        (Arc("a", "s", "u", None), Arc("b", "u", "t", Fraction(4))),
     )
     cut = min_cut(g)
     assert cut.cut_arcs == {"b"}
@@ -103,8 +88,8 @@ def test_duality_and_minimality_random_suite():
         g = random_flow_graph(seed)
         cut = min_cut(g)
         brute = brute_min_cut_cost(g)
-        if brute is UNBOUNDED:
-            assert cut.cost is UNBOUNDED
+        if brute is None:
+            assert cut.cost is None
         else:
             assert cut.cost == cut_capacity(g, cut.source_side) == brute
 
@@ -113,7 +98,7 @@ def test_cut_partition_is_consistent():
     for seed in range(100):
         g = random_flow_graph(seed)
         cut = min_cut(g)
-        if cut.cost is UNBOUNDED:
+        if cut.cost is None:
             assert cut.cut_arcs == cut.source_side == frozenset()
             continue
         sink_side = set(g.nodes) - cut.source_side
@@ -196,12 +181,12 @@ def test_rational_capacities_random_suite():
     large_lcm = 0
     for seed in range(300):
         g = random_flow_graph(seed, max_arcs=20, capacity=rational)
-        finite = [a.capacity for a in g.arcs if a.capacity is not UNBOUNDED]
+        finite = [a.capacity for a in g.arcs if a.capacity is not None]
         large_lcm += math.lcm(*(c.denominator for c in finite)) > 10**4
         cut = min_cut(g)
         brute = brute_min_cut_cost(g)
-        if brute is UNBOUNDED:
-            assert cut.cost is UNBOUNDED, seed
+        if brute is None:
+            assert cut.cost is None, seed
             continue
         assert cut.cost == cut_capacity(g, cut.source_side) == brute, seed
         assert type(cut.cost) is Fraction, seed
@@ -214,7 +199,7 @@ def test_rational_capacities_random_suite():
             Arc("sa", "s", "a", Fraction(1, 3)),
             Arc("at", "a", "t", Fraction(1, 2)),
             Arc("sb", "s", "b", Fraction(1, 7)),
-            Arc("bt", "b", "t", UNBOUNDED),
+            Arc("bt", "b", "t", None),
             Arc("sc", "s", "c", Fraction(5, 1)),
             Arc("ct", "c", "t", Fraction(2, 11)),
         ),
@@ -232,8 +217,8 @@ def test_indexed_core_returns_positions_and_flags():
     caps = [Fraction(5), Fraction(2), Fraction(1, 3)]
     crossing, reached, cost = min_cut_indexed(3, 0, 2, tails, heads, caps)
     assert (crossing, reached, cost) == ([1, 2], [True, True, False], Fraction(7, 3))
-    assert min_cut_indexed(3, 0, 2, tails, heads, [UNBOUNDED] * 3) == ([], [], UNBOUNDED)
-    assert min_cut_indexed(1, 0, 0, [], [], []) == ([], [], UNBOUNDED)
+    assert min_cut_indexed(3, 0, 2, tails, heads, [None] * 3) == ([], [], None)
+    assert min_cut_indexed(1, 0, 0, [], [], []) == ([], [], None)
 
 
 def test_adapter_matches_indexed_core():

@@ -271,7 +271,7 @@ def _cross_check_networks(form):
     if form == "convex-suite":
         for seed in range(100):
             base = random_network(RandomNetSpec(node_count=5, edge_count=8, seed=seed))
-            yield with_convex_schedules(base, cost_range=(1, 9), seed=seed + 10_000)
+            yield with_convex_schedules(base, seed=seed + 10_000)
         return
     for seed in range(300):
         rng = random.Random(seed)
