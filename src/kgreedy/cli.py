@@ -202,21 +202,37 @@ def _klis_matrix_trial(args, seed: int):
     return _klis_outcome(k, greedy, k * k)
 
 
-# (problem, generator) -> (trial function, provenance line formatted with the args)
+# The problem options of `experiment`, each with its default.
+_PROBLEM_OPTIONS = {
+    "--nodes": 5,
+    "--edges": 8,
+    "--max-len": 5,
+    "--max-crashable": 2,
+    "--cost-min": 1,
+    "--cost-max": 9,
+    "--length": 12,
+    "--range": 9,
+}
+
+# (problem, generator) -> (trial function, the problem options it reads,
+# provenance line formatted with the args)
 _EXPERIMENTS = {
     ("crashing", "random"): (
         _crashing_trial,
+        ("--nodes", "--edges", "--max-len", "--max-crashable", "--cost-min", "--cost-max"),
         "# problem=crashing trials={a.trials} k={a.k} seed={a.seed} "
         "nodes={a.nodes} edges={a.edges} max-len={a.max_len} "
         "max-crashable={a.max_crashable} cost={a.cost_min}..{a.cost_max}",
     ),
     ("klis", "random"): (
         _klis_random_trial,
+        ("--length", "--range"),
         "# problem=klis trials={a.trials} k={a.k} seed={a.seed} "
         "length={a.length} range={a.range}",
     ),
     ("klis", "matrix"): (
         _klis_matrix_trial,
+        (),
         "# problem=klis generator=matrix trials={a.trials} k={a.k}",
     ),
 }
@@ -228,7 +244,21 @@ def _cmd_experiment(args) -> int:
         raise ValueError("the matrix generator applies to the klis problem only")
     if args.generator == "matrix" and args.trials > 1:
         raise ValueError("the matrix generator ignores the seed, so it takes --trials 1 only")
-    run_trial, provenance = experiment
+    run_trial, reads, provenance = experiment
+    # The parser leaves a problem option unset unless it is given, so an
+    # option the experiment would ignore is an error, not a silent no-op.
+    options = vars(args)
+    for flag, default in _PROBLEM_OPTIONS.items():
+        dest = flag[2:].replace("-", "_")
+        if flag in reads:
+            options.setdefault(dest, default)
+        elif dest in options:
+            raise ValueError(
+                f"argument {flag}: does not apply to "
+                f"--problem {args.problem} --generator {args.generator}"
+            )
+    if "--length" in reads and args.length < 0:
+        raise ValueError("argument --length: must be non-negative")
 
     lines = [provenance.format(a=args), "instance,seed,k,greedy,opt,ratio,bound,ok"]
     violations = 0
@@ -333,14 +363,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="klis instances: seeded random sequences, or the fixed "
                      "staircase instance for k with its adversarial script")
     exp.add_argument("--output", help="CSV path (default: stdout)")
-    exp.add_argument("--nodes", type=int, default=5)
-    exp.add_argument("--edges", type=int, default=8)
-    exp.add_argument("--max-len", type=int, default=5)
-    exp.add_argument("--max-crashable", type=int, default=2)
-    exp.add_argument("--cost-min", type=int, default=1)
-    exp.add_argument("--cost-max", type=int, default=9)
-    exp.add_argument("--length", type=int, default=12)
-    exp.add_argument("--range", type=int, default=9)
+    readers = {flag: f"{g} {p}" for (p, g), (_, reads, _) in _EXPERIMENTS.items() for flag in reads}
+    for flag, default in _PROBLEM_OPTIONS.items():
+        exp.add_argument(flag, type=int, default=argparse.SUPPRESS,
+                         help=f"{readers[flag]} experiments only (default {default})")
     return parser
 
 

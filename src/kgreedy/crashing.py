@@ -5,11 +5,11 @@ computes the critical graph, prices every still-crashable critical edge at
 its next marginal cost (an exhausted edge gets capacity ``None``, no limit,
 so no cut crosses it), and takes a minimum s-t cut as the cheapest one-day
 plan.  Convex schedules work transparently because the next marginal cost is
-always the head of the remaining schedule.  The network is indexed once per
-call, over one topological order, and the days run on plain lists by edge
-position (current lengths, schedule entries used) through
-``flow.min_cut_indexed``, so no day builds a network, edge or flow-graph
-object.
+always the head of the remaining schedule.  The days run over the
+network's topological index, which ``validate`` already left on it, and on
+plain lists by edge position (current lengths, schedule entries used)
+through ``flow.min_cut_indexed``, so no day builds a network, edge or
+flow-graph object.
 
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
 restricted minimum cuts whose costs are provably monotone.  It runs on the
@@ -36,7 +36,6 @@ from .network import (
     ProjectNetwork,
     _critical_positions,
     _longest_dists,
-    _topological_order,
     is_k_crashing,
 )
 
@@ -70,15 +69,15 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     """Run the one-day greedy k times, accumulating the plan as a multiset.
 
     With k = 1 the plan is a cheapest plan shortening the project by one day.
-    The network is indexed once, over one topological order, and the days
-    run on lists by edge position: each edge's current length and how many
-    of its schedule entries are used.  One longest-path pass per day gives
+    The days run over the network's topological index, computed once per
+    network, and on lists by edge position: each edge's current length and
+    how many of its schedule entries are used.  One longest-path pass per day gives
     both the duration the previous day reached and the critical edges the
     next day cuts.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    tails, heads, order = _topological_order(net)
+    tails, heads, order = net._index
     n = len(net.nodes)
     source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
     length = [e.normal_len for e in net.edges]
@@ -157,7 +156,7 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     if not is_k_crashing(net, plan, k):
         raise NotKCrashingError(f"plan shortens the project by fewer than {k} days")
 
-    tails, heads, order = _topological_order(net)
+    tails, heads, order = net._index
     n = len(net.nodes)
     source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
     length = [e.normal_len for e in net.edges]
@@ -251,7 +250,7 @@ def verify_trace(trace: DecompositionTrace) -> TraceReport:
     """
     net = trace.network
     ids = [e.id for e in net.edges]
-    tails, heads, order = _topological_order(net)
+    tails, heads, order = net._index
     n = len(net.nodes)
     source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
     base = _longest_dists(order, tails, heads, [e.normal_len for e in net.edges], n)[sink]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .network import Edge, ProjectNetwork, as_cost, linear_schedule
 
@@ -157,7 +157,7 @@ def with_convex_schedules(net: ProjectNetwork, seed: int = 0) -> ProjectNetwork:
     edges = []
     for e in net.edges:
         days = sorted(rng.randint(1, 9) for _ in range(e.crashable_days))
-        edges.append(replace(e, cost_schedule=tuple(as_cost(c) for c in days)))
+        edges.append(e._replace(cost_schedule=tuple(as_cost(c) for c in days)))
     return ProjectNetwork(net.nodes, net.source, net.sink, tuple(edges))
 
 

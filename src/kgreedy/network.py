@@ -6,16 +6,19 @@ per-day marginal cost schedule.  Shortening jobs ("crashing") reduces the
 project duration, which is the length of the longest source-to-sink path.
 
 All types are immutable after construction and all operations are pure, so
-values can be shared freely between workers.
+values can be shared freely between workers.  A network computes its
+topological index on first use and keeps it; the index is not a field, so it
+takes no part in equality, hashing or ``repr``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import NetworkValidationError, PlanOutOfBoundsError
 
@@ -54,14 +57,14 @@ def linear_schedule(cost, days: int) -> tuple[Fraction, ...]:
     return (as_cost(cost),) * days
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One job: a directed edge with crashing bounds and a cost schedule.
 
     ``normal_len`` is the uncrashed length in days, ``min_len`` the
     technological lower bound.  ``cost_schedule[d]`` is the marginal cost of
     the (d+1)-th day of shortening; its length must equal
-    ``normal_len - min_len``.
+    ``normal_len - min_len``.  A named tuple: it equals the plain tuple of
+    its fields, hot loops unpack it, and ``_replace`` updates it.
     """
 
     id: EdgeId
@@ -90,6 +93,11 @@ class ProjectNetwork:
     source: NodeId
     sink: NodeId
     edges: tuple[Edge, ...]
+
+    @cached_property
+    def _index(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """``_topological_order(self)``, computed once per network."""
+        return _topological_order(self)
 
 
 @dataclass(frozen=True)
@@ -133,35 +141,35 @@ def validate(net: ProjectNetwork) -> None:
         if endpoint not in node_set:
             raise NetworkValidationError(f"declared endpoint {endpoint!r} is not a node")
     seen_ids = set()
-    for e in net.edges:
-        if e.id in seen_ids:
-            raise NetworkValidationError(f"edge id {e.id!r} appears twice")
-        seen_ids.add(e.id)
-        if e.src not in node_set or e.dst not in node_set:
-            raise NetworkValidationError(f"edge {e.id!r} references an unknown node")
-        if e.min_len < 0 or e.min_len > e.normal_len:
+    for edge_id, src, dst, a, b, schedule in net.edges:
+        if edge_id in seen_ids:
+            raise NetworkValidationError(f"edge id {edge_id!r} appears twice")
+        seen_ids.add(edge_id)
+        if src not in node_set or dst not in node_set:
+            raise NetworkValidationError(f"edge {edge_id!r} references an unknown node")
+        if a < 0 or a > b:
             raise NetworkValidationError(
-                f"edge {e.id!r}: need 0 <= min_len <= normal_len, got ({e.min_len}, {e.normal_len})"
+                f"edge {edge_id!r}: need 0 <= min_len <= normal_len, got ({a}, {b})"
             )
-        if len(e.cost_schedule) != e.crashable_days:
+        if len(schedule) != b - a:
             raise NetworkValidationError(
-                f"edge {e.id!r}: schedule has {len(e.cost_schedule)} entries, "
-                f"expected {e.crashable_days}"
+                f"edge {edge_id!r}: schedule has {len(schedule)} entries, expected {b - a}"
             )
+        if not schedule:
+            continue
         # A non-decreasing schedule is non-negative once its first day is,
-        # and a constant one needs no day-by-day compare.
-        schedule = e.cost_schedule
-        if schedule and schedule[0].numerator < 0:
-            raise NetworkValidationError(f"edge {e.id!r}: negative cost at day 0")
-        if not e.is_linear():
+        # and a constant one needs no day-by-day compare (see Edge.is_linear).
+        if schedule[0].numerator < 0:
+            raise NetworkValidationError(f"edge {edge_id!r}: negative cost at day 0")
+        if schedule.count(schedule[0]) != len(schedule):
             for d in range(1, len(schedule)):
                 if schedule[d] < schedule[d - 1]:
                     raise NetworkValidationError(
-                        f"edge {e.id!r}: schedule must be non-decreasing (convex), "
+                        f"edge {edge_id!r}: schedule must be non-decreasing (convex), "
                         f"day {d} is cheaper than day {d - 1}"
                     )
 
-    tails, heads, _ = _topological_order(net)  # raises on a cycle
+    tails, heads, _ = net._index  # raises on a cycle
 
     # In a DAG whose only node without in-edges is the source and only node
     # without out-edges is the sink, walking back from any node ends at the
@@ -184,8 +192,10 @@ def validate(net: ProjectNetwork) -> None:
 #
 # The private routines work on positions: node i is ``net.nodes[i]`` and
 # edge i is ``net.edges[i]``, running from node ``tails[i]`` to ``heads[i]``.
+# A network keeps its ``_topological_order`` as ``net._index``, so every
+# consumer after the first reads it for free.
 
-def _topological_order(net: ProjectNetwork) -> tuple[list[int], list[int], list[int]]:
+def _topological_order(net: ProjectNetwork) -> tuple[tuple[int, ...], ...]:
     """Each edge's tail and head, and the edge positions listed in a
     topological order of their tails.
 
@@ -194,11 +204,13 @@ def _topological_order(net: ProjectNetwork) -> tuple[list[int], list[int], list[
     of it, raise NetworkValidationError.
     """
     index = {v: i for i, v in enumerate(net.nodes)}
-    tails = [index[e.src] for e in net.edges]
-    heads = [index[e.dst] for e in net.edges]
     indeg = [0] * len(net.nodes)
     outgoing: list[list[int]] = [[] for _ in net.nodes]
-    for i, (u, v) in enumerate(zip(tails, heads)):
+    tails, heads = [], []
+    for i, (_, src, dst, _, _, _) in enumerate(net.edges):
+        u, v = index[src], index[dst]
+        tails.append(u)
+        heads.append(v)
         indeg[v] += 1
         outgoing[u].append(i)
     free = [u for u, d in enumerate(indeg) if d == 0]
@@ -216,12 +228,10 @@ def _topological_order(net: ProjectNetwork) -> tuple[list[int], list[int], list[
     if freed != len(net.nodes):
         stuck = sorted(v for v, d in zip(net.nodes, indeg) if d > 0)
         raise NetworkValidationError(f"cycle through nodes {stuck}")
-    return tails, heads, order
+    return tuple(tails), tuple(heads), tuple(order)
 
 
-def _longest_dists(
-    order, tails: list[int], heads: list[int], lengths: list[int], n: int
-) -> list[int]:
+def _longest_dists(order, tails, heads, lengths, n: int) -> list[int]:
     """Longest distances to each of the n nodes, relaxing edge i from
     ``tails[i]`` to ``heads[i]`` at ``lengths[i]``, in ``order``.
 
@@ -238,7 +248,7 @@ def _longest_dists(
 
 
 def _critical_positions(
-    order: list[int], tails: list[int], heads: list[int], lengths: list[int], n: int, sink: int
+    order, tails, heads, lengths: list[int], n: int, sink: int
 ) -> tuple[list[int], int]:
     """The positions of the edges on some longest source-to-sink path, in
     edge order, and the duration; ``order`` is ``_topological_order``'s."""
@@ -252,11 +262,15 @@ def _critical_positions(
     return kept, total
 
 
+def _duration(net: ProjectNetwork, lengths) -> int:
+    """The longest source-to-sink path with edge i ``lengths[i]`` days long."""
+    tails, heads, order = net._index
+    return _longest_dists(order, tails, heads, lengths, len(net.nodes))[net.nodes.index(net.sink)]
+
+
 def duration(net: ProjectNetwork) -> int:
     """Project duration: length of the longest source-to-sink path, in days."""
-    tails, heads, order = _topological_order(net)
-    lengths = [e.normal_len for e in net.edges]
-    return _longest_dists(order, tails, heads, lengths, len(net.nodes))[net.nodes.index(net.sink)]
+    return _duration(net, [e.normal_len for e in net.edges])
 
 
 # -- plan application ---------------------------------------------------------
@@ -265,7 +279,9 @@ def apply_plan(net: ProjectNetwork, plan: Plan) -> ProjectNetwork:
     """The network with each edge shortened by its plan amount.
 
     Consumed schedule entries are dropped, so the next marginal cost of a
-    partially crashed edge is always ``cost_schedule[0]``.
+    partially crashed edge is always ``cost_schedule[0]``.  Crashing changes
+    lengths only, so the result shares the input's topological index once
+    the input has one.
     """
     amounts = plan.amounts
     applied = set()
@@ -283,16 +299,16 @@ def apply_plan(net: ProjectNetwork, plan: Plan) -> ProjectNetwork:
     if len(applied) < len(amounts):
         unknown = next(edge_id for edge_id in amounts if edge_id not in applied)
         raise PlanOutOfBoundsError(f"plan names unknown edge {unknown!r}")
-    return ProjectNetwork(net.nodes, net.source, net.sink, tuple(new_edges))
+    crashed = ProjectNetwork(net.nodes, net.source, net.sink, tuple(new_edges))
+    if "_index" in vars(net):
+        vars(crashed)["_index"] = net._index
+    return crashed
 
 
 def k_max(net: ProjectNetwork) -> int:
     """Largest achievable duration reduction."""
-    tails, heads, order = _topological_order(net)
-    n, sink = len(net.nodes), net.nodes.index(net.sink)
-    normal = _longest_dists(order, tails, heads, [e.normal_len for e in net.edges], n)
-    floor = _longest_dists(order, tails, heads, [e.min_len for e in net.edges], n)
-    return normal[sink] - floor[sink]
+    return (_duration(net, [e.normal_len for e in net.edges])
+            - _duration(net, [e.min_len for e in net.edges]))
 
 
 def is_k_crashing(net: ProjectNetwork, plan: Plan, k: int) -> bool:
@@ -379,21 +395,31 @@ def network_from_json(data: dict) -> ProjectNetwork:
         return parsed
 
     def name(v) -> str:
-        return v if type(v) is str else str(_json_value(v, (int, str), _NAME_RULE))
+        return str(_json_value(v, (int, str), _NAME_RULE))
 
     def days(v, rule: str) -> int:
-        return v if type(v) is int else _json_parsed(int, v, (int, str), rule)
+        return _json_parsed(int, v, (int, str), rule)
 
+    # Exact JSON types take the fast path inline; anything else goes through
+    # the helpers above, which accept or reject it as the rules say.
     edges = []
     for pos, rec in enumerate(_json_value(records, list, '"edges" must be a list')):
-        _json_value(rec, dict, "each edge must be a JSON object")
+        if type(rec) is not dict:
+            _json_value(rec, dict, "each edge must be a JSON object")
         try:
             edge_id, src, dst, a, b, c = _EDGE_KEYS(rec)
         except KeyError as missing:
             raise NetworkValidationError(f'edge {pos} has no "{missing.args[0]}"') from None
-        edge_id, src, dst = name(edge_id), name(src), name(dst)
-        a = days(a, '"a" must be a whole number of days')
-        b = days(b, '"b" must be a whole number of days')
+        if type(edge_id) is not str:
+            edge_id = name(edge_id)
+        if type(src) is not str:
+            src = name(src)
+        if type(dst) is not str:
+            dst = name(dst)
+        if type(a) is not int:
+            a = days(a, '"a" must be a whole number of days')
+        if type(b) is not int:
+            b = days(b, '"b" must be a whole number of days')
         if b - a > MAX_CRASHABLE_DAYS:
             raise NetworkValidationError(
                 f"edge {edge_id!r}: b - a = {b - a} exceeds {MAX_CRASHABLE_DAYS} crashable days"
@@ -401,10 +427,14 @@ def network_from_json(data: dict) -> ProjectNetwork:
         if isinstance(c, list):
             schedule = tuple([cost(x) for x in c])
         else:
-            schedule = (cost(c),) * max(b - a, 0)
+            # A negative count repeats to the empty tuple; validate rejects a > b.
+            parsed = costs.get((type(c), c)) if type(c) in _COST_TYPES else None
+            if parsed is None:
+                parsed = cost(c)
+            schedule = (parsed,) * (b - a)
         edges.append(Edge(edge_id, src, dst, a, b, schedule))
     _json_value(nodes, list, '"nodes" must be a list')
-    *nodes, source, sink = [name(v) for v in (*nodes, source, sink)]
+    *nodes, source, sink = [v if type(v) is str else name(v) for v in (*nodes, source, sink)]
     return ProjectNetwork(tuple(nodes), source, sink, tuple(edges))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kgreedy import crashing, generators, klis, network, oracle
+from kgreedy import cli, crashing, generators, klis, network, oracle
 from kgreedy.cli import main
 from kgreedy.network import network_from_json, validate
 from support import assert_exit_defined, plan_cost
@@ -411,3 +411,30 @@ class TestExperiment:
             capsys.readouterr()
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--problem", "crashing", "--range", "0"],
+     "argument --range: does not apply to --problem crashing --generator random"),
+    (["--problem", "klis", "--nodes", "6"],
+     "argument --nodes: does not apply to --problem klis --generator random"),
+    (["--problem", "klis", "--generator", "matrix", "--length", "4"],
+     "argument --length: does not apply to --problem klis --generator matrix"),
+    (["--problem", "klis", "--length", "-1"], "argument --length: must be non-negative"),
+], ids=["crashing-range", "klis-nodes", "matrix-length", "negative-length"])
+def test_experiment_rejects_options_it_would_not_read(argv, message):
+    err = assert_exit_defined(["experiment", "--trials", "1", "-k", "3", *argv], {3})
+    assert err == f"error: {message}\n"
+
+
+def test_crash_trace_orders_the_network_once(monkeypatch, fig2_path):
+    # Loading validates, and validation leaves the topological index on the
+    # network, so the greedy, the decomposition and its check reuse it.
+    calls = []
+    topological_order = network._topological_order
+    monkeypatch.setattr(network, "_topological_order",
+                        lambda net: calls.append(net) or topological_order(net))
+    net = cli._load_network(fig2_path)
+    plan = crashing.greedy_crash(net, 2).plan
+    assert crashing.verify_trace(crashing.decompose(net, plan, 2)).passed
+    assert len(calls) == 1

@@ -181,7 +181,7 @@ def reference_suite(count=300):
         net = random_network(spec)
         rng = random.Random(seed)
         scaled = tuple(
-            replace(e, cost_schedule=tuple(c / rng.randint(2, 7) for c in e.cost_schedule))
+            e._replace(cost_schedule=tuple(c / rng.randint(2, 7) for c in e.cost_schedule))
             for e in net.edges
         )
         yield net

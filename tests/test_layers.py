@@ -9,12 +9,15 @@ names the package binds, so a deleted API cannot stay exported, and every
 exported function and class has a caller in the library or the benchmark, so
 an API that only the tests read cannot stay in the library.  Every class
 in `errors.py` is raised somewhere in the package, or is a base of one that
-is, so an error class cannot outlive its last `raise`.
+is, so an error class cannot outlive its last `raise`.  And the CLI runs in
+an isolated interpreter loading nothing but the standard library and the
+package itself.
 """
 
 import ast
 import inspect
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -48,6 +51,52 @@ def test_absolute_imports_are_stdlib():
             if level == 0:
                 top = module.partition(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
+
+
+# Run in `python -I`, which ignores PYTHONPATH and the user's site directory,
+# with the source directory as its argument.  Modules loaded before the
+# package are the interpreter's own start-up, `.pth` hooks of site-packages
+# among them; every module loaded after must be built in, in the standard
+# library (not in site-packages, which lives inside it) or in the package.
+_ISOLATED_GEN_FIG2 = """
+import contextlib, io, os, sys, sysconfig
+
+started = set(sys.modules)
+src = sys.argv[1]
+sys.path.insert(0, src)
+import kgreedy.cli
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert kgreedy.cli.main(["gen", "fig2"]) == 0
+assert '"j1"' in out.getvalue()
+
+
+def roots(*names):
+    return {os.path.realpath(sysconfig.get_path(name)) for name in names}
+
+
+def under(path, dirs):
+    return any(path.startswith(d + os.sep) for d in dirs)
+
+
+stdlib, third_party = roots("stdlib", "platstdlib"), roots("purelib", "platlib")
+package = {os.path.realpath(os.path.join(src, "kgreedy"))}
+for name in sorted(set(sys.modules) - started):
+    path = getattr(sys.modules[name], "__file__", None)
+    if path is None:  # built in, or frozen
+        continue
+    path = os.path.realpath(path)
+    if not (under(path, package) or under(path, stdlib) and not under(path, third_party)):
+        print(name, path)
+"""
+
+
+def test_cli_loads_only_the_standard_library():
+    child = subprocess.run([sys.executable, "-I", "-c", _ISOLATED_GEN_FIG2, str(ROOT / "src")],
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "", f"modules from outside the standard library:\n{child.stdout}"
 
 
 def test_flow_imports_no_package_module():

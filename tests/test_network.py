@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import pickle
 import random
 import re
@@ -12,6 +14,7 @@ from kgreedy.network import (
     Edge,
     Plan,
     ProjectNetwork,
+    _topological_order,
     apply_plan,
     duration,
     is_k_crashing,
@@ -413,7 +416,33 @@ def _json_error_cases():
                        id="days-cap")
 
 
+# (changes to the second edge of a valid two-edge project whose first edge
+# costs 1, message): records with two faults, where the one the loader meets
+# first must be the one reported.
+_FIRST_FAULT_CASES = [
+    pytest.param({"id": None, "a": "x"}, f"{_NAME_RULE}, got None", id="bad-id-then-bad-a"),
+    pytest.param({"b": "x", "c": _MISSING}, 'edge 1 has no "c"', id="bad-b-with-missing-c"),
+    pytest.param({"a": 0, "b": 1_000_001, "c": [1, None]},
+                 "edge 'f': b - a = 1000001 exceeds 1000000 crashable days",
+                 id="days-cap-before-bad-list-item"),
+    pytest.param({"a": 5, "b": 3, "c": True}, f"{_JSON_RULES['c']}, got True",
+                 id="bool-cost-with-a-over-b"),
+]
+
+
 class TestJson:
+    @pytest.mark.parametrize("changes, message", _FIRST_FAULT_CASES)
+    def test_first_fault_wins(self, changes, message):
+        data = self._two_edge_project(1, 1)
+        for key, value in changes.items():
+            if value is _MISSING:
+                del data["edges"][1][key]
+            else:
+                data["edges"][1][key] = value
+        with pytest.raises(NetworkValidationError) as info:
+            network_from_json(data)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("key, value, message", _json_error_cases())
     def test_error_table(self, key, value, message):
         data = self._two_edge_project(1, 1)
@@ -539,3 +568,55 @@ class TestPlan:
     def test_pickle_round_trip(self):
         plan = Plan({"j1": 1, "j5": 2})
         assert pickle.loads(pickle.dumps(plan)) == plan
+
+
+class TestValues:
+    """Edges and networks are immutable, hashable values; a network's
+    cached topological index changes none of that."""
+
+    @staticmethod
+    def _validated():
+        net = counterexample_network()
+        validate(net)
+        assert "_index" in vars(net)
+        return net
+
+    def test_fields_cannot_be_assigned(self):
+        net = counterexample_network()
+        with pytest.raises(AttributeError):
+            net.edges[0].normal_len = 1
+        with pytest.raises(AttributeError):
+            net.nodes = ()
+
+    def test_edge_is_a_named_tuple_of_its_fields(self):
+        e = counterexample_network().edges[0]
+        assert e == ("j1", "1", "2", 1, 3, (Fraction(10),) * 2)
+        assert e._replace(normal_len=2, cost_schedule=e.cost_schedule[1:]) == Edge(
+            "j1", "1", "2", 1, 2, (Fraction(10),))
+        assert (e.crashable_days, e.is_linear()) == (2, True)
+
+    def test_round_trips_keep_equality_and_hash(self):
+        for net in (counterexample_network(), self._validated()):
+            for e in net.edges:
+                assert pickle.loads(pickle.dumps(e)) == e
+                assert hash(copy.deepcopy(e)) == hash(e)
+            for copied in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+                assert copied == net and hash(copied) == hash(net)
+                assert duration(copied) == 9
+
+    def test_cached_index_is_invisible(self):
+        plain, validated = counterexample_network(), self._validated()
+        assert validated == plain and hash(validated) == hash(plain)
+        assert repr(validated) == repr(plain)
+        assert len({plain, validated}) == 1
+
+    def test_replace_gets_a_fresh_index(self):
+        net = self._validated()
+        # the same jobs listed in reverse: every position moves
+        flipped = dataclasses.replace(net, edges=net.edges[::-1])
+        assert "_index" not in vars(flipped)
+        assert flipped._index == _topological_order(flipped) != net._index
+        assert duration(flipped) == duration(net) == 9
+
+    def test_index_is_read_only(self):
+        assert all(type(part) is tuple for part in self._validated()._index)

@@ -285,6 +285,6 @@ def _cross_check_networks(form):
             edges = []
             for e in net.edges:
                 d = rng.randint(2, 7)
-                edges.append(replace(e, cost_schedule=tuple(c / d for c in e.cost_schedule)))
+                edges.append(e._replace(cost_schedule=tuple(c / d for c in e.cost_schedule)))
             net = replace(net, edges=tuple(edges))
         yield net
