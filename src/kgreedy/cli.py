@@ -154,6 +154,17 @@ def _cmd_gen(args) -> int:
 # -- experiment -------------------------------------------------------------------
 
 def _net_spec(args, seed: int) -> generators.RandomNetSpec:
+    # The spec checks the same bounds, but its messages name its own fields.
+    for flag, value, low in (
+        ("--nodes", args.nodes, 2),
+        ("--edges", args.edges, args.nodes - 1),
+        ("--max-len", args.max_len, 1),
+        ("--max-crashable", args.max_crashable, 0),
+        ("--cost-min", args.cost_min, 1),
+        ("--cost-max", args.cost_max, args.cost_min),
+    ):
+        if value < low:
+            raise ValueError(f"argument {flag}: must be at least {low}")
     return generators.RandomNetSpec(
         node_count=args.nodes,
         edge_count=args.edges,

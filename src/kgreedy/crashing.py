@@ -11,9 +11,25 @@ plain lists by edge position (current lengths, schedule entries used)
 through ``flow.min_cut_indexed``, so no day builds a network, edge or
 flow-graph object.
 
+Each day starts its flow from the previous day's maximum flow, restricted to
+the new critical edges, so a later day usually costs the residual build and
+one BFS.  That flow is feasible on the new day.  The day's cut is the source
+side left by a maximum flow, so every forward cut arc is saturated and every
+backward one is empty; a flow path therefore crosses the cut exactly once,
+loses exactly one day, and stays a longest path, all its edges critical.
+So no flow sits on an edge that leaves the critical graph (``_carry``
+raises ``RuntimeError`` if some does).  Newly critical edges start empty,
+non-cut critical edges keep their capacity, and a cut edge moves to its
+next schedule entry (no smaller, for a non-decreasing schedule) or to no
+limit, so its saturating flow still fits.  A decreasing schedule, which
+``validate`` rejects but an unvalidated network may have, can leave a flow
+above its capacity; the flow core then drops the start and runs from zero.
+
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
 restricted minimum cuts whose costs are provably monotone.  It runs on the
-same position lists and flow core as the greedy's days, keeps the input
+same position lists and flow core as the greedy's days, warm-started the
+same way (a capacity only goes from the edge's price to no limit, when its
+plan units run out, and edges only leave the live set), keeps the input
 network once in the trace, and stores each level as lists by edge and node
 position: lengths, remaining plan units, critical edges, cut edges and the
 cut's reached nodes.  ``verify_trace`` derives the cut-overlap partitions
@@ -73,7 +89,7 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     network, and on lists by edge position: each edge's current length and
     how many of its schedule entries are used.  One longest-path pass per day gives
     both the duration the previous day reached and the critical edges the
-    next day cuts.
+    next day cuts, and each day's flow starts from the previous day's.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -84,6 +100,7 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     schedule = [e.cost_schedule for e in net.edges]
     used = [0] * len(length)
     critical, _ = _critical_positions(order, tails, heads, length, n, sink)
+    previous, max_flow = [], None  # the previous day's critical edges and flow
     steps: list[CrashStep] = []
     durations: list[int] = []
     for i in range(1, k + 1):
@@ -91,8 +108,9 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
             schedule[j][used[j]] if used[j] < len(schedule[j]) else None
             for j in critical
         ]
-        crossing, _, cost = flow.min_cut_indexed(
-            n, source, sink, [tails[j] for j in critical], [heads[j] for j in critical], caps
+        crossing, _, cost, max_flow = flow.min_cut_indexed(
+            n, source, sink, [tails[j] for j in critical], [heads[j] for j in critical], caps,
+            _carry(max_flow, previous, critical),
         )
         if cost is None:
             raise NotCrashableError(f"no {k}-day plan exists: day {i} cannot be saved")
@@ -100,6 +118,7 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
         for j in cut:
             length[j] -= 1
             used[j] += 1
+        previous = critical
         critical, reached = _critical_positions(order, tails, heads, length, n, sink)
         steps.append(CrashStep(edges=frozenset(net.edges[j].id for j in cut), cost=cost))
         durations.append(reached)
@@ -163,14 +182,16 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     remaining = [plan.amounts.get(e.id, 0) for e in net.edges]
     price = [e.cost_schedule[0] if e.cost_schedule else None for e in net.edges]
     live = range(len(length))  # the previous level's critical edges
+    previous, max_flow = [], None  # the same in edge order, and their flow
     levels: list[TraceLevel] = []
     for i in range(1, k + 1):
         # ``order`` holds the live edges only, but the kept list spans all.
         kept, _ = _critical_positions(order, tails, heads, length, n, sink)
         critical = [j for j in kept if j in live]
-        crossing, reached, cost = flow.min_cut_indexed(
+        crossing, reached, cost, max_flow = flow.min_cut_indexed(
             n, source, sink, [tails[j] for j in critical], [heads[j] for j in critical],
             [price[j] if remaining[j] else None for j in critical],
+            _carry(max_flow, previous, critical),
         )
         if cost is None:
             raise NotKCrashingError(
@@ -183,9 +204,24 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
         for j in cut:
             length[j] -= 1
             remaining[j] -= 1
-        live = set(critical)
+        previous, live = critical, set(critical)
         order = [j for j in order if j in live]
     return DecompositionTrace(net, tuple(levels))
+
+
+def _carry(max_flow, previous: list[int], critical: list[int]):
+    """The previous day's maximum flow on ``previous`` (edge positions),
+    restricted to the next day's critical edges: a start for the next day's
+    minimum cut, or None before the first day.  No flow may sit on an edge
+    that left the critical graph."""
+    if max_flow is None or critical == previous:
+        return max_flow
+    ints, scale = max_flow
+    carried = dict(zip(previous, ints))
+    start = [carried.pop(j, 0) for j in critical]
+    if any(carried.values()):
+        raise RuntimeError("flow left on an edge that left the critical graph")
+    return start, scale
 
 
 # -- trace verification -------------------------------------------------------

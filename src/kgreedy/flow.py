@@ -36,43 +36,76 @@ residual graph, which are the nodes the last BFS labelled.  After any maximum
 flow that set is the smallest source side of a minimum cut (it lies inside
 every other one), a property of the graph alone, so the cut, its sides and
 its cost do not depend on the order in which paths were augmented.
+
+The same argument lets a call begin from any feasible flow instead of zero,
+which is how a caller solving a run of similar graphs (the greedy's days)
+reuses its last answer while the module keeps no state between calls.  The
+call returns its maximum flow as ``(ints, scale)``, arc i carrying
+``ints[i] / scale``, and takes a start in the same form.  The scale of a
+warm call is the least common multiple of the start's scale and the
+capacities' denominators, so a start at an older scale is multiplied up,
+never rounded; the flow begins at the start's value, its net flow out of the
+source, and the phases only augment from there.  A start that puts more on
+an arc than the arc's new capacity would leave a negative room, which the
+truthy-room test cannot tell from a usable one, so such a start is dropped
+and the call runs from zero flow, exactly as a call without it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 
 def min_cut_indexed(
     n: int, source: int, sink: int, tails: list[int], heads: list[int],
-    caps: list[Fraction | None],
-) -> tuple[list[int], list[bool], Fraction | None]:
+    caps: list[Fraction | None], start: tuple[list[int], int] | None = None,
+) -> tuple[list[int], list[bool], Fraction | None, tuple[list[int], int] | None]:
     """A minimum s-t cut on nodes 0..n-1, with arc i running from
     ``tails[i]`` to ``heads[i]`` at capacity ``caps[i]``.
 
     Returns the positions of the crossing arcs in arc order, a reached flag
-    per node (the source side), and the cost, which is the maximum flow
-    value by duality.  The source side is the residual-reachable set, also
+    per node (the source side), the cost, which is the maximum flow value by
+    duality, and that maximum flow as ``(ints, scale)``: arc i carries
+    ``ints[i] / scale``.  The source side is the residual-reachable set, also
     when no flow is possible: then the cut costs 0 and lists the
     zero-capacity arcs, if any, that leave the nodes reachable over positive
     capacity.  If every s-t cut crosses an unbounded arc, or the source is
-    the sink, no finite cut exists: the cost is None and both lists are
-    empty.
+    the sink, no finite cut exists: the cost and the flow are None and both
+    lists are empty.
+
+    ``start``, in the same form, is a flow to begin from instead of zero;
+    it must be conserved at every node but the source and the sink.  A
+    start that puts more on an arc than the arc's capacity is dropped, and
+    the call is then the call without it.
     """
     # Rooms are never negative, so a truthy room is a usable residual arc.
     scale = math.lcm(*(c.denominator for c in caps if c is not None))
+    if start is not None:
+        ints, start_scale = start
+        scale = math.lcm(scale, start_scale)
+        up = scale // start_scale
+        carried = ints if up == 1 else [f * up for f in ints]
+    else:
+        carried = itertools.repeat(0)
     head: list[int] = []
     room: list[int | float] = []
     out: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v, c) in enumerate(zip(tails, heads, caps)):
+    for i, (u, v, c, f) in enumerate(zip(tails, heads, caps, carried)):
         head += (v, u)
-        room += (math.inf if c is None else c.numerator * (scale // c.denominator), 0)
+        room += ((math.inf if c is None else c.numerator * (scale // c.denominator)) - f, f)
         out[u].append(2 * i)
         out[v].append(2 * i + 1)
     s, t = source, sink
 
     total = 0
+    if start is not None:
+        if min(room, default=0) < 0:
+            return min_cut_indexed(n, source, sink, tails, heads, caps)
+        # the start's value: its net flow out of the source, read off the
+        # reverse rooms, which hold each arc's flow
+        total = sum(-room[j] if j & 1 else room[j + 1] for j in out[s])
     while True:
         # BFS levels: level[v] is v's residual distance from s, None if unseen.
         level: list[int | None] = [None] * n
@@ -93,7 +126,8 @@ def min_cut_indexed(
                 i for i, (u, v) in enumerate(zip(tails, heads))
                 if level[u] is not None and level[v] is None
             ]
-            return crossing, [d is not None for d in level], Fraction(total, scale)
+            reached = [d is not None for d in level]
+            return crossing, reached, Fraction(total, scale), (room[1::2], scale)
 
         # Blocking flow: a DFS over arcs that climb one level and have room.
         # ptr[u] is u's current arc; path holds the residual arcs from s to u.
@@ -104,7 +138,7 @@ def min_cut_indexed(
             if u == t:
                 bottleneck = min((room[j] for j in path), default=math.inf)
                 if bottleneck == math.inf:
-                    return [], [], None
+                    return [], [], None, None
                 for j in path:
                     room[j] -= bottleneck
                     room[j ^ 1] += bottleneck

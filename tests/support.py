@@ -76,7 +76,7 @@ def min_cut(g):
     to names."""
     index = {v: i for i, v in enumerate(g.nodes)}
     arcs = g.arcs
-    crossing, reached, cost = min_cut_indexed(
+    crossing, reached, cost, _ = min_cut_indexed(
         len(g.nodes), index[g.source], index[g.sink],
         [index[a.src] for a in arcs], [index[a.dst] for a in arcs], [a.capacity for a in arcs],
     )

@@ -427,6 +427,24 @@ def test_experiment_rejects_options_it_would_not_read(argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--nodes", "1", "--edges", "3"], "argument --nodes: must be at least 2"),
+    (["--nodes", "4", "--edges", "2"], "argument --edges: must be at least 3"),
+    (["--max-len", "0"], "argument --max-len: must be at least 1"),
+    (["--max-crashable", "-1"], "argument --max-crashable: must be at least 0"),
+    (["--cost-min", "0"], "argument --cost-min: must be at least 1"),
+    (["--cost-min", "5", "--cost-max", "4"], "argument --cost-max: must be at least 5"),
+], ids=["nodes", "edges", "max-len", "max-crashable", "cost-min", "cost-max"])
+@pytest.mark.parametrize("command", [
+    ["experiment", "--problem", "crashing", "--trials", "1", "-k", "1"],
+    ["gen", "random-dag", "--nodes", "5", "--edges", "8"],
+], ids=["experiment", "gen"])
+def test_network_option_errors_name_the_option(command, argv, message):
+    # argparse keeps the last of a repeated option, so argv overrides gen's
+    err = assert_exit_defined([*command, *argv], {3})
+    assert err == f"error: {message}\n"
+
+
 def test_crash_trace_orders_the_network_once(monkeypatch, fig2_path):
     # Loading validates, and validation leaves the topological index on the
     # network, so the greedy, the decomposition and its check reuse it.

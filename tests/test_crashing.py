@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kgreedy import flow
 from kgreedy.crashing import (
     cost_ratio_bound,
     decompose,
@@ -189,6 +190,31 @@ def reference_suite(count=300):
         yield replace(net, edges=scaled)
 
 
+def layered_nets(count=6):
+    """Seeded networks on which every edge is critical: three layers of three
+    or four nodes between the source and the sink, the jobs between two
+    consecutive layers sharing one normal length.  Each layer node feeds its
+    own column and the next one in the following layer.  Even seeds get
+    constant rational costs, odd seeds convex ones."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        width = 3 + seed % 2
+        layers = [["s"], *([f"v{d}_{i}" for i in range(width)] for d in range(3)), ["t"]]
+        edges = []
+        for here, there in zip(layers, layers[1:]):
+            normal = rng.randint(2, 4)
+            pairs = (
+                [(u, v) for u in here for v in there] if len(here) == 1 or len(there) == 1
+                else [(u, there[(i + step) % width]) for i, u in enumerate(here) for step in (0, 1)]
+            )
+            for u, v in pairs:
+                days = rng.randint(normal - 1, normal)
+                costs = [Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(days)]
+                schedule = tuple(sorted(costs)) if seed % 2 else linear_schedule(costs[0], days)
+                edges.append(Edge(f"e{len(edges)}", u, v, normal - days, normal, schedule))
+        yield ProjectNetwork(tuple(v for layer in layers for v in layer), "s", "t", tuple(edges))
+
+
 class TestGreedyMatchesReference:
     def test_every_k_matches_the_one_day_pieces(self):
         for net in reference_suite():
@@ -204,6 +230,17 @@ class TestGreedyMatchesReference:
             message = f"no {top + 1}-day plan exists: day {len(days) + 1} cannot be saved"
             with pytest.raises(NotCrashableError, match=message):
                 greedy_crash(net, top + 1)
+
+    def test_layered_networks_match_for_every_k(self):
+        for net in layered_nets():
+            top = k_max(net)
+            days = reference_greedy(net, top)
+            assert len(days) == top >= 3
+            for k in range(1, top + 1):
+                result = greedy_crash(net, k)
+                steps = [(s.edges, s.cost, d) for s, d in zip(result.steps, result.durations)]
+                assert steps == [d[:3] for d in days[:k]]
+                assert result.plan == days[k - 1][3]
 
 
 def cut_ids(net, level):
@@ -349,6 +386,91 @@ class TestDecomposeMatchesReference:
                 assert _report(tampered_trace) == reference_verify(reference), seed
                 traces += 1
         assert traces >= 300
+
+    def test_layered_networks_match_for_every_k(self):
+        for net in layered_nets():
+            if not all(e.is_linear() for e in net.edges):
+                continue
+            top = k_max(net)
+            cases = [(greedy_crash(net, k).plan, k) for k in range(1, top + 1)]
+            for plan, k in cases + [(full_plan(net), top)]:
+                trace = decompose(net, plan, k)
+                reference = reference_decompose(net, plan, k)
+                assert _named_levels(net, trace) == _reference_named_levels(reference)
+                assert _report(trace) == reference_verify(reference)
+
+
+def start_value(start, source, tails, heads):
+    """A starting flow's net flow out of the source, or None for no start."""
+    if start is None:
+        return None
+    ints, scale = start
+    out = sum(f for f, u in zip(ints, tails) if u == source)
+    back = sum(f for f, v in zip(ints, heads) if v == source)
+    return Fraction(out - back, scale)
+
+
+def record_min_cuts(monkeypatch, tamper=lambda max_flow: max_flow):
+    """Wrap the flow core so that each call appends (its start's value, its
+    cost) to the returned list; ``tamper`` may change each returned flow."""
+    calls = []
+    min_cut_indexed = flow.min_cut_indexed
+
+    def recording(n, source, sink, tails, heads, caps, start=None):
+        crossing, reached, cost, max_flow = min_cut_indexed(
+            n, source, sink, tails, heads, caps, start
+        )
+        calls.append((start_value(start, source, tails, heads), cost))
+        return crossing, reached, cost, tamper(max_flow)
+
+    monkeypatch.setattr(flow, "min_cut_indexed", recording)
+    return calls
+
+
+def test_each_day_and_level_starts_from_the_previous_maximum_flow(monkeypatch):
+    calls = record_min_cuts(monkeypatch)
+    warm = 0
+    for net in [*layered_nets(), *small_nets(20)]:
+        top = k_max(net)
+        if top < 2:
+            continue
+        runs = [lambda: greedy_crash(net, top)]
+        if all(e.is_linear() for e in net.edges):
+            runs.append(lambda: decompose(net, full_plan(net), top))
+        for run in runs:
+            calls.clear()
+            run()
+            assert len(calls) == top and calls[0][0] is None
+            for (_, previous_cost), (start, _) in zip(calls, calls[1:]):
+                assert start == previous_cost
+                warm += start > 0
+    assert warm >= 120  # 123 days and levels start from a positive flow
+
+
+def detour_network():
+    """Three equally long paths; the cheapest cut, of e1 and e3, leaves the
+    zig-zag path s-x-y-t (e1, e2, e3) two days shorter, so e2 leaves the
+    critical graph after day one.  The maximum flow keeps e2 empty."""
+    def job(name, u, v, normal, cost):
+        return Edge(name, u, v, 0, normal, linear_schedule(cost, normal))
+
+    return ProjectNetwork(("s", "x", "y", "t"), "s", "t", (
+        job("e1", "s", "x", 1, 1), job("e2", "x", "y", 1, 10), job("e3", "y", "t", 1, 1),
+        job("e4", "s", "y", 2, 10), job("e5", "x", "t", 2, 10),
+    ))
+
+
+def test_flow_left_on_a_departing_edge_is_an_error(monkeypatch):
+    net = detour_network()
+    plan = Plan({"e1": 1, "e3": 1, "e4": 1, "e5": 1})
+    assert [s.edges for s in greedy_crash(net, 2).steps] == [{"e1", "e3"}, {"e4", "e5"}]
+    assert verify_trace(decompose(net, plan, 2)).passed
+    # put one unit on every arc, e2 among them
+    record_min_cuts(monkeypatch, lambda max_flow: ([f or 1 for f in max_flow[0]], max_flow[1]))
+    with pytest.raises(RuntimeError, match="left the critical graph"):
+        greedy_crash(net, 2)
+    with pytest.raises(RuntimeError, match="left the critical graph"):
+        decompose(net, plan, 2)
 
 
 class TestVerifyTrace:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 from kgreedy.flow import min_cut_indexed
@@ -215,17 +216,17 @@ def test_indexed_core_returns_positions_and_flags():
     # nodes s=0, u=1, t=2; arc 1 (u->t) is the cheaper of the two in series
     tails, heads = [0, 1, 0], [1, 2, 2]
     caps = [Fraction(5), Fraction(2), Fraction(1, 3)]
-    crossing, reached, cost = min_cut_indexed(3, 0, 2, tails, heads, caps)
+    crossing, reached, cost, _ = min_cut_indexed(3, 0, 2, tails, heads, caps)
     assert (crossing, reached, cost) == ([1, 2], [True, True, False], Fraction(7, 3))
-    assert min_cut_indexed(3, 0, 2, tails, heads, [None] * 3) == ([], [], None)
-    assert min_cut_indexed(1, 0, 0, [], [], []) == ([], [], None)
+    assert min_cut_indexed(3, 0, 2, tails, heads, [None] * 3) == ([], [], None, None)
+    assert min_cut_indexed(1, 0, 0, [], [], []) == ([], [], None, None)
 
 
 def test_adapter_matches_indexed_core():
     for seed in range(100):
         g = random_flow_graph(seed)
         index = {v: i for i, v in enumerate(g.nodes)}
-        crossing, reached, cost = min_cut_indexed(
+        crossing, reached, cost, _ = min_cut_indexed(
             len(g.nodes), index[g.source], index[g.sink],
             [index[a.src] for a in g.arcs], [index[a.dst] for a in g.arcs],
             [a.capacity for a in g.arcs],
@@ -234,3 +235,117 @@ def test_adapter_matches_indexed_core():
         assert cut.cost == cost, seed
         assert cut.cut_arcs == {g.arcs[i].id for i in crossing}, seed
         assert cut.source_side == {v for v, r in zip(g.nodes, reached) if r}, seed
+
+
+# -- warm starts --------------------------------------------------------------
+
+def rational(rng):
+    return Fraction(rng.randint(0, 30), rng.randint(1, 13))
+
+
+def rational_suite():
+    """The rational suite as ``min_cut_indexed`` arguments: (n, source, sink,
+    tails, heads) and the capacities."""
+    for seed in range(300):
+        g = random_flow_graph(seed, max_arcs=20, capacity=rational)
+        index = {v: i for i, v in enumerate(g.nodes)}
+        where = (
+            len(g.nodes), index[g.source], index[g.sink],
+            [index[a.src] for a in g.arcs], [index[a.dst] for a in g.arcs],
+        )
+        yield seed, where, [a.capacity for a in g.arcs]
+
+
+def assert_maximum_flow(where, caps, result):
+    """The result's flow is conserved at every node but the source and the
+    sink, lies within each arc's capacity, and its value is the cost."""
+    n, source, sink, tails, heads = where
+    _, _, cost, flow = result
+    if cost is None:
+        assert flow is None
+        return
+    ints, scale = flow
+    assert len(ints) == len(caps)
+    assert scale % math.lcm(*(c.denominator for c in caps if c is not None)) == 0
+    net = [0] * n
+    for u, v, c, f in zip(tails, heads, caps, ints):
+        assert type(f) is int and 0 <= f
+        assert c is None or Fraction(f, scale) <= c
+        net[u] -= f
+        net[v] += f
+    assert all(x == 0 for i, x in enumerate(net) if i not in (source, sink))
+    assert Fraction(-net[source], scale) == cost
+
+
+def test_returned_flow_is_a_maximum_flow():
+    finite = 0
+    for seed, where, caps in rational_suite():
+        result = min_cut_indexed(*where, caps)
+        assert_maximum_flow(where, caps, result)
+        finite += result[2] is not None
+    assert finite >= 200
+
+
+def test_restart_from_the_returned_flow_changes_nothing():
+    finer = 0
+    for seed, where, caps in rational_suite():
+        result = min_cut_indexed(*where, caps)
+        if result[2] is None:
+            continue
+        assert min_cut_indexed(*where, caps, result[3]) == result, seed
+        # Raising an arc that does not cross the cut by 1/17 keeps the flow
+        # maximum; 17 divides no scale here, so the flow is multiplied up.
+        crossing, _, _, (ints, scale) = result
+        i = next((i for i, c in enumerate(caps) if c is not None and i not in crossing), None)
+        if i is not None:
+            raised = caps[:i] + [caps[i] + Fraction(1, 17)] + caps[i + 1:]
+            expected = (*result[:3], ([17 * f for f in ints], 17 * scale))
+            assert min_cut_indexed(*where, raised, result[3]) == expected, seed
+            finer += 1
+    assert finer >= 200
+
+
+def test_warm_start_after_raised_capacities_matches_a_cold_start():
+    # Raised to a Fraction with a new denominator, or lifted to no limit:
+    # the old maximum flow still fits, and the warm call finds the same cut.
+    rng = random.Random(0)
+    augmented = 0
+    for seed, where, caps in rational_suite():
+        first = min_cut_indexed(*where, caps)
+        if first[2] is None:
+            continue
+        raised = [
+            c if c is None or rng.random() < 0.6
+            else None if rng.random() < 0.25
+            else c + Fraction(rng.randint(0, 20), rng.randint(1, 17))
+            for c in caps
+        ]
+        warm = min_cut_indexed(*where, raised, first[3])
+        cold = min_cut_indexed(*where, raised)
+        assert warm[:3] == cold[:3], seed
+        assert_maximum_flow(where, raised, warm)
+        if warm[3] is not None:
+            # the start's scale is multiplied up, never rounded
+            assert warm[3][1] == math.lcm(cold[3][1], first[3][1]), seed
+        augmented += warm[2] != first[2]
+    assert augmented >= 50
+
+
+def test_start_that_does_not_fit_is_dropped():
+    # One capacity lowered below its carried flow: the call is the cold one.
+    dropped = 0
+    for seed, where, caps in rational_suite():
+        first = min_cut_indexed(*where, caps)
+        if first[2] is None:
+            continue
+        ints, scale = first[3]
+        for i, f in enumerate(ints):
+            if f:
+                lowered = list(caps)
+                lowered[i] = Fraction(f, 2 * scale)
+                assert min_cut_indexed(*where, lowered, first[3]) == min_cut_indexed(
+                    *where, lowered
+                ), seed
+                dropped += 1
+                break
+    assert dropped >= 140  # 144 of the 300 carry a positive flow
