@@ -5,37 +5,56 @@ computes the critical graph, prices every still-crashable critical edge at
 its next marginal cost (an exhausted edge gets capacity ``None``, no limit,
 so no cut crosses it), and takes a minimum s-t cut as the cheapest one-day
 plan.  Convex schedules work transparently because the next marginal cost is
-always the head of the remaining schedule.  The days run over the
-network's topological index, which ``validate`` already left on it, and on
-plain lists by edge position (current lengths, schedule entries used)
-through ``flow.min_cut_indexed``, so no day builds a network, edge or
-flow-graph object.
+always the head of the remaining schedule.  The days run over the network's
+topological index, on plain lists by edge position (current lengths,
+schedule entries used) and on one ``flow.Residual`` per run.
 
-Each day starts its flow from the previous day's maximum flow, restricted to
-the new critical edges, so a later day usually costs the residual build and
-one BFS.  That flow is feasible on the new day.  The day's cut is the source
-side left by a maximum flow, so every forward cut arc is saturated and every
-backward one is empty; a flow path therefore crosses the cut exactly once,
-loses exactly one day, and stays a longest path, all its edges critical.
-So no flow sits on an edge that leaves the critical graph (``_carry``
-raises ``RuntimeError`` if some does).  Newly critical edges start empty,
-non-cut critical edges keep their capacity, and a cut edge moves to its
-next schedule entry (no smaller, for a non-decreasing schedule) or to no
-limit, so its saturating flow still fits.  A decreasing schedule, which
-``validate`` rejects but an unvalidated network may have, can leave a flow
-above its capacity; the flow core then drops the start and runs from zero.
+Each day lowers the duration by exactly one, in a network where every node
+lies on a source-to-sink path (as ``validate`` requires).  Let D be the
+duration before the day, S the cut's source side (the nodes residual-
+reachable from the source after a maximum flow) and T the rest.  Critical
+source-to-sink paths are D days long and all others at most D - 1.  The
+day shortens the cut edges, critical edges from S to T, so a critical path
+loses one day per crossing from S to T and no path grows: the duration
+becomes D - 1 once some critical path crosses only once, never going from T
+back to S.  If the flow is positive, take a source-to-sink path of positive
+flow (the critical graph is acyclic): an edge from T to S carries no flow,
+or its reverse residual arc would reach its tail from S.  If the flow is
+zero, S is what edges of positive capacity reach, so every cut edge's tail
+is reached within S; take the cut edge (u, v) with the head last in
+topological order, and a critical path from v to the sink cannot enter S,
+since it would leave again by a cut edge with a later head.
+``greedy_crash`` checks each new duration on days 1..k-1, raising
+``RuntimeError`` if it is not one less, and takes D - k for the last day.
+
+So a slack (D less the longest source-to-sink path through the edge) falls
+by at most one per day.  The critical edges of day i, and the longest paths
+checked after day i < k, have slack 0 after at most k - 1 days, so
+``greedy_crash`` keeps only the edges that start with slack less than k.
+The longest paths lie within them and no path of kept edges is longer,
+being part of a source-to-sink path, so every duration and critical graph
+comes out the same.
+
+The maximum flow carries over from day to day.  A positive-flow path
+crosses the cut once, as above, so it stays a longest path: the edges that
+leave the critical graph carry no flow and are closed (``Residual.close``
+raises ``RuntimeError`` otherwise).  Newly critical edges open empty, and a
+cut edge rises to its next schedule entry (no smaller, for a non-decreasing
+schedule) or to no limit, so its flow still fits and a later day usually
+costs one BFS.  A decreasing schedule, which ``validate`` rejects, can leave
+a flow above its capacity; the residual then drops the flow.
 
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
 restricted minimum cuts whose costs are provably monotone.  It runs on the
-same position lists and flow core as the greedy's days, warm-started the
-same way (a capacity only goes from the edge's price to no limit, when its
-plan units run out, and edges only leave the live set), keeps the input
-network once in the trace, and stores each level as lists by edge and node
-position: lengths, remaining plan units, critical edges, cut edges and the
-cut's reached nodes.  ``verify_trace`` derives the cut-overlap partitions
-that witness the monotonicity from those levels and checks them, so a
-changed level is checked as it stands.  Together they are the
-machine-checkable counterpart of the greedy cost bound.
+same position lists and on one residual per run: capacities only go from an
+edge's price to no limit, when its plan units run out, and edges only leave
+the live set.  It keeps the input network once in the trace and stores each
+level as lists by edge and node position: lengths, remaining plan units,
+critical edges, cut edges and the cut's reached nodes.  ``verify_trace``
+derives the cut-overlap partitions that witness the monotonicity from those
+levels and checks them, so a changed level is checked as it stands.
+Together they are the machine-checkable counterpart of the greedy cost
+bound.
 """
 
 from __future__ import annotations
@@ -52,6 +71,7 @@ from .network import (
     ProjectNetwork,
     _critical_positions,
     _longest_dists,
+    _slacks,
     is_k_crashing,
 )
 
@@ -85,43 +105,60 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     """Run the one-day greedy k times, accumulating the plan as a multiset.
 
     With k = 1 the plan is a cheapest plan shortening the project by one day.
-    The days run over the network's topological index, computed once per
-    network, and on lists by edge position: each edge's current length and
-    how many of its schedule entries are used.  One longest-path pass per day gives
-    both the duration the previous day reached and the critical edges the
-    next day cuts, and each day's flow starts from the previous day's.
+    The days run on lists by position among the edges of slack less than k:
+    each edge's current length and how many of its schedule entries are
+    used.  One longest-path pass per day checks the duration the day reached
+    and gives the critical edges the next day cuts.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    tails, heads, order = net._index
+    all_tails, all_heads, all_order = net._index
     n = len(net.nodes)
     source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
-    length = [e.normal_len for e in net.edges]
-    schedule = [e.cost_schedule for e in net.edges]
-    used = [0] * len(length)
-    critical, _ = _critical_positions(order, tails, heads, length, n, sink)
-    previous, max_flow = [], None  # the previous day's critical edges and flow
+    slack, total = _slacks(
+        all_order, all_tails, all_heads, [e.normal_len for e in net.edges], n, sink
+    )
+    # Only edges of slack less than k are ever critical (see the module docstring).
+    near = [j for j, x in enumerate(slack) if x < k]
+    position = {j: p for p, j in enumerate(near)}
+    edges = [net.edges[j] for j in near]
+    tails = [all_tails[j] for j in near]
+    heads = [all_heads[j] for j in near]
+    order = [position[j] for j in all_order if slack[j] < k]
+    length = [e.normal_len for e in edges]
+    schedule = [e.cost_schedule for e in edges]
+    used = [0] * len(edges)
+
+    def capacities(positions):
+        return [schedule[p][used[p]] if used[p] < len(schedule[p]) else None for p in positions]
+
+    residual = flow.Residual(n, source, sink, tails, heads)
+    critical = [p for p, j in enumerate(near) if not slack[j]]
+    residual.open(critical, capacities(critical))
     steps: list[CrashStep] = []
     durations: list[int] = []
     for i in range(1, k + 1):
-        caps = [
-            schedule[j][used[j]] if used[j] < len(schedule[j]) else None
-            for j in critical
-        ]
-        crossing, _, cost, max_flow = flow.min_cut_indexed(
-            n, source, sink, [tails[j] for j in critical], [heads[j] for j in critical], caps,
-            _carry(max_flow, previous, critical),
-        )
+        cut, _, cost = residual.cut()
         if cost is None:
             raise NotCrashableError(f"no {k}-day plan exists: day {i} cannot be saved")
-        cut = [critical[p] for p in crossing]
-        for j in cut:
-            length[j] -= 1
-            used[j] += 1
-        previous = critical
-        critical, reached = _critical_positions(order, tails, heads, length, n, sink)
-        steps.append(CrashStep(edges=frozenset(net.edges[j].id for j in cut), cost=cost))
-        durations.append(reached)
+        for p in cut:
+            length[p] -= 1
+            used[p] += 1
+        steps.append(CrashStep(edges=frozenset(edges[p].id for p in cut), cost=cost))
+        total -= 1
+        durations.append(total)
+        if i == k:
+            break
+        following, reached = _critical_positions(order, tails, heads, length, n, sink)
+        if reached != total:
+            raise RuntimeError(f"day {i} left a duration of {reached}, expected {total}")
+        residual.raise_to(cut, capacities(cut))
+        if following != critical:
+            kept, joined = set(critical), set(following)
+            residual.close([p for p in critical if p not in joined])
+            opened = [p for p in following if p not in kept]
+            residual.open(opened, capacities(opened))
+            critical = following
     return GreedyCrashResult(
         steps=tuple(steps),
         plan=Plan(Counter(edge_id for step in steps for edge_id in step.edges)),
@@ -180,48 +217,36 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
     length = [e.normal_len for e in net.edges]
     remaining = [plan.amounts.get(e.id, 0) for e in net.edges]
-    price = [e.cost_schedule[0] if e.cost_schedule else None for e in net.edges]
+    residual = flow.Residual(n, source, sink, tails, heads)
     live = range(len(length))  # the previous level's critical edges
-    previous, max_flow = [], None  # the same in edge order, and their flow
     levels: list[TraceLevel] = []
     for i in range(1, k + 1):
         # ``order`` holds the live edges only, but the kept list spans all.
         kept, _ = _critical_positions(order, tails, heads, length, n, sink)
         critical = [j for j in kept if j in live]
-        crossing, reached, cost, max_flow = flow.min_cut_indexed(
-            n, source, sink, [tails[j] for j in critical], [heads[j] for j in critical],
-            [price[j] if remaining[j] else None for j in critical],
-            _carry(max_flow, previous, critical),
-        )
+        if i == 1:
+            residual.open(critical, [
+                net.edges[j].cost_schedule[0] if remaining[j] else None for j in critical
+            ])
+        else:
+            residual.close(live.difference(critical))
+        crossing, reached, cost = residual.cut()
         if cost is None:
             raise NotKCrashingError(
                 f"level {i}: the remaining plan contains no cut of the critical graph"
             )
-        cut = frozenset(critical[p] for p in crossing)
+        cut = frozenset(crossing)
         levels.append(
             TraceLevel(tuple(length), tuple(remaining), tuple(critical), cut, cost, tuple(reached))
         )
         for j in cut:
             length[j] -= 1
             remaining[j] -= 1
-        previous, live = critical, set(critical)
+        exhausted = [j for j in cut if not remaining[j]]
+        residual.raise_to(exhausted, [None] * len(exhausted))
+        live = set(critical)
         order = [j for j in order if j in live]
     return DecompositionTrace(net, tuple(levels))
-
-
-def _carry(max_flow, previous: list[int], critical: list[int]):
-    """The previous day's maximum flow on ``previous`` (edge positions),
-    restricted to the next day's critical edges: a start for the next day's
-    minimum cut, or None before the first day.  No flow may sit on an edge
-    that left the critical graph."""
-    if max_flow is None or critical == previous:
-        return max_flow
-    ints, scale = max_flow
-    carried = dict(zip(previous, ints))
-    start = [carried.pop(j, 0) for j in critical]
-    if any(carried.values()):
-        raise RuntimeError("flow left on an edge that left the critical graph")
-    return start, scale
 
 
 # -- trace verification -------------------------------------------------------

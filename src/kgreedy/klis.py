@@ -13,6 +13,7 @@ executions without baking adversarial behaviour into ``lis``.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,8 +125,7 @@ def greedy_klis_scripted(
             if idx <= prev_idx or (prev_val is not None and values[idx] <= prev_val):
                 raise ScriptError(f"round {r}: indices must be increasing in position and value")
             prev_idx, prev_val = idx, values[idx]
-        residue_vals = [values[i] for i in range(n) if alive[i]]
-        best = len(lis(residue_vals))
+        best = _suffix_lis_lengths(list(itertools.compress(values, alive)))[1]
         if len(entry) != best:
             raise ScriptError(
                 f"round {r}: scripted pick has length {len(entry)}, "

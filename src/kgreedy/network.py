@@ -262,6 +262,15 @@ def _critical_positions(
     return kept, total
 
 
+def _slacks(order, tails, heads, lengths: list[int], n: int, sink: int) -> tuple[list[int], int]:
+    """Each edge's slack, the duration less the longest source-to-sink path
+    through the edge, in edge order, and the duration."""
+    from_src = _longest_dists(order, tails, heads, lengths, n)
+    to_sink = _longest_dists(reversed(order), heads, tails, lengths, n)
+    total = from_src[sink]
+    return [total - from_src[u] - x - to_sink[v] for u, v, x in zip(tails, heads, lengths)], total
+
+
 def _duration(net: ProjectNetwork, lengths) -> int:
     """The longest source-to-sink path with edge i ``lengths[i]`` days long."""
     tails, heads, order = net._index

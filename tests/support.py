@@ -14,7 +14,7 @@ minimum, builds the floor network the tests compare `k_max` against.
 The exception is the named reference path.  `Arc`, `FlowGraph`, `CutResult`
 and `min_cut` are flow graphs and cuts by name, and `critical_graph` is a
 network's critical subnetwork; all are thin adapters over the library's
-private index routines (`flow.min_cut_indexed`, `network._critical_positions`).
+private index routines (`flow.Residual`, `network._critical_positions`).
 `reference_greedy` and `reference_decompose` compose the greedy's days and
 the decomposition's levels from them and `apply_plan`, one named network per
 day or level, so that the library's loops over edge positions are checked
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from kgreedy.cli import main
-from kgreedy.flow import min_cut_indexed
+from kgreedy.flow import Residual
 from kgreedy.klis import SubseqSelection
 from kgreedy.network import (
     Plan,
@@ -72,14 +72,16 @@ class CutResult:
 
 
 def min_cut(g):
-    """`min_cut_indexed` on the graph's node and arc positions, mapped back
-    to names."""
+    """A one-shot `flow.Residual` on the graph's node and arc positions, every
+    arc open, mapped back to names."""
     index = {v: i for i, v in enumerate(g.nodes)}
     arcs = g.arcs
-    crossing, reached, cost, _ = min_cut_indexed(
+    residual = Residual(
         len(g.nodes), index[g.source], index[g.sink],
-        [index[a.src] for a in arcs], [index[a.dst] for a in arcs], [a.capacity for a in arcs],
+        [index[a.src] for a in arcs], [index[a.dst] for a in arcs],
     )
+    residual.open(range(len(arcs)), [a.capacity for a in arcs])
+    crossing, reached, cost = residual.cut()
     return CutResult(
         frozenset(arcs[i].id for i in crossing),
         frozenset(v for v, r in zip(g.nodes, reached) if r),

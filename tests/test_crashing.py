@@ -400,35 +400,34 @@ class TestDecomposeMatchesReference:
                 assert _report(trace) == reference_verify(reference)
 
 
-def start_value(start, source, tails, heads):
-    """A starting flow's net flow out of the source, or None for no start."""
-    if start is None:
-        return None
-    ints, scale = start
+def flow_value(residual):
+    """The net flow out of the source, summed from each arc's flow."""
+    ints, tails, heads, source = residual.room[1::2], residual.tails, residual.heads, residual.source
     out = sum(f for f, u in zip(ints, tails) if u == source)
     back = sum(f for f, v in zip(ints, heads) if v == source)
-    return Fraction(out - back, scale)
+    return Fraction(out - back, residual.scale)
 
 
-def record_min_cuts(monkeypatch, tamper=lambda max_flow: max_flow):
-    """Wrap the flow core so that each call appends (its start's value, its
-    cost) to the returned list; ``tamper`` may change each returned flow."""
+def record_cuts(monkeypatch, tamper=lambda residual: None):
+    """Wrap ``Residual.cut`` so that each call appends (the residual, the
+    flow's value before the call, the cost) to the returned list; ``tamper``
+    may change the residual after each call."""
     calls = []
-    min_cut_indexed = flow.min_cut_indexed
+    cut = flow.Residual.cut
 
-    def recording(n, source, sink, tails, heads, caps, start=None):
-        crossing, reached, cost, max_flow = min_cut_indexed(
-            n, source, sink, tails, heads, caps, start
-        )
-        calls.append((start_value(start, source, tails, heads), cost))
-        return crossing, reached, cost, tamper(max_flow)
+    def recording(residual):
+        start = flow_value(residual)
+        result = cut(residual)
+        calls.append((residual, start, result[2]))
+        tamper(residual)
+        return result
 
-    monkeypatch.setattr(flow, "min_cut_indexed", recording)
+    monkeypatch.setattr(flow.Residual, "cut", recording)
     return calls
 
 
 def test_each_day_and_level_starts_from_the_previous_maximum_flow(monkeypatch):
-    calls = record_min_cuts(monkeypatch)
+    calls = record_cuts(monkeypatch)
     warm = 0
     for net in [*layered_nets(), *small_nets(20)]:
         top = k_max(net)
@@ -440,8 +439,10 @@ def test_each_day_and_level_starts_from_the_previous_maximum_flow(monkeypatch):
         for run in runs:
             calls.clear()
             run()
-            assert len(calls) == top and calls[0][0] is None
-            for (_, previous_cost), (start, _) in zip(calls, calls[1:]):
+            # one residual graph per run, starting from zero flow
+            assert len(calls) == top and len({id(c[0]) for c in calls}) == 1
+            assert calls[0][1] == 0
+            for (_, _, previous_cost), (_, start, _) in zip(calls, calls[1:]):
                 assert start == previous_cost
                 warm += start > 0
     assert warm >= 120  # 123 days and levels start from a positive flow
@@ -465,12 +466,88 @@ def test_flow_left_on_a_departing_edge_is_an_error(monkeypatch):
     plan = Plan({"e1": 1, "e3": 1, "e4": 1, "e5": 1})
     assert [s.edges for s in greedy_crash(net, 2).steps] == [{"e1", "e3"}, {"e4", "e5"}]
     assert verify_trace(decompose(net, plan, 2)).passed
-    # put one unit on every arc, e2 among them
-    record_min_cuts(monkeypatch, lambda max_flow: ([f or 1 for f in max_flow[0]], max_flow[1]))
-    with pytest.raises(RuntimeError, match="left the critical graph"):
+
+    def load_every_arc(residual):
+        # one unit more on every open arc that carries nothing, e2 among them
+        for i, live in enumerate(residual.live):
+            if live and not residual.room[2 * i + 1]:
+                residual.room[2 * i] -= 1
+                residual.room[2 * i + 1] = 1
+
+    record_cuts(monkeypatch, load_every_arc)
+    with pytest.raises(RuntimeError, match="closed while it carries flow"):
         greedy_crash(net, 2)
-    with pytest.raises(RuntimeError, match="left the critical graph"):
+    with pytest.raises(RuntimeError, match="closed while it carries flow"):
         decompose(net, plan, 2)
+
+
+def test_a_day_that_saves_more_than_one_day_is_an_error(monkeypatch):
+    # Cutting every open arc of a three-edge chain saves three days at once,
+    # which no minimum cut does; the next day's duration check catches it.
+    net = ProjectNetwork(("s", "x", "y", "t"), "s", "t", tuple(
+        Edge(f"e{i}", u, v, 0, 2, linear_schedule(1, 2))
+        for i, (u, v) in enumerate((("s", "x"), ("x", "y"), ("y", "t")))
+    ))
+    assert greedy_crash(net, 2).durations == (5, 4)
+    cut = flow.Residual.cut
+
+    def every_open_arc(residual):
+        _, reached, cost = cut(residual)
+        return [i for i, live in enumerate(residual.live) if live], reached, cost
+
+    monkeypatch.setattr(flow.Residual, "cut", every_open_arc)
+    with pytest.raises(RuntimeError, match="day 1 left a duration of 3, expected 5"):
+        greedy_crash(net, 2)
+
+
+def bypassed(net, length, cost):
+    """``net`` with one more edge, "by", from the source straight to the
+    sink: ``length`` days long, crashable to 0 at ``cost`` a day."""
+    by = Edge("by", net.source, net.sink, 0, length, linear_schedule(cost, length))
+    return replace(net, edges=net.edges + (by,))
+
+
+def boundary_nets():
+    """Two 7-day paths s-a-t and s-b-t and a shortcut a-b one day short, in
+    linear, convex and rational versions.  The first crash day of e1 and of
+    e3 costs 0, so the first day's cut costs 0."""
+    def net(e1, e2, e3, e4):
+        return ProjectNetwork(("s", "a", "b", "t"), "s", "t", (
+            Edge("e1", "s", "a", 1, 3, e1), Edge("e2", "a", "t", 1, 4, e2),
+            Edge("e3", "s", "b", 2, 4, e3), Edge("e4", "b", "t", 1, 3, e4),
+            Edge("m", "a", "b", 0, 0, ()),
+        ))
+
+    f = Fraction
+    yield "linear", net((f(0),) * 2, (f(3),) * 3, (f(0),) * 2, (f(4),) * 2), f(2)
+    yield "convex", net((f(0), f(5)), (f(1), f(2), f(6)), (f(0), f(1)), (f(2), f(2))), f(4)
+    yield "rational", net(
+        (f(0), f(0)), (f(5, 3),) * 3, (f(0), f(0)), (f(7, 4),) * 2,
+    ), f(10, 3)
+
+
+def test_near_critical_edges_match_the_reference_at_every_boundary():
+    # A bypass of slack k - 1 turns critical on day k and is in its cut, one
+    # of slack k joins only the longest paths after day k, and one of slack
+    # k + 1 never; the greedy keeps the edges of slack less than k.
+    for name, net, cost in boundary_nets():
+        top = k_max(net)
+        assert top == 4, name
+        assert reference_greedy(net, 1)[0][1] == 0, name
+        base = duration(net)
+        for k in range(1, top + 1):
+            for slack in (k - 1, k, k + 1):
+                case = bypassed(net, base - slack, cost)
+                assert k_max(case) == top, (name, k, slack)
+                days = reference_greedy(case, k)
+                result = greedy_crash(case, k)
+                steps = [(s.edges, s.cost, d) for s, d in zip(result.steps, result.durations)]
+                assert steps == [d[:3] for d in days], (name, k, slack)
+                assert result.plan == days[-1][3], (name, k, slack)
+                in_cuts = [i for i, s in enumerate(result.steps, start=1) if "by" in s.edges]
+                finally_critical = "by" in edge_ids(critical_graph(apply_plan(case, result.plan)))
+                assert in_cuts == ([k] if slack == k - 1 else []), (name, k, slack)
+                assert finally_critical == (slack <= k), (name, k, slack)
 
 
 class TestVerifyTrace:

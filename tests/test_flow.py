@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
-from kgreedy.flow import min_cut_indexed
+import pytest
+
+from kgreedy.flow import Residual
 from support import (
     Arc,
     CutResult,
@@ -212,39 +214,50 @@ def test_rational_capacities_random_suite():
     assert cut.cut_arcs == {"sa", "sb", "ct"}
 
 
+def residual(where, caps):
+    """A residual graph on ``where``, (n, source, sink, tails, heads), with
+    every arc open at its capacity in ``caps``."""
+    r = Residual(*where)
+    r.open(range(len(caps)), caps)
+    return r
+
+
 def test_indexed_core_returns_positions_and_flags():
     # nodes s=0, u=1, t=2; arc 1 (u->t) is the cheaper of the two in series
-    tails, heads = [0, 1, 0], [1, 2, 2]
+    where = (3, 0, 2, [0, 1, 0], [1, 2, 2])
     caps = [Fraction(5), Fraction(2), Fraction(1, 3)]
-    crossing, reached, cost, _ = min_cut_indexed(3, 0, 2, tails, heads, caps)
-    assert (crossing, reached, cost) == ([1, 2], [True, True, False], Fraction(7, 3))
-    assert min_cut_indexed(3, 0, 2, tails, heads, [None] * 3) == ([], [], None, None)
-    assert min_cut_indexed(1, 0, 0, [], [], []) == ([], [], None, None)
+    assert residual(where, caps).cut() == ([1, 2], [True, True, False], Fraction(7, 3))
+    assert residual(where, [None] * 3).cut() == ([], [], None)
+    assert residual((1, 0, 0, [], []), []).cut() == ([], [], None)
+    # a closed arc is no arc: with arc 1 closed, the cut is arc 2 alone
+    r = Residual(*where)
+    r.open([0, 2], [caps[0], caps[2]])
+    assert r.cut() == ([2], [True, True, False], Fraction(1, 3))
 
 
 def test_adapter_matches_indexed_core():
     for seed in range(100):
         g = random_flow_graph(seed)
         index = {v: i for i, v in enumerate(g.nodes)}
-        crossing, reached, cost, _ = min_cut_indexed(
+        where = (
             len(g.nodes), index[g.source], index[g.sink],
             [index[a.src] for a in g.arcs], [index[a.dst] for a in g.arcs],
-            [a.capacity for a in g.arcs],
         )
+        crossing, reached, cost = residual(where, [a.capacity for a in g.arcs]).cut()
         cut = min_cut(g)
         assert cut.cost == cost, seed
         assert cut.cut_arcs == {g.arcs[i].id for i in crossing}, seed
         assert cut.source_side == {v for v, r in zip(g.nodes, reached) if r}, seed
 
 
-# -- warm starts --------------------------------------------------------------
+# -- runs of cuts on one residual graph ---------------------------------------
 
 def rational(rng):
     return Fraction(rng.randint(0, 30), rng.randint(1, 13))
 
 
 def rational_suite():
-    """The rational suite as ``min_cut_indexed`` arguments: (n, source, sink,
+    """The rational suite as ``Residual`` arguments: (n, source, sink,
     tails, heads) and the capacities."""
     for seed in range(300):
         g = random_flow_graph(seed, max_arcs=20, capacity=rational)
@@ -256,15 +269,12 @@ def rational_suite():
         yield seed, where, [a.capacity for a in g.arcs]
 
 
-def assert_maximum_flow(where, caps, result):
-    """The result's flow is conserved at every node but the source and the
-    sink, lies within each arc's capacity, and its value is the cost."""
+def assert_maximum_flow(where, caps, r, cost):
+    """The residual's flow is conserved at every node but the source and the
+    sink, lies within each arc's capacity (closed arcs, capacity 0, carry
+    nothing), and its value is the cost."""
     n, source, sink, tails, heads = where
-    _, _, cost, flow = result
-    if cost is None:
-        assert flow is None
-        return
-    ints, scale = flow
+    ints, scale = r.room[1::2], r.scale
     assert len(ints) == len(caps)
     assert scale % math.lcm(*(c.denominator for c in caps if c is not None)) == 0
     net = [0] * n
@@ -274,44 +284,50 @@ def assert_maximum_flow(where, caps, result):
         net[u] -= f
         net[v] += f
     assert all(x == 0 for i, x in enumerate(net) if i not in (source, sink))
-    assert Fraction(-net[source], scale) == cost
+    assert Fraction(-net[source], scale) == cost == Fraction(r.total, scale)
 
 
 def test_returned_flow_is_a_maximum_flow():
     finite = 0
     for seed, where, caps in rational_suite():
-        result = min_cut_indexed(*where, caps)
-        assert_maximum_flow(where, caps, result)
-        finite += result[2] is not None
+        r = residual(where, caps)
+        cost = r.cut()[2]
+        if cost is not None:
+            assert_maximum_flow(where, caps, r, cost)
+            finite += 1
     assert finite >= 200
 
 
 def test_restart_from_the_returned_flow_changes_nothing():
     finer = 0
     for seed, where, caps in rational_suite():
-        result = min_cut_indexed(*where, caps)
+        r = residual(where, caps)
+        result = r.cut()
         if result[2] is None:
             continue
-        assert min_cut_indexed(*where, caps, result[3]) == result, seed
+        ints, scale = r.room[1::2], r.scale
+        assert r.cut() == result, seed
+        assert (r.room[1::2], r.scale) == (ints, scale), seed
         # Raising an arc that does not cross the cut by 1/17 keeps the flow
         # maximum; 17 divides no scale here, so the flow is multiplied up.
-        crossing, _, _, (ints, scale) = result
+        crossing = result[0]
         i = next((i for i, c in enumerate(caps) if c is not None and i not in crossing), None)
         if i is not None:
-            raised = caps[:i] + [caps[i] + Fraction(1, 17)] + caps[i + 1:]
-            expected = (*result[:3], ([17 * f for f in ints], 17 * scale))
-            assert min_cut_indexed(*where, raised, result[3]) == expected, seed
+            r.raise_to([i], [caps[i] + Fraction(1, 17)])
+            assert r.cut() == result, seed
+            assert (r.room[1::2], r.scale) == ([17 * f for f in ints], 17 * scale), seed
             finer += 1
     assert finer >= 200
 
 
 def test_warm_start_after_raised_capacities_matches_a_cold_start():
     # Raised to a Fraction with a new denominator, or lifted to no limit:
-    # the old maximum flow still fits, and the warm call finds the same cut.
+    # the old maximum flow still fits, and the warm cut is the cold one.
     rng = random.Random(0)
     augmented = 0
     for seed, where, caps in rational_suite():
-        first = min_cut_indexed(*where, caps)
+        r = residual(where, caps)
+        first, first_scale = r.cut(), r.scale
         if first[2] is None:
             continue
         raised = [
@@ -320,32 +336,65 @@ def test_warm_start_after_raised_capacities_matches_a_cold_start():
             else c + Fraction(rng.randint(0, 20), rng.randint(1, 17))
             for c in caps
         ]
-        warm = min_cut_indexed(*where, raised, first[3])
-        cold = min_cut_indexed(*where, raised)
-        assert warm[:3] == cold[:3], seed
-        assert_maximum_flow(where, raised, warm)
-        if warm[3] is not None:
-            # the start's scale is multiplied up, never rounded
-            assert warm[3][1] == math.lcm(cold[3][1], first[3][1]), seed
+        changed = [i for i, (c, d) in enumerate(zip(caps, raised)) if c != d]
+        r.raise_to(changed, [raised[i] for i in changed])
+        warm = r.cut()
+        cold = residual(where, raised)
+        assert warm == cold.cut(), seed
+        if warm[2] is not None:
+            assert_maximum_flow(where, raised, r, warm[2])
+            # the old scale is multiplied up, never rounded
+            assert r.scale == math.lcm(cold.scale, first_scale), seed
         augmented += warm[2] != first[2]
     assert augmented >= 50
 
 
 def test_start_that_does_not_fit_is_dropped():
-    # One capacity lowered below its carried flow: the call is the cold one.
+    # One capacity lowered below its flow: all flow is dropped, and the next
+    # cut is the cold one.
     dropped = 0
     for seed, where, caps in rational_suite():
-        first = min_cut_indexed(*where, caps)
-        if first[2] is None:
+        r = residual(where, caps)
+        if r.cut()[2] is None:
             continue
-        ints, scale = first[3]
-        for i, f in enumerate(ints):
-            if f:
-                lowered = list(caps)
-                lowered[i] = Fraction(f, 2 * scale)
-                assert min_cut_indexed(*where, lowered, first[3]) == min_cut_indexed(
-                    *where, lowered
-                ), seed
-                dropped += 1
-                break
+        i = next((i for i, f in enumerate(r.room[1::2]) if f), None)
+        if i is not None:
+            lowered = list(caps)
+            lowered[i] = Fraction(r.room[2 * i + 1], 2 * r.scale)
+            r.raise_to([i], [lowered[i]])
+            assert r.total == 0 and not any(r.room[1::2]), seed
+            assert r.cut() == residual(where, lowered).cut(), seed
+            dropped += 1
     assert dropped >= 140  # 144 of the 300 carry a positive flow
+
+
+def test_opened_and_closed_arcs_match_a_cold_start():
+    # Random runs of opens, raises and closes of empty arcs: each cut is the
+    # cold cut of the open arcs, and an arc that carries flow cannot close.
+    rng = random.Random(1)
+    refused = closed = 0
+    for seed, where, caps in rational_suite():
+        r = Residual(*where)
+        live = {}
+        for _ in range(4):
+            shut = [i for i in live if not r.room[2 * i + 1] and rng.random() < 0.3]
+            r.close(shut)
+            for i in shut:
+                del live[i]
+            closed += len(shut)
+            busy = [i for i in live if r.room[2 * i + 1]]
+            if busy:
+                with pytest.raises(RuntimeError, match="carries flow"):
+                    r.close(busy[:1])
+                refused += 1
+            opened = [i for i in range(len(caps)) if i not in live and rng.random() < 0.5]
+            r.open(opened, [caps[i] for i in opened])
+            live.update((i, caps[i]) for i in opened)
+            up = {i: c + Fraction(1, rng.randint(1, 9))
+                  for i, c in live.items() if c is not None and rng.random() < 0.3}
+            r.raise_to(list(up), list(up.values()))
+            live.update(up)
+            cold = Residual(*where)
+            cold.open(list(live), [live[i] for i in live])
+            assert r.cut() == cold.cut(), seed
+    assert refused >= 400 and closed >= 1000  # 450 refused, 1,374 closed
