@@ -41,18 +41,20 @@ leave the critical graph carry no flow and are closed (``Residual.close``
 raises ``RuntimeError`` otherwise).  Newly critical edges open empty, and a
 cut edge rises to its next schedule entry (no smaller, for a non-decreasing
 schedule) or to no limit, so its flow still fits and a later day usually
-costs one BFS.  A decreasing schedule, which ``validate`` rejects, can leave
-a flow above its capacity; the residual then drops the flow.
+costs one BFS.  The critical list, the day's slack-0 edges, records which
+edges are open.  A decreasing schedule, which ``validate`` rejects, can
+leave a flow above its capacity; the residual then drops the flow.
 
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
 restricted minimum cuts whose costs are provably monotone.  It runs on the
 same position lists and on one residual per run: capacities only go from an
 edge's price to no limit, when its plan units run out, and edges only leave
-the live set.  It keeps the input network once in the trace and stores each
-level as lists by edge and node position: lengths, remaining plan units,
-critical edges, cut edges and the cut's reached nodes.  ``verify_trace``
-derives the cut-overlap partitions that witness the monotonicity from those
-levels and checks them, so a changed level is checked as it stands.
+the critical list.  It keeps the input network once in the trace and stores
+each level as lists by edge and node position: lengths, remaining plan
+units, critical edges, cut edges and the cut's reached nodes.
+``verify_trace`` derives the cut-overlap partitions that witness the
+monotonicity from those levels and checks them, so a changed level is
+checked as it stands.
 Together they are the machine-checkable counterpart of the greedy cost
 bound.
 """
@@ -69,7 +71,6 @@ from .network import (
     EdgeId,
     Plan,
     ProjectNetwork,
-    _critical_positions,
     _longest_dists,
     _slacks,
     is_k_crashing,
@@ -134,11 +135,11 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
 
     residual = flow.Residual(n, source, sink, tails, heads)
     critical = [p for p, j in enumerate(near) if not slack[j]]
-    residual.open(critical, capacities(critical))
+    residual.raise_to(critical, capacities(critical))
     steps: list[CrashStep] = []
     durations: list[int] = []
     for i in range(1, k + 1):
-        cut, _, cost = residual.cut()
+        cut, _, cost = residual.cut(critical)
         if cost is None:
             raise NotCrashableError(f"no {k}-day plan exists: day {i} cannot be saved")
         for p in cut:
@@ -149,15 +150,16 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
         durations.append(total)
         if i == k:
             break
-        following, reached = _critical_positions(order, tails, heads, length, n, sink)
+        slack, reached = _slacks(order, tails, heads, length, n, sink)
         if reached != total:
             raise RuntimeError(f"day {i} left a duration of {reached}, expected {total}")
         residual.raise_to(cut, capacities(cut))
+        following = [p for p, x in enumerate(slack) if not x]
         if following != critical:
-            kept, joined = set(critical), set(following)
-            residual.close([p for p in critical if p not in joined])
+            residual.close([p for p in critical if slack[p]])
+            kept = set(critical)
             opened = [p for p in following if p not in kept]
-            residual.open(opened, capacities(opened))
+            residual.raise_to(opened, capacities(opened))
             critical = following
     return GreedyCrashResult(
         steps=tuple(steps),
@@ -218,19 +220,19 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     length = [e.normal_len for e in net.edges]
     remaining = [plan.amounts.get(e.id, 0) for e in net.edges]
     residual = flow.Residual(n, source, sink, tails, heads)
-    live = range(len(length))  # the previous level's critical edges
+    critical = list(range(len(length)))  # the previous level's critical edges
+    residual.raise_to(critical, [
+        e.cost_schedule[0] if x else None for e, x in zip(net.edges, remaining)
+    ])
     levels: list[TraceLevel] = []
     for i in range(1, k + 1):
-        # ``order`` holds the live edges only, but the kept list spans all.
-        kept, _ = _critical_positions(order, tails, heads, length, n, sink)
-        critical = [j for j in kept if j in live]
-        if i == 1:
-            residual.open(critical, [
-                net.edges[j].cost_schedule[0] if remaining[j] else None for j in critical
-            ])
-        else:
-            residual.close(live.difference(critical))
-        crossing, reached, cost = residual.cut()
+        # ``order`` holds the previous critical edges only, so only their
+        # slacks are those of the previous critical graph.
+        slack, _ = _slacks(order, tails, heads, length, n, sink)
+        residual.close([j for j in critical if slack[j]])
+        critical = [j for j in critical if not slack[j]]
+        order = [j for j in order if not slack[j]]
+        crossing, reached, cost = residual.cut(critical)
         if cost is None:
             raise NotKCrashingError(
                 f"level {i}: the remaining plan contains no cut of the critical graph"
@@ -244,8 +246,6 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
             remaining[j] -= 1
         exhausted = [j for j in cut if not remaining[j]]
         residual.raise_to(exhausted, [None] * len(exhausted))
-        live = set(critical)
-        order = [j for j in order if j in live]
     return DecompositionTrace(net, tuple(levels))
 
 

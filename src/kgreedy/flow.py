@@ -13,10 +13,11 @@ names, so the module has no graph type of its own.
 One ``Residual`` serves a run of related cuts (the greedy's days, the
 decomposition's levels).  It builds its arrays once, over a fixed list of
 arcs that start closed, with no room either way, so the search skips them.
-Between cuts the caller opens arcs with zero flow, raises open arcs'
-capacities keeping their flow, and closes arcs, which must carry no flow
-(``close`` raises ``RuntimeError`` otherwise); the flow stays conserved, so
-each cut begins from the flow the last one left.
+Between cuts the caller raises arcs' capacities keeping their flow, so a
+closed arc opens empty, and closes arcs, which must carry no flow (``close``
+raises ``RuntimeError`` otherwise); the flow stays conserved, so each cut
+begins from the flow the last one left.  The caller lists the open arcs for
+each cut, since an open arc of capacity 0 looks closed.
 
 Rooms are exact integers in units of 1/scale, so the inner loop adds and
 compares plain ints.  The scale only grows: a capacity whose denominator
@@ -62,7 +63,7 @@ class Residual:
 
     ``room`` holds the residual rooms in units of 1/``scale``, so arc i
     carries ``room[2 * i + 1] / scale``, and ``total`` is the flow's value in
-    the same units; ``live`` flags the open arcs.
+    the same units.
     """
 
     def __init__(self, n: int, source: int, sink: int, tails, heads):
@@ -74,20 +75,12 @@ class Residual:
         for j in range(len(head)):
             self.out[head[j ^ 1]].append(j)
         self.room: list[int | float] = [0] * len(head)
-        self.live = [False] * len(tails)
         self.scale = 1
         self.total = 0
 
-    def open(self, arcs, caps) -> None:
-        """Open the closed arcs at the positions listed in ``arcs`` at
-        capacities ``caps``, with no flow."""
-        for i in arcs:
-            self.live[i] = True
-        self.raise_to(arcs, caps)
-
     def raise_to(self, arcs, caps) -> None:
-        """Give the open arcs at positions ``arcs`` capacities ``caps``,
-        keeping their flow unless a capacity is less than it."""
+        """Give the arcs at positions ``arcs`` capacities ``caps``, keeping
+        their flow (none, if closed) unless a capacity is less than it."""
         for i, cap in zip(arcs, caps):
             if cap is None:
                 units = math.inf
@@ -114,11 +107,10 @@ class Residual:
         for i in arcs:
             if room[2 * i + 1]:
                 raise RuntimeError(f"arc {i} is closed while it carries flow")
-            self.live[i] = False
             room[2 * i] = 0
 
-    def cut(self) -> tuple[list[int], list[bool], Fraction | None]:
-        """A minimum s-t cut of the open arcs.
+    def cut(self, open_arcs) -> tuple[list[int], list[bool], Fraction | None]:
+        """A minimum s-t cut of the open arcs, listed in arc order in ``open_arcs``.
 
         Returns the positions of the crossing open arcs in arc order, a
         reached flag per node (the source side), and the cost, which is the
@@ -150,9 +142,10 @@ class Residual:
                 frontier = next_frontier
             if level[t] is None:
                 self.total = total
+                tails, heads = self.tails, self.heads
                 crossing = [
-                    i for i, (u, v, live) in enumerate(zip(self.tails, self.heads, self.live))
-                    if live and level[u] is not None and level[v] is None
+                    i for i in open_arcs
+                    if level[tails[i]] is not None and level[heads[i]] is None
                 ]
                 return crossing, [d is not None for d in level], Fraction(total, self.scale)
 

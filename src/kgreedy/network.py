@@ -247,24 +247,11 @@ def _longest_dists(order, tails, heads, lengths, n: int) -> list[int]:
     return dist
 
 
-def _critical_positions(
-    order, tails, heads, lengths: list[int], n: int, sink: int
-) -> tuple[list[int], int]:
-    """The positions of the edges on some longest source-to-sink path, in
-    edge order, and the duration; ``order`` is ``_topological_order``'s."""
-    from_src = _longest_dists(order, tails, heads, lengths, n)
-    to_sink = _longest_dists(reversed(order), heads, tails, lengths, n)
-    total = from_src[sink]
-    kept = [
-        i for i, (u, v, x) in enumerate(zip(tails, heads, lengths))
-        if from_src[u] + x + to_sink[v] == total
-    ]
-    return kept, total
-
-
 def _slacks(order, tails, heads, lengths: list[int], n: int, sink: int) -> tuple[list[int], int]:
     """Each edge's slack, the duration less the longest source-to-sink path
-    through the edge, in edge order, and the duration."""
+    through the edge, in edge order, and the duration.  With ``order`` only
+    the part of ``_topological_order``'s in a subnetwork whose nodes all lie on
+    source-to-sink paths, the listed edges get their slacks in the subnetwork."""
     from_src = _longest_dists(order, tails, heads, lengths, n)
     to_sink = _longest_dists(reversed(order), heads, tails, lengths, n)
     total = from_src[sink]

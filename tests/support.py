@@ -14,7 +14,7 @@ minimum, builds the floor network the tests compare `k_max` against.
 The exception is the named reference path.  `Arc`, `FlowGraph`, `CutResult`
 and `min_cut` are flow graphs and cuts by name, and `critical_graph` is a
 network's critical subnetwork; all are thin adapters over the library's
-private index routines (`flow.Residual`, `network._critical_positions`).
+private index routines (`flow.Residual`, `network._slacks`).
 `reference_greedy` and `reference_decompose` compose the greedy's days and
 the decomposition's levels from them and `apply_plan`, one named network per
 day or level, so that the library's loops over edge positions are checked
@@ -37,7 +37,7 @@ from kgreedy.klis import SubseqSelection
 from kgreedy.network import (
     Plan,
     ProjectNetwork,
-    _critical_positions,
+    _slacks,
     _topological_order,
     apply_plan,
     duration,
@@ -80,8 +80,9 @@ def min_cut(g):
         len(g.nodes), index[g.source], index[g.sink],
         [index[a.src] for a in arcs], [index[a.dst] for a in arcs],
     )
-    residual.open(range(len(arcs)), [a.capacity for a in arcs])
-    crossing, reached, cost = residual.cut()
+    everything = range(len(arcs))
+    residual.raise_to(everything, [a.capacity for a in arcs])
+    crossing, reached, cost = residual.cut(everything)
     return CutResult(
         frozenset(arcs[i].id for i in crossing),
         frozenset(v for v, r in zip(g.nodes, reached) if r),
@@ -95,9 +96,8 @@ def critical_graph(net):
     source, the sink or an end of a kept edge."""
     tails, heads, order = _topological_order(net)
     lengths = [e.normal_len for e in net.edges]
-    kept, _ = _critical_positions(
-        order, tails, heads, lengths, len(net.nodes), net.nodes.index(net.sink)
-    )
+    slack, _ = _slacks(order, tails, heads, lengths, len(net.nodes), net.nodes.index(net.sink))
+    kept = [i for i, x in enumerate(slack) if not x]
     ends = {tails[i] for i in kept} | {heads[i] for i in kept}
     nodes = tuple(
         v for i, v in enumerate(net.nodes) if i in ends or v == net.source or v == net.sink

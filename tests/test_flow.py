@@ -218,7 +218,7 @@ def residual(where, caps):
     """A residual graph on ``where``, (n, source, sink, tails, heads), with
     every arc open at its capacity in ``caps``."""
     r = Residual(*where)
-    r.open(range(len(caps)), caps)
+    r.raise_to(range(len(caps)), caps)
     return r
 
 
@@ -226,13 +226,13 @@ def test_indexed_core_returns_positions_and_flags():
     # nodes s=0, u=1, t=2; arc 1 (u->t) is the cheaper of the two in series
     where = (3, 0, 2, [0, 1, 0], [1, 2, 2])
     caps = [Fraction(5), Fraction(2), Fraction(1, 3)]
-    assert residual(where, caps).cut() == ([1, 2], [True, True, False], Fraction(7, 3))
-    assert residual(where, [None] * 3).cut() == ([], [], None)
-    assert residual((1, 0, 0, [], []), []).cut() == ([], [], None)
+    assert residual(where, caps).cut(range(3)) == ([1, 2], [True, True, False], Fraction(7, 3))
+    assert residual(where, [None] * 3).cut(range(3)) == ([], [], None)
+    assert residual((1, 0, 0, [], []), []).cut([]) == ([], [], None)
     # a closed arc is no arc: with arc 1 closed, the cut is arc 2 alone
     r = Residual(*where)
-    r.open([0, 2], [caps[0], caps[2]])
-    assert r.cut() == ([2], [True, True, False], Fraction(1, 3))
+    r.raise_to([0, 2], [caps[0], caps[2]])
+    assert r.cut([0, 2]) == ([2], [True, True, False], Fraction(1, 3))
 
 
 def test_adapter_matches_indexed_core():
@@ -243,7 +243,8 @@ def test_adapter_matches_indexed_core():
             len(g.nodes), index[g.source], index[g.sink],
             [index[a.src] for a in g.arcs], [index[a.dst] for a in g.arcs],
         )
-        crossing, reached, cost = residual(where, [a.capacity for a in g.arcs]).cut()
+        every = range(len(g.arcs))
+        crossing, reached, cost = residual(where, [a.capacity for a in g.arcs]).cut(every)
         cut = min_cut(g)
         assert cut.cost == cost, seed
         assert cut.cut_arcs == {g.arcs[i].id for i in crossing}, seed
@@ -291,7 +292,7 @@ def test_returned_flow_is_a_maximum_flow():
     finite = 0
     for seed, where, caps in rational_suite():
         r = residual(where, caps)
-        cost = r.cut()[2]
+        cost = r.cut(range(len(caps)))[2]
         if cost is not None:
             assert_maximum_flow(where, caps, r, cost)
             finite += 1
@@ -301,12 +302,13 @@ def test_returned_flow_is_a_maximum_flow():
 def test_restart_from_the_returned_flow_changes_nothing():
     finer = 0
     for seed, where, caps in rational_suite():
+        every = range(len(caps))
         r = residual(where, caps)
-        result = r.cut()
+        result = r.cut(every)
         if result[2] is None:
             continue
         ints, scale = r.room[1::2], r.scale
-        assert r.cut() == result, seed
+        assert r.cut(every) == result, seed
         assert (r.room[1::2], r.scale) == (ints, scale), seed
         # Raising an arc that does not cross the cut by 1/17 keeps the flow
         # maximum; 17 divides no scale here, so the flow is multiplied up.
@@ -314,7 +316,7 @@ def test_restart_from_the_returned_flow_changes_nothing():
         i = next((i for i, c in enumerate(caps) if c is not None and i not in crossing), None)
         if i is not None:
             r.raise_to([i], [caps[i] + Fraction(1, 17)])
-            assert r.cut() == result, seed
+            assert r.cut(every) == result, seed
             assert (r.room[1::2], r.scale) == ([17 * f for f in ints], 17 * scale), seed
             finer += 1
     assert finer >= 200
@@ -326,8 +328,9 @@ def test_warm_start_after_raised_capacities_matches_a_cold_start():
     rng = random.Random(0)
     augmented = 0
     for seed, where, caps in rational_suite():
+        every = range(len(caps))
         r = residual(where, caps)
-        first, first_scale = r.cut(), r.scale
+        first, first_scale = r.cut(every), r.scale
         if first[2] is None:
             continue
         raised = [
@@ -338,9 +341,9 @@ def test_warm_start_after_raised_capacities_matches_a_cold_start():
         ]
         changed = [i for i, (c, d) in enumerate(zip(caps, raised)) if c != d]
         r.raise_to(changed, [raised[i] for i in changed])
-        warm = r.cut()
+        warm = r.cut(every)
         cold = residual(where, raised)
-        assert warm == cold.cut(), seed
+        assert warm == cold.cut(every), seed
         if warm[2] is not None:
             assert_maximum_flow(where, raised, r, warm[2])
             # the old scale is multiplied up, never rounded
@@ -354,8 +357,9 @@ def test_start_that_does_not_fit_is_dropped():
     # cut is the cold one.
     dropped = 0
     for seed, where, caps in rational_suite():
+        every = range(len(caps))
         r = residual(where, caps)
-        if r.cut()[2] is None:
+        if r.cut(every)[2] is None:
             continue
         i = next((i for i, f in enumerate(r.room[1::2]) if f), None)
         if i is not None:
@@ -363,7 +367,7 @@ def test_start_that_does_not_fit_is_dropped():
             lowered[i] = Fraction(r.room[2 * i + 1], 2 * r.scale)
             r.raise_to([i], [lowered[i]])
             assert r.total == 0 and not any(r.room[1::2]), seed
-            assert r.cut() == residual(where, lowered).cut(), seed
+            assert r.cut(every) == residual(where, lowered).cut(every), seed
             dropped += 1
     assert dropped >= 140  # 144 of the 300 carry a positive flow
 
@@ -388,13 +392,13 @@ def test_opened_and_closed_arcs_match_a_cold_start():
                     r.close(busy[:1])
                 refused += 1
             opened = [i for i in range(len(caps)) if i not in live and rng.random() < 0.5]
-            r.open(opened, [caps[i] for i in opened])
+            r.raise_to(opened, [caps[i] for i in opened])
             live.update((i, caps[i]) for i in opened)
             up = {i: c + Fraction(1, rng.randint(1, 9))
                   for i, c in live.items() if c is not None and rng.random() < 0.3}
             r.raise_to(list(up), list(up.values()))
             live.update(up)
             cold = Residual(*where)
-            cold.open(list(live), [live[i] for i in live])
-            assert r.cut() == cold.cut(), seed
+            cold.raise_to(list(live), [live[i] for i in live])
+            assert r.cut(sorted(live)) == cold.cut(sorted(live)), seed
     assert refused >= 400 and closed >= 1000  # 450 refused, 1,374 closed

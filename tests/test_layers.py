@@ -9,9 +9,10 @@ names the package binds, so a deleted API cannot stay exported, and every
 exported function and class has a caller in the library or the benchmark, so
 an API that only the tests read cannot stay in the library.  Every class
 in `errors.py` is raised somewhere in the package, or is a base of one that
-is, so an error class cannot outlive its last `raise`.  And the CLI runs in
-an isolated interpreter loading nothing but the standard library and the
-package itself.
+is, so an error class cannot outlive its last `raise`.  The library has no
+`assert` statement, since `python -O` strips them: its self-checks raise.
+And the CLI runs in an isolated interpreter loading nothing but the
+standard library and the package itself.
 """
 
 import ast
@@ -179,3 +180,10 @@ def test_every_error_class_is_raised():
                     kept.add(name)
                     name = bases[name]
     assert sorted(bases.keys() - kept) == []
+
+
+def test_library_has_no_assert_statements():
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts on lines {lines}"

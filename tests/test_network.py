@@ -14,6 +14,7 @@ from kgreedy.network import (
     Edge,
     Plan,
     ProjectNetwork,
+    _slacks,
     _topological_order,
     apply_plan,
     duration,
@@ -256,6 +257,35 @@ class TestCriticalGraph:
     def test_result_is_valid_network(self):
         for net in random_suite(20):
             validate(critical_graph(net))
+
+    def test_slacks_over_critical_edges_match_the_named_subnetwork(self):
+        # ``decompose`` lists only the previous level's critical edges in
+        # ``order``, at lengths changed since: each listed edge must get the
+        # slack it has in that critical subnetwork built by name.
+        rng = random.Random(0)
+        positive = 0
+        for net in random_suite():
+            tails, heads, order = _topological_order(net)
+            lengths = [rng.randint(0, 6) for _ in net.edges]
+            changed = {e.id: x for e, x in zip(net.edges, lengths)}
+            sub = critical_graph(net)
+            listed = set(edge_ids(sub))
+            sub = dataclasses.replace(sub, edges=tuple(
+                e._replace(normal_len=changed[e.id]) for e in sub.edges
+            ))
+            paths = [(sum(e.normal_len for e in p), {e.id for e in p}) for p in all_st_paths(sub)]
+            total = max(days for days, _ in paths)
+            slack, got = _slacks(
+                [i for i in order if net.edges[i].id in listed], tails, heads, lengths,
+                len(net.nodes), net.nodes.index(net.sink),
+            )
+            assert got == total
+            for i, e in enumerate(net.edges):
+                if e.id in listed:
+                    through = max(days for days, ids in paths if e.id in ids)
+                    assert slack[i] == total - through, (net, e.id)
+                    positive += slack[i] > 0
+        assert positive >= 20  # 21 listed edges have a positive slack
 
     def test_every_critical_edge_on_a_longest_path(self):
         for net in random_suite(20):
