@@ -35,7 +35,6 @@ from .network import (
     is_k_crashing,
     k_max,
     linear_schedule,
-    validate,
 )
 from .oracle import exact_crash_cost, exact_klis, exact_klis_total
 
@@ -67,7 +66,6 @@ __all__ = [
     "random_network",
     "random_sequence",
     "total_ratio_bound",
-    "validate",
     "verify_trace",
     "with_convex_schedules",
 ]

@@ -40,9 +40,7 @@ def _read_json(path: str, **options):
 
 
 def _load_network(path: str) -> network.ProjectNetwork:
-    net = network.network_from_json(_read_json(path, parse_float=str))
-    network.validate(net)
-    return net
+    return network.network_from_json(_read_json(path, parse_float=str))
 
 
 def _load_script(path: str) -> list[list[int]]:

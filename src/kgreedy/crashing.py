@@ -10,7 +10,7 @@ topological index, on plain lists by edge position (current lengths,
 schedule entries used) and on one ``flow.Residual`` per run.
 
 Each day lowers the duration by exactly one, in a network where every node
-lies on a source-to-sink path (as ``validate`` requires).  Let D be the
+lies on a source-to-sink path (as loading requires).  Let D be the
 duration before the day, S the cut's source side (the nodes residual-
 reachable from the source after a maximum flow) and T the rest.  Critical
 source-to-sink paths are D days long and all others at most D - 1.  The
@@ -42,7 +42,7 @@ raises ``RuntimeError`` otherwise).  Newly critical edges open empty, and a
 cut edge rises to its next schedule entry (no smaller, for a non-decreasing
 schedule) or to no limit, so its flow still fits and a later day usually
 costs one BFS.  The critical list, the day's slack-0 edges, records which
-edges are open.  A decreasing schedule, which ``validate`` rejects, can
+edges are open.  A decreasing schedule, which loading rejects, can
 leave a flow above its capacity; the residual then drops the flow.
 
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and

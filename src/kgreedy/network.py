@@ -7,8 +7,8 @@ project duration, which is the length of the longest source-to-sink path.
 
 All types are immutable after construction and all operations are pure, so
 values can be shared freely between workers.  A network computes its
-topological index on first use and keeps it; the index is not a field, so it
-takes no part in equality, hashing or ``repr``.
+topological index on first use and keeps it (a loaded one comes with it); the
+index is not a field, so it takes no part in equality, hashing or ``repr``.
 """
 
 from __future__ import annotations
@@ -130,64 +130,6 @@ class Plan:
         return Plan, (dict(self.amounts),)
 
 
-# -- validation ---------------------------------------------------------------
-
-def validate(net: ProjectNetwork) -> None:
-    """Check every structural invariant; raise a NetworkValidationError otherwise."""
-    node_set = set(net.nodes)
-    if len(node_set) != len(net.nodes):
-        raise NetworkValidationError("duplicate node ids")
-    for endpoint in (net.source, net.sink):
-        if endpoint not in node_set:
-            raise NetworkValidationError(f"declared endpoint {endpoint!r} is not a node")
-    seen_ids = set()
-    for edge_id, src, dst, a, b, schedule in net.edges:
-        if edge_id in seen_ids:
-            raise NetworkValidationError(f"edge id {edge_id!r} appears twice")
-        seen_ids.add(edge_id)
-        if src not in node_set or dst not in node_set:
-            raise NetworkValidationError(f"edge {edge_id!r} references an unknown node")
-        if a < 0 or a > b:
-            raise NetworkValidationError(
-                f"edge {edge_id!r}: need 0 <= min_len <= normal_len, got ({a}, {b})"
-            )
-        if len(schedule) != b - a:
-            raise NetworkValidationError(
-                f"edge {edge_id!r}: schedule has {len(schedule)} entries, expected {b - a}"
-            )
-        if not schedule:
-            continue
-        # A non-decreasing schedule is non-negative once its first day is,
-        # and a constant one needs no day-by-day compare (see Edge.is_linear).
-        if schedule[0].numerator < 0:
-            raise NetworkValidationError(f"edge {edge_id!r}: negative cost at day 0")
-        if schedule.count(schedule[0]) != len(schedule):
-            for d in range(1, len(schedule)):
-                if schedule[d] < schedule[d - 1]:
-                    raise NetworkValidationError(
-                        f"edge {edge_id!r}: schedule must be non-decreasing (convex), "
-                        f"day {d} is cheaper than day {d - 1}"
-                    )
-
-    tails, heads, _ = net._index  # raises on a cycle
-
-    # In a DAG whose only node without in-edges is the source and only node
-    # without out-edges is the sink, walking back from any node ends at the
-    # source and walking forward ends at the sink: every node lies on an
-    # s-t path, so no reachability pass is needed.
-    has_in, has_out = set(heads), set(tails)
-    sources = [v for i, v in enumerate(net.nodes) if i not in has_in]
-    sinks = [v for i, v in enumerate(net.nodes) if i not in has_out]
-    if len(sources) != 1 or sources[0] != net.source:
-        raise NetworkValidationError(
-            f"nodes without incoming edges: {sorted(sources)}, declared source: {net.source!r}"
-        )
-    if len(sinks) != 1 or sinks[0] != net.sink:
-        raise NetworkValidationError(
-            f"nodes without outgoing edges: {sorted(sinks)}, declared sink: {net.sink!r}"
-        )
-
-
 # -- duration and criticality -------------------------------------------------
 #
 # The private routines work on positions: node i is ``net.nodes[i]`` and
@@ -195,25 +137,23 @@ def validate(net: ProjectNetwork) -> None:
 # A network keeps its ``_topological_order`` as ``net._index``, so every
 # consumer after the first reads it for free.
 
-def _topological_order(net: ProjectNetwork) -> tuple[tuple[int, ...], ...]:
-    """Each edge's tail and head, and the edge positions listed in a
-    topological order of their tails.
+def _kahn(nodes, tails, heads, ends=None) -> tuple[int, ...]:
+    """The edge positions listed in a topological order of their tails.
 
     Kahn's algorithm frees a node once all its in-edges are counted and then
     lists its out-edges.  The nodes never freed, a cycle and all downstream
-    of it, raise NetworkValidationError.
+    of it, raise NetworkValidationError; so do declared ``ends`` (source,
+    sink) other than the only node without in-edges and the only one without
+    out-edges.  Walking back from any node of such a DAG ends at the source
+    and walking forward at the sink, so every node lies on an s-t path.
     """
-    index = {v: i for i, v in enumerate(net.nodes)}
-    indeg = [0] * len(net.nodes)
-    outgoing: list[list[int]] = [[] for _ in net.nodes]
-    tails, heads = [], []
-    for i, (_, src, dst, _, _, _) in enumerate(net.edges):
-        u, v = index[src], index[dst]
-        tails.append(u)
-        heads.append(v)
+    indeg = [0] * len(nodes)
+    outgoing: list[list[int]] = [[] for _ in nodes]
+    for i, v in enumerate(heads):
         indeg[v] += 1
-        outgoing[u].append(i)
+        outgoing[tails[i]].append(i)
     free = [u for u, d in enumerate(indeg) if d == 0]
+    sources = [nodes[u] for u in free]
     order: list[int] = []
     freed = 0
     while free:
@@ -225,10 +165,29 @@ def _topological_order(net: ProjectNetwork) -> tuple[tuple[int, ...], ...]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 free.append(v)
-    if freed != len(net.nodes):
-        stuck = sorted(v for v, d in zip(net.nodes, indeg) if d > 0)
+    if freed != len(nodes):
+        stuck = sorted(v for v, d in zip(nodes, indeg) if d > 0)
         raise NetworkValidationError(f"cycle through nodes {stuck}")
-    return tuple(tails), tuple(heads), tuple(order)
+    if ends is not None:
+        source, sink = ends
+        sinks = [v for v, out in zip(nodes, outgoing) if not out]
+        if sources != [source]:
+            raise NetworkValidationError(
+                f"nodes without incoming edges: {sorted(sources)}, declared source: {source!r}"
+            )
+        if sinks != [sink]:
+            raise NetworkValidationError(
+                f"nodes without outgoing edges: {sorted(sinks)}, declared sink: {sink!r}"
+            )
+    return tuple(order)
+
+
+def _topological_order(net: ProjectNetwork) -> tuple[tuple[int, ...], ...]:
+    """Each edge's tail and head, and ``_kahn``'s order of the edges."""
+    index = {v: i for i, v in enumerate(net.nodes)}
+    tails = tuple([index[e.src] for e in net.edges])
+    heads = tuple([index[e.dst] for e in net.edges])
+    return tails, heads, _kahn(net.nodes, tails, heads)
 
 
 def _longest_dists(order, tails, heads, lengths, n: int) -> list[int]:
@@ -362,14 +321,16 @@ _EDGE_KEYS = itemgetter("id", "from", "to", "a", "b", "c")
 
 
 def network_from_json(data: dict) -> ProjectNetwork:
-    """Build a network from the project JSON format (not yet validated).
+    """Build and check a network from the project JSON format, in one pass
+    over the edges, and store its topological index on it.
 
     A scalar "c" is a constant per-day cost; a list gives the convex schedule
-    explicitly and must have b - a entries.  Costs given as strings are
-    parsed exactly, and each distinct cost literal is parsed once per call.
-    Missing keys, values of the wrong JSON type (names must be strings or
-    integers), day counts and costs that do not parse, and edges with more
-    than MAX_CRASHABLE_DAYS crashable days raise NetworkValidationError.
+    explicitly: b - a entries, non-decreasing from a non-negative day 0.
+    Costs given as strings are parsed exactly, and each distinct non-negative
+    cost literal once per call.  A missing key, a value of the wrong JSON type
+    (names must be strings or integers), a literal that does not parse, more
+    than MAX_CRASHABLE_DAYS crashable days, and every structural fault raise
+    NetworkValidationError: the first met, reading nodes, edges, then graph.
     """
     _json_value(data, dict, "a project must be a JSON object")
     try:
@@ -377,29 +338,40 @@ def network_from_json(data: dict) -> ProjectNetwork:
     except KeyError as missing:
         raise NetworkValidationError(f'the project has no "{missing.args[0]}"') from None
 
-    # Keyed by type too: 2**70 and float(2**70) are equal but parse apart.
-    # A bool's type is not a cost type, so True never meets a cached 1.
+    def name(v) -> str:
+        return str(_json_value(v, (int, str), _NAME_RULE))
+
+    _json_value(records, list, '"edges" must be a list')
+    _json_value(nodes, list, '"nodes" must be a list')
+    *nodes, source, sink = [v if type(v) is str else name(v) for v in (*nodes, source, sink)]
+    index = {v: i for i, v in enumerate(nodes)}
+    if len(index) != len(nodes):
+        raise NetworkValidationError("duplicate node ids")
+    for endpoint in (source, sink):
+        if endpoint not in index:
+            raise NetworkValidationError(f"declared endpoint {endpoint!r} is not a node")
+
+    # Keyed by type too (an int by itself, other keys are pairs): 2**70 and
+    # float(2**70) are equal but parse apart, and a bool is no cost type.
+    # Only non-negative costs are kept: a scalar "c" found here needs no check.
     costs: dict = {}
 
     def cost(x) -> Fraction:
         if type(x) not in _COST_TYPES:
             return _json_parsed(as_cost, x, _COST_TYPES, _COST_RULE)
-        key = (type(x), x)
+        key = x if type(x) is int else (type(x), x)
         parsed = costs.get(key)
         if parsed is None:
-            parsed = costs[key] = _json_parsed(as_cost, x, _COST_TYPES, _COST_RULE)
+            parsed = _json_parsed(as_cost, x, _COST_TYPES, _COST_RULE)
+            if parsed.numerator >= 0:
+                costs[key] = parsed
         return parsed
 
-    def name(v) -> str:
-        return str(_json_value(v, (int, str), _NAME_RULE))
-
-    def days(v, rule: str) -> int:
-        return _json_parsed(int, v, (int, str), rule)
-
     # Exact JSON types take the fast path inline; anything else goes through
-    # the helpers above, which accept or reject it as the rules say.
-    edges = []
-    for pos, rec in enumerate(_json_value(records, list, '"edges" must be a list')):
+    # the helpers above, which accept or reject it as the rules say.  Each
+    # edge is read whole before the rules on its values are checked.
+    edges, ids, tails, heads, new_edge = [], set(), [], [], tuple.__new__
+    for pos, rec in enumerate(records):
         if type(rec) is not dict:
             _json_value(rec, dict, "each edge must be a JSON object")
         try:
@@ -413,25 +385,56 @@ def network_from_json(data: dict) -> ProjectNetwork:
         if type(dst) is not str:
             dst = name(dst)
         if type(a) is not int:
-            a = days(a, '"a" must be a whole number of days')
+            a = _json_parsed(int, a, (int, str), '"a" must be a whole number of days')
         if type(b) is not int:
-            b = days(b, '"b" must be a whole number of days')
+            b = _json_parsed(int, b, (int, str), '"b" must be a whole number of days')
         if b - a > MAX_CRASHABLE_DAYS:
             raise NetworkValidationError(
                 f"edge {edge_id!r}: b - a = {b - a} exceeds {MAX_CRASHABLE_DAYS} crashable days"
             )
-        if isinstance(c, list):
-            schedule = tuple([cost(x) for x in c])
+        # A negative count repeats to the empty tuple; a > b fails below.
+        t = type(c)
+        parsed = costs.get(c if t is int else (t, c)) if t in _COST_TYPES else None
+        if parsed is not None:
+            schedule, checked = (parsed,) * (b - a), True
+        elif isinstance(c, list):
+            schedule, checked = tuple([cost(x) for x in c]), False
         else:
-            # A negative count repeats to the empty tuple; validate rejects a > b.
-            parsed = costs.get((type(c), c)) if type(c) in _COST_TYPES else None
-            if parsed is None:
-                parsed = cost(c)
-            schedule = (parsed,) * (b - a)
-        edges.append(Edge(edge_id, src, dst, a, b, schedule))
-    _json_value(nodes, list, '"nodes" must be a list')
-    *nodes, source, sink = [v if type(v) is str else name(v) for v in (*nodes, source, sink)]
-    return ProjectNetwork(tuple(nodes), source, sink, tuple(edges))
+            schedule, checked = (cost(c),) * (b - a), False
+        if edge_id in ids:
+            raise NetworkValidationError(f"edge id {edge_id!r} appears twice")
+        ids.add(edge_id)
+        try:
+            tails.append(index[src])
+            heads.append(index[dst])
+        except KeyError:
+            raise NetworkValidationError(f"edge {edge_id!r} references an unknown node") from None
+        if a < 0 or a > b:
+            raise NetworkValidationError(
+                f"edge {edge_id!r}: need 0 <= min_len <= normal_len, got ({a}, {b})"
+            )
+        if not checked:
+            if len(schedule) != b - a:
+                raise NetworkValidationError(
+                    f"edge {edge_id!r}: schedule has {len(schedule)} entries, expected {b - a}"
+                )
+            # A non-decreasing schedule is non-negative once its first day is,
+            # and a constant one needs no day-by-day compare (see Edge.is_linear).
+            if schedule and schedule[0].numerator < 0:
+                raise NetworkValidationError(f"edge {edge_id!r}: negative cost at day 0")
+            if schedule and schedule.count(schedule[0]) != len(schedule):
+                for d in range(1, len(schedule)):
+                    if schedule[d] < schedule[d - 1]:
+                        raise NetworkValidationError(
+                            f"edge {edge_id!r}: schedule must be non-decreasing (convex), "
+                            f"day {d} is cheaper than day {d - 1}"
+                        )
+        edges.append(new_edge(Edge, (edge_id, src, dst, a, b, schedule)))
+
+    order = _kahn(nodes, tails, heads, (source, sink))
+    net = ProjectNetwork(tuple(nodes), source, sink, tuple(edges))
+    vars(net)["_index"] = (tuple(tails), tuple(heads), order)
+    return net
 
 
 def plan_to_json(plan: Plan) -> dict:

@@ -151,7 +151,7 @@ def exact_crash_cost(net: ProjectNetwork, k: int) -> tuple[Plan, Fraction]:
     common multiple of their denominators, so all flow arithmetic is on
     ints.  The plan is read off the longest residual distances, and among
     equal-cost optima those potentials decide.  Convex schedules are costed
-    by prefix sums.  ``net`` must be valid (see ``network.validate``).
+    by prefix sums.  ``net`` must pass ``network.network_from_json``'s checks.
     """
     if k < 0:
         raise ValueError("k must be non-negative")

@@ -1,5 +1,9 @@
 """Independent brute-force reference computations used across the tests.
 
+`reference_validate` checks a network's structural rules one by one, on a
+network built in code or by `unchecked_network` from project JSON; the
+loader, `network.network_from_json`, is tested against it.
+
 Everything here enumerates or sums directly: paths for durations and
 criticality, node partitions for cuts, index subsets for subsequences,
 schedule prefixes for plan costs, integer plans for the exact crash cost,
@@ -34,14 +38,143 @@ from fractions import Fraction
 from kgreedy.cli import main
 from kgreedy.flow import Residual
 from kgreedy.klis import SubseqSelection
+from kgreedy.errors import NetworkValidationError
 from kgreedy.network import (
+    Edge,
     Plan,
     ProjectNetwork,
     _slacks,
     _topological_order,
     apply_plan,
+    as_cost,
     duration,
+    linear_schedule,
 )
+
+
+# -- the validation reference -------------------------------------------------
+
+def reference_validate(net: ProjectNetwork) -> None:
+    """Check every structural invariant; raise a NetworkValidationError otherwise."""
+    node_set = set(net.nodes)
+    if len(node_set) != len(net.nodes):
+        raise NetworkValidationError("duplicate node ids")
+    for endpoint in (net.source, net.sink):
+        if endpoint not in node_set:
+            raise NetworkValidationError(f"declared endpoint {endpoint!r} is not a node")
+    seen_ids = set()
+    for edge_id, src, dst, a, b, schedule in net.edges:
+        if edge_id in seen_ids:
+            raise NetworkValidationError(f"edge id {edge_id!r} appears twice")
+        seen_ids.add(edge_id)
+        if src not in node_set or dst not in node_set:
+            raise NetworkValidationError(f"edge {edge_id!r} references an unknown node")
+        if a < 0 or a > b:
+            raise NetworkValidationError(
+                f"edge {edge_id!r}: need 0 <= min_len <= normal_len, got ({a}, {b})"
+            )
+        if len(schedule) != b - a:
+            raise NetworkValidationError(
+                f"edge {edge_id!r}: schedule has {len(schedule)} entries, expected {b - a}"
+            )
+        if not schedule:
+            continue
+        # A non-decreasing schedule is non-negative once its first day is,
+        # and a constant one needs no day-by-day compare (see Edge.is_linear).
+        if schedule[0].numerator < 0:
+            raise NetworkValidationError(f"edge {edge_id!r}: negative cost at day 0")
+        if schedule.count(schedule[0]) != len(schedule):
+            for d in range(1, len(schedule)):
+                if schedule[d] < schedule[d - 1]:
+                    raise NetworkValidationError(
+                        f"edge {edge_id!r}: schedule must be non-decreasing (convex), "
+                        f"day {d} is cheaper than day {d - 1}"
+                    )
+
+    tails, heads, _ = net._index  # raises on a cycle
+
+    # In a DAG whose only node without in-edges is the source and only node
+    # without out-edges is the sink, walking back from any node ends at the
+    # source and walking forward ends at the sink: every node lies on an
+    # s-t path, so no reachability pass is needed.
+    has_in, has_out = set(heads), set(tails)
+    sources = [v for i, v in enumerate(net.nodes) if i not in has_in]
+    sinks = [v for i, v in enumerate(net.nodes) if i not in has_out]
+    if len(sources) != 1 or sources[0] != net.source:
+        raise NetworkValidationError(
+            f"nodes without incoming edges: {sorted(sources)}, declared source: {net.source!r}"
+        )
+    if len(sinks) != 1 or sinks[0] != net.sink:
+        raise NetworkValidationError(
+            f"nodes without outgoing edges: {sorted(sinks)}, declared sink: {net.sink!r}"
+        )
+
+
+def unchecked_network(data):
+    """The network a well-typed project JSON describes, built with no check:
+    names as strings, and a scalar "c" repeated b - a times, as the loader
+    builds it."""
+    def schedule(rec):
+        c = rec["c"]
+        if isinstance(c, list):
+            return tuple(map(as_cost, c))
+        return linear_schedule(c, rec["b"] - rec["a"])
+
+    edges = tuple(
+        Edge(str(r["id"]), str(r["from"]), str(r["to"]), r["a"], r["b"], schedule(r))
+        for r in data["edges"]
+    )
+    return ProjectNetwork(
+        tuple(map(str, data["nodes"])), str(data["source"]), str(data["sink"]), edges
+    )
+
+
+def two_edge_project(c_first=1, c_second=1):
+    """A valid project JSON: s -> u (edge e, 3 crashable days) -> t (edge f, 3)."""
+    return {
+        "nodes": ["s", "u", "t"],
+        "source": "s",
+        "sink": "t",
+        "edges": [
+            {"id": "e", "from": "s", "to": "u", "a": 1, "b": 4, "c": c_first},
+            {"id": "f", "from": "u", "to": "t", "a": 0, "b": 3, "c": c_second},
+        ],
+    }
+
+
+def structural_faults():
+    """(name, project, exact message): `two_edge_project` with one fault for
+    each structural rule, in `reference_validate`'s order."""
+    def project(nodes=(), arcs=(), second=(), **top):
+        p = two_edge_project()
+        p["nodes"] += nodes
+        p["edges"] += [{"id": "g", "from": u, "to": v, "a": 0, "b": 1, "c": 1} for u, v in arcs]
+        p["edges"][1].update(second)
+        p.update(top)
+        return p
+
+    bounds = "edge 'f': need 0 <= min_len <= normal_len, got"
+    return [
+        ("duplicate-node", project(nodes=["u"]), "duplicate node ids"),
+        ("source-not-a-node", project(source="x"), "declared endpoint 'x' is not a node"),
+        ("sink-not-a-node", project(sink="x"), "declared endpoint 'x' is not a node"),
+        ("duplicate-edge-id", project(second={"id": "e"}), "edge id 'e' appears twice"),
+        ("unknown-node", project(second={"to": "x"}), "edge 'f' references an unknown node"),
+        ("negative-a", project(second={"a": -1}), f"{bounds} (-1, 3)"),
+        ("a-over-b", project(second={"a": 4}), f"{bounds} (4, 3)"),
+        ("list-length", project(second={"c": [1, 2]}),
+         "edge 'f': schedule has 2 entries, expected 3"),
+        ("negative-scalar", project(second={"c": -1}), "edge 'f': negative cost at day 0"),
+        ("negative-list", project(second={"c": ["-1/2", 0, 1]}),
+         "edge 'f': negative cost at day 0"),
+        ("decreasing-list", project(second={"c": [1, 3, 2]}),
+         "edge 'f': schedule must be non-decreasing (convex), day 2 is cheaper than day 1"),
+        ("cycle", project(arcs=[("t", "u")]), "cycle through nodes ['t', 'u']"),
+        ("second-source", project(nodes=["v"], arcs=[("v", "t")]),
+         "nodes without incoming edges: ['s', 'v'], declared source: 's'"),
+        ("second-sink", project(nodes=["v"], arcs=[("s", "v")]),
+         "nodes without outgoing edges: ['t', 'v'], declared sink: 't'"),
+    ]
 
 
 # -- the named reference path -------------------------------------------------

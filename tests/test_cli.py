@@ -10,8 +10,8 @@ import pytest
 
 from kgreedy import cli, crashing, generators, klis, network, oracle
 from kgreedy.cli import main
-from kgreedy.network import network_from_json, validate
-from support import assert_exit_defined, plan_cost
+from kgreedy.network import network_from_json
+from support import assert_exit_defined, plan_cost, structural_faults, two_edge_project
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -116,6 +116,22 @@ def test_shell_exit_codes(tmp_path):
     assert kgreedy("--help").returncode == 0
 
 
+def _rejected_projects():
+    """(name, project, exact message): one project per structural rule, and
+    a negative scalar "c" on both edges of a project whose first or second
+    edge has no crashable day; it is rejected on the other edge either way."""
+    rigid_first, rigid_second = two_edge_project(-1, -1), two_edge_project(-1, -1)
+    rigid_first["edges"][0]["b"] = 1
+    rigid_second["edges"][1]["a"] = 3
+    return structural_faults() + [
+        ("negative-cost-after-a-rigid-edge", rigid_first, "edge 'f': negative cost at day 0"),
+        ("negative-cost-before-a-rigid-edge", rigid_second, "edge 'e': negative cost at day 0"),
+    ]
+
+
+_REJECTED_PROJECTS = _rejected_projects()
+
+
 class TestCrash:
     def test_greedy(self, capsys, fig2_path):
         code, out = run(capsys, ["crash", "--input", fig2_path, "-k", "2"])
@@ -202,9 +218,10 @@ class TestCrash:
         (json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
             {"id": {"x": 1}, "from": "s", "to": "t", "a": 1, "b": 2, "c": 1}]}),
          "names must be strings or integers"),
-    ], ids=["top-level-list", "edges-not-list", "bool-days", "zero-denominator", "float-days",
-            "nan-cost", "underscore-cost", "deep-nesting", "missing-sink", "edge-missing-id",
-            "null-id", "bool-node", "object-id"])
+    ] + [(json.dumps(project), message) for _, project, message in _REJECTED_PROJECTS],
+        ids=["top-level-list", "edges-not-list", "bool-days", "zero-denominator", "float-days",
+             "nan-cost", "underscore-cost", "deep-nesting", "missing-sink", "edge-missing-id",
+             "null-id", "bool-node", "object-id"] + [name for name, _, _ in _REJECTED_PROJECTS])
     def test_malformed_project_exits_three(self, capsys, tmp_path, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -212,6 +229,15 @@ class TestCrash:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_negative_cost_on_an_edge_without_crashable_days_loads(self, capsys, tmp_path):
+        project = two_edge_project(-1, 1)
+        project["edges"][0]["b"] = 1
+        path = tmp_path / "rigid.json"
+        path.write_text(json.dumps(project))
+        code, out = run(capsys, ["crash", "--input", str(path), "-k", "1"])
+        assert code == 0
+        assert json.loads(out)["total_cost"] == "1"
 
     def test_too_many_crashable_days_exits_three(self, capsys, tmp_path):
         # A scalar cost would otherwise expand into b - a schedule entries.
@@ -313,14 +339,13 @@ class TestGen:
         code, out = run(capsys, ["gen", "fig2"])
         assert code == 0
         net = network_from_json(json.loads(out))
-        validate(net)
         assert len(net.edges) == 5
 
     def test_random_dag_validates(self, capsys):
         code, out = run(capsys, ["gen", "random-dag", "--nodes", "5", "--edges", "8",
                                  "--seed", "3"])
         assert code == 0
-        validate(network_from_json(json.loads(out)))
+        network_from_json(json.loads(out))
 
     def test_random_seq(self, capsys):
         code, out = run(capsys, ["gen", "random-seq", "-n", "6", "--seed", "3"])
@@ -446,13 +471,14 @@ def test_network_option_errors_name_the_option(command, argv, message):
 
 
 def test_crash_trace_orders_the_network_once(monkeypatch, fig2_path):
-    # Loading validates, and validation leaves the topological index on the
-    # network, so the greedy, the decomposition and its check reuse it.
+    # Loading checks the network with Kahn's algorithm and keeps the
+    # topological index it yields on the network, so the greedy, the
+    # decomposition and its check reuse it.
     calls = []
-    topological_order = network._topological_order
-    monkeypatch.setattr(network, "_topological_order",
-                        lambda net: calls.append(net) or topological_order(net))
+    kahn = network._kahn
+    monkeypatch.setattr(network, "_kahn", lambda *args: calls.append(args) or kahn(*args))
     net = cli._load_network(fig2_path)
+    assert "_index" in vars(net) and len(calls) == 1
     plan = crashing.greedy_crash(net, 2).plan
     assert crashing.verify_trace(crashing.decompose(net, plan, 2)).passed
     assert len(calls) == 1

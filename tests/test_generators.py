@@ -13,16 +13,21 @@ from kgreedy.generators import (
     with_convex_schedules,
 )
 from kgreedy.klis import greedy_klis_scripted
-from kgreedy.network import duration, validate
+from kgreedy.network import duration, network_from_json, network_to_json
 from kgreedy.oracle import exact_crash_cost, exact_klis
 from support import critical_graph, edge_ids
+
+
+def loads_back(net):
+    """The network passes the loader's checks and loads back unchanged."""
+    assert network_from_json(network_to_json(net)) == net
 
 
 class TestCounterexampleNetwork:
     """The canned fixture must reproduce every fact it was reconstructed from."""
 
     def test_validates(self):
-        validate(counterexample_network())
+        loads_back(counterexample_network())
 
     def test_duration_is_nine(self):
         assert duration(counterexample_network()) == 9
@@ -82,14 +87,14 @@ class TestRandomNetwork:
         assert random_network(spec) == random_network(spec)
 
     def test_contract_example(self):
-        validate(random_network(RandomNetSpec(node_count=5, edge_count=8, seed=7)))
+        loads_back(random_network(RandomNetSpec(node_count=5, edge_count=8, seed=7)))
 
     def test_five_hundred_samples_validate(self):
         for seed in range(500):
             net = random_network(
                 RandomNetSpec(node_count=3 + seed % 4, edge_count=6 + seed % 3, seed=seed)
             )
-            validate(net)
+            loads_back(net)
 
     def test_spec_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -105,7 +110,7 @@ class TestRandomNetwork:
                 random_network(RandomNetSpec(node_count=5, edge_count=8, seed=seed)),
                 seed=seed,
             )
-            validate(net)
+            loads_back(net)
             for e in net.edges:
                 assert list(e.cost_schedule) == sorted(e.cost_schedule)
 

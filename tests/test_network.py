@@ -9,7 +9,12 @@ import pytest
 
 from kgreedy.crashing import greedy_crash
 from kgreedy.errors import NetworkValidationError, PlanOutOfBoundsError
-from kgreedy.generators import RandomNetSpec, counterexample_network, random_network
+from kgreedy.generators import (
+    RandomNetSpec,
+    counterexample_network,
+    random_network,
+    with_convex_schedules,
+)
 from kgreedy.network import (
     Edge,
     Plan,
@@ -23,7 +28,6 @@ from kgreedy.network import (
     linear_schedule,
     network_from_json,
     network_to_json,
-    validate,
 )
 from support import (
     all_st_paths,
@@ -34,7 +38,11 @@ from support import (
     full_plan,
     merge,
     plan_cost,
+    reference_validate,
     removing_disconnects,
+    structural_faults,
+    two_edge_project,
+    unchecked_network,
 )
 
 
@@ -50,10 +58,10 @@ def random_suite(count=40, **kw):
 
 class TestValidate:
     def test_minimal_network_ok(self):
-        validate(single_edge_net())
+        reference_validate(single_edge_net())
 
     def test_counterexample_ok(self):
-        validate(counterexample_network())
+        reference_validate(counterexample_network())
 
     def test_cycle_rejected(self):
         cases = [
@@ -65,7 +73,7 @@ class TestValidate:
             edges = tuple(Edge(f"e{i}", u, v, 1, 1, ()) for i, (u, v) in enumerate(arcs))
             net = ProjectNetwork(tuple(nodes), "s", "t", edges)
             with pytest.raises(NetworkValidationError, match=re.escape(f"cycle through nodes {stuck}")):
-                validate(net)
+                reference_validate(net)
 
     def test_second_source_rejected(self):
         net = ProjectNetwork(
@@ -77,7 +85,7 @@ class TestValidate:
         )
         message = "nodes without incoming edges: ['s', 'u'], declared source: 's'"
         with pytest.raises(NetworkValidationError, match=re.escape(message)):
-            validate(net)
+            reference_validate(net)
 
     def test_second_sink_rejected(self):
         net = ProjectNetwork(
@@ -89,7 +97,7 @@ class TestValidate:
         )
         message = "nodes without outgoing edges: ['t', 'u'], declared sink: 't'"
         with pytest.raises(NetworkValidationError, match=re.escape(message)):
-            validate(net)
+            reference_validate(net)
 
     def test_isolated_node_rejected(self):
         net = ProjectNetwork(
@@ -101,7 +109,7 @@ class TestValidate:
         )
         message = "nodes without incoming edges: ['s', 'u'], declared source: 's'"
         with pytest.raises(NetworkValidationError, match=re.escape(message)):
-            validate(net)
+            reference_validate(net)
 
     def test_bad_bounds_rejected(self):
         net = ProjectNetwork(
@@ -109,7 +117,7 @@ class TestValidate:
         )
         message = "edge 'a': need 0 <= min_len <= normal_len, got (4, 3)"
         with pytest.raises(NetworkValidationError, match=re.escape(message)):
-            validate(net)
+            reference_validate(net)
 
     def test_schedule_length_mismatch_rejected(self):
         net = ProjectNetwork(
@@ -117,14 +125,14 @@ class TestValidate:
         )
         message = "edge 'a': schedule has 1 entries, expected 2"
         with pytest.raises(NetworkValidationError, match=message):
-            validate(net)
+            reference_validate(net)
 
     def test_decreasing_schedule_rejected(self):
         cases = [((5, 2), "day 1 is cheaper than day 0"), ((-1, 2), "negative cost at day 0")]
         for schedule, message in cases:
             e = Edge("a", "s", "t", 1, 3, tuple(map(Fraction, schedule)))
             with pytest.raises(NetworkValidationError, match=message):
-                validate(ProjectNetwork(("s", "t"), "s", "t", (e,)))
+                reference_validate(ProjectNetwork(("s", "t"), "s", "t", (e,)))
 
     def test_first_day_sign_checked_for_fractions_and_ints(self):
         def net(first):
@@ -133,18 +141,18 @@ class TestValidate:
 
         for first in (Fraction(-1, 2), -1):
             with pytest.raises(NetworkValidationError, match="^edge 'a': negative cost at day 0$"):
-                validate(net(first))
-        validate(net(0))
+                reference_validate(net(first))
+        reference_validate(net(0))
 
     def test_repeated_day_objects_are_still_compared(self):
         x = Fraction(2)
         e = Edge("a", "s", "t", 0, 3, (x, x, Fraction(1)))
         with pytest.raises(NetworkValidationError, match="day 2 is cheaper than day 1"):
-            validate(ProjectNetwork(("s", "t"), "s", "t", (e,)))
+            reference_validate(ProjectNetwork(("s", "t"), "s", "t", (e,)))
 
     def test_equal_distinct_day_objects_are_accepted(self):
         e = Edge("a", "s", "t", 1, 3, (Fraction(3), Fraction(3)))
-        validate(ProjectNetwork(("s", "t"), "s", "t", (e,)))
+        reference_validate(ProjectNetwork(("s", "t"), "s", "t", (e,)))
 
     def test_is_linear(self):
         x = Fraction(2)
@@ -155,11 +163,11 @@ class TestValidate:
     def test_duplicate_edge_id_rejected(self):
         e = Edge("a", "s", "t", 1, 3, linear_schedule(5, 2))
         with pytest.raises(NetworkValidationError, match="edge id 'a' appears twice"):
-            validate(ProjectNetwork(("s", "t"), "s", "t", (e, e)))
+            reference_validate(ProjectNetwork(("s", "t"), "s", "t", (e, e)))
 
     def test_random_networks_all_validate(self):
         for net in random_suite(60):
-            validate(net)
+            reference_validate(net)
 
     def test_accepted_digraphs_have_every_node_on_a_source_sink_path(self):
         # Mostly forward edges over a random node order, plus some arbitrary
@@ -182,7 +190,7 @@ class TestValidate:
                 rng.choice(nodes), rng.choice(nodes))
             net = ProjectNetwork(tuple(nodes), *ends, tuple(edges))
             try:
-                validate(net)
+                network_from_json(network_to_json(net))
             except NetworkValidationError:
                 continue
             accepted += 1
@@ -213,7 +221,7 @@ class TestCriticalGraph:
             Edge("d", "v", "t", 1, 1, ()),
         )
         net = ProjectNetwork(("s", "u", "v", "t"), "s", "t", edges)
-        validate(net)
+        reference_validate(net)
         assert edge_ids(critical_graph(net)) == edge_ids(net)
 
     def test_counterexample(self):
@@ -230,7 +238,7 @@ class TestCriticalGraph:
             Edge("a", "s", "u", 3, 3, ()),
         )
         net = ProjectNetwork(("t", "u", "w", "s"), "s", "t", edges)
-        validate(net)
+        reference_validate(net)
         crit = critical_graph(net)
         assert crit.nodes == ("t", "u", "s")
         assert edge_ids(crit) == ("c", "b", "a")
@@ -256,7 +264,7 @@ class TestCriticalGraph:
 
     def test_result_is_valid_network(self):
         for net in random_suite(20):
-            validate(critical_graph(net))
+            reference_validate(critical_graph(net))
 
     def test_slacks_over_critical_edges_match_the_named_subnetwork(self):
         # ``decompose`` lists only the previous level's critical edges in
@@ -460,6 +468,74 @@ _FIRST_FAULT_CASES = [
 ]
 
 
+def _pick(rng, data):
+    return rng.choice(data["edges"])
+
+
+def _schedule(rng, days, first=0):
+    return sorted(rng.randint(first, 9) for _ in range(days))
+
+
+def _drop_node(rng, data):
+    data["nodes"].remove(rng.choice(data["nodes"]))
+
+
+def _rewire(rng, data):
+    _pick(rng, data)[rng.choice(["from", "to"])] = rng.choice(data["nodes"])
+
+
+def _extra_edge(rng, data):
+    data["edges"].append({"id": "extra", "from": rng.choice(data["nodes"]),
+                          "to": rng.choice(data["nodes"]), "a": 0, "b": 1, "c": 1})
+
+
+def _short_list(rng, data):
+    e = _pick(rng, data)
+    e["c"] = _schedule(rng, e["b"] - e["a"] + rng.choice([-1, 1]) if e["b"] > e["a"] else 1)
+
+
+def _negative_list(rng, data):
+    e = _pick(rng, data)
+    e["c"] = [-rng.randint(1, 3)] + _schedule(rng, e["b"] - e["a"] - 1)
+
+
+def _decreasing_list(rng, data):
+    e = _pick(rng, data)
+    e["b"] = e["a"] + rng.randint(2, 4)
+    e["c"] = _schedule(rng, e["b"] - e["a"], first=1)[::-1]
+    e["c"][-1] = 0
+
+
+def _negative_scalars(rng, data):
+    # one literal on two edges, each of which may have no crashable day
+    for e in rng.sample(data["edges"], 2):
+        e["c"] = -2
+
+
+# Single faults for the loader-against-reference test; None leaves the
+# generated project as it is.  Some (a rewired edge, a dropped node) break
+# different rules on different projects, or none.
+_FAULTS = [
+    None,
+    lambda rng, data: data["nodes"].insert(rng.randint(0, len(data["nodes"])),
+                                           rng.choice(data["nodes"])),
+    lambda rng, data: data.update({rng.choice(["source", "sink"]): "x"}),
+    _drop_node,
+    lambda rng, data: _pick(rng, data).update(id=_pick(rng, data)["id"]),
+    lambda rng, data: _pick(rng, data).update({rng.choice(["from", "to"]): "x"}),
+    lambda rng, data: _pick(rng, data).update(a=-rng.randint(1, 2)),
+    lambda rng, data: _pick(rng, data).update(a=rng.randint(6, 8)),
+    _short_list,
+    lambda rng, data: _pick(rng, data).update(c=-rng.randint(1, 3)),
+    _negative_list,
+    _decreasing_list,
+    _negative_scalars,
+    _rewire,
+    _extra_edge,
+    lambda rng, data: data["edges"].pop(rng.randrange(len(data["edges"]))),
+]
+
+
 class TestJson:
     @pytest.mark.parametrize("changes, message", _FIRST_FAULT_CASES)
     def test_first_fault_wins(self, changes, message):
@@ -485,6 +561,66 @@ class TestJson:
             network_from_json(data)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("project, message",
+                             [pytest.param(p, m, id=name) for name, p, m in structural_faults()])
+    def test_rule_table(self, project, message):
+        for check in (network_from_json, lambda p: reference_validate(unchecked_network(p))):
+            with pytest.raises(NetworkValidationError) as info:
+                check(project)
+            assert str(info.value) == message
+
+    def test_negative_cost_literal_is_checked_on_every_crashable_edge(self):
+        # a negative scalar "c" loads on an edge with no crashable day, and
+        # meeting it there does not let it through on a later edge that has one
+        data = self._two_edge_project(-1, -1)
+        data["edges"][0]["b"] = 1
+        with pytest.raises(NetworkValidationError) as info:
+            network_from_json(data)
+        assert str(info.value) == "edge 'f': negative cost at day 0"
+        data["edges"][1]["c"] = 1
+        assert [e.cost_schedule for e in network_from_json(data).edges] == [(), (Fraction(1),) * 3]
+        # in the reverse order the first edge, which has crashable days, fails
+        data = self._two_edge_project(-1, -1)
+        data["edges"][1]["a"] = 3
+        with pytest.raises(NetworkValidationError) as info:
+            network_from_json(data)
+        assert str(info.value) == "edge 'e': negative cost at day 0"
+
+    def test_loader_matches_the_reference_on_single_faults(self):
+        # Seeded generated projects, half with convex schedules, each given
+        # at most one fault; the loader must reject exactly what the
+        # reference rejects, with its message, and load the rest whole.
+        messages = set()
+        for seed in range(700):
+            rng = random.Random(seed)
+            generated = random_network(RandomNetSpec(
+                node_count=rng.randint(2, 7), edge_count=rng.randint(7, 12), seed=seed))
+            if seed % 2:
+                generated = with_convex_schedules(generated, seed)
+            data = network_to_json(generated)
+            fault = _FAULTS[seed % len(_FAULTS)]
+            if fault is not None:
+                fault(rng, data)
+            try:
+                reference_validate(unchecked_network(data))
+                expected = None
+            except NetworkValidationError as exc:
+                expected = str(exc)
+            try:
+                net = network_from_json(data)
+                got = None
+            except NetworkValidationError as exc:
+                got = str(exc)
+            assert got == expected, (seed, data)
+            if got is None:
+                assert net == unchecked_network(data)
+                assert net._index == _topological_order(net)
+                if fault is None:
+                    assert net == generated
+            else:
+                messages.add(re.sub(r"'[^']*'|\[[^]]*\]|\(.*\)|\d+", "_", got))
+        assert len(messages) == 11, "\n".join(sorted(messages))  # each message met
+
     def test_round_trip(self):
         net = counterexample_network()
         assert network_from_json(network_to_json(net)) == net
@@ -507,20 +643,9 @@ class TestJson:
             "edges": [{"id": "e", "from": "s", "to": "t", "a": 1, "b": 3, "c": [2, "5"]}],
         }
         net = network_from_json(data)
-        validate(net)
         assert net.edges[0].cost_schedule == (Fraction(2), Fraction(5))
 
-    @staticmethod
-    def _two_edge_project(c_first, c_second):
-        return {
-            "nodes": ["s", "u", "t"],
-            "source": "s",
-            "sink": "t",
-            "edges": [
-                {"id": "e", "from": "s", "to": "u", "a": 1, "b": 4, "c": c_first},
-                {"id": "f", "from": "u", "to": "t", "a": 0, "b": 3, "c": c_second},
-            ],
-        }
+    _two_edge_project = staticmethod(two_edge_project)
 
     def test_booleans_are_not_costs_even_after_equal_numbers(self):
         # a parsed 1 must not stand in for true, in the same list or a later edge
@@ -539,16 +664,16 @@ class TestJson:
 
     def test_equal_int_and_float_literals_can_parse_apart(self):
         # a float goes through its repr, so 2**70 and float(2**70) compare
-        # and hash equal yet give different exact costs
+        # and hash equal yet give different exact costs (the float's is
+        # smaller, so it comes first in a non-decreasing list)
         big = 2**70
-        net = network_from_json(self._two_edge_project([big, float(big), float(big)], big))
-        assert net.edges[0].cost_schedule[0] == Fraction(1180591620717411303424)
-        assert net.edges[0].cost_schedule[1] == Fraction(1180591620717411300000)
-        assert net.edges[1].cost_schedule == (Fraction(big),) * 3
+        net = network_from_json(self._two_edge_project(big, [float(big), float(big), big]))
+        assert net.edges[0].cost_schedule == (Fraction(1180591620717411303424),) * 3
+        assert net.edges[1].cost_schedule == (Fraction(1180591620717411300000),) * 2 + (
+            Fraction(big),)
 
     def test_equal_literals_across_edges_parse_alike(self):
         net = network_from_json(self._two_edge_project("7/2", ["7/2", "7/2", 4]))
-        validate(net)
         assert net.edges[0].cost_schedule == (Fraction(7, 2),) * 3
         assert net.edges[1].cost_schedule == (Fraction(7, 2), Fraction(7, 2), Fraction(4))
         net = network_from_json(self._two_edge_project(["2", 2, "2/1"], 2))
@@ -606,8 +731,7 @@ class TestValues:
 
     @staticmethod
     def _validated():
-        net = counterexample_network()
-        validate(net)
+        net = network_from_json(network_to_json(counterexample_network()))
         assert "_index" in vars(net)
         return net
 
