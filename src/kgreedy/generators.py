@@ -134,20 +134,16 @@ def random_network(spec: RandomNetSpec) -> ProjectNetwork:
         pairs.append((u, v))
 
     lo, hi = spec.cost_range
+    costs = {}  # each drawn cost, parsed once
     edges = []
     for j, (u, v) in enumerate(pairs):
         b = rng.randint(1, spec.max_normal_len)
         crash = rng.randint(0, min(spec.max_crashable, b))
-        edges.append(
-            Edge(
-                id=f"e{j}",
-                src=nodes[u],
-                dst=nodes[v],
-                min_len=b - crash,
-                normal_len=b,
-                cost_schedule=linear_schedule(rng.randint(lo, hi), crash),
-            )
-        )
+        c = rng.randint(lo, hi)
+        cost = costs.get(c)
+        if cost is None:
+            cost = costs[c] = as_cost(c)
+        edges.append(Edge(f"e{j}", nodes[u], nodes[v], b - crash, b, (cost,) * crash))
     return ProjectNetwork(nodes=nodes, source=nodes[0], sink=nodes[-1], edges=tuple(edges))
 
 

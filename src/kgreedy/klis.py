@@ -14,6 +14,7 @@ executions without baking adversarial behaviour into ``lis``.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,17 +47,16 @@ def _suffix_lis_lengths(values: Sequence[int]) -> tuple[list[int], int]:
     Patience piles over the reversed, negated sequence: the pile an element
     lands on is its suffix-LIS length minus one.
     """
-    n = len(values)
-    lengths = [0] * n
+    lengths: list[int] = []
     tails: list[int] = []
-    for i in range(n - 1, -1, -1):
-        x = -values[i]
+    for x in map(operator.neg, reversed(values)):
         pos = bisect_left(tails, x)
         if pos == len(tails):
             tails.append(x)
         else:
             tails[pos] = x
-        lengths[i] = pos + 1
+        lengths.append(pos + 1)
+    lengths.reverse()
     return lengths, len(tails)
 
 
@@ -73,10 +73,11 @@ def lis(values: Sequence[int]) -> list[int]:
     # picks are lexicographically smallest.
     lengths, need = _suffix_lis_lengths(values)
     picked: list[int] = []
-    for i, length in enumerate(lengths):
-        if length == need:
-            picked.append(i)
-            need -= 1
+    i = 0
+    while need:
+        i = lengths.index(need, i)
+        picked.append(i)
+        need -= 1
     return picked
 
 
@@ -88,14 +89,18 @@ def greedy_klis(values: Sequence[int], k: int) -> SubseqSelection:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    residue = list(enumerate(values))
+    residue = list(values)
+    positions = list(range(len(values)))  # the original position of each residue value
     rounds: list[tuple[int, ...]] = []
     for _ in range(k):
-        local = lis([v for _, v in residue])
-        rounds.append(tuple(residue[p][0] for p in local))
-        for p in reversed(local):
-            del residue[p]
-    return SubseqSelection(tuple(rounds), sum(len(r) for r in rounds))
+        local = lis(residue)
+        rounds.append(tuple(map(positions.__getitem__, local)))
+        keep = [True] * len(residue)
+        for p in local:
+            keep[p] = False
+        positions = list(itertools.compress(positions, keep))
+        residue = list(itertools.compress(residue, keep))
+    return SubseqSelection(tuple(rounds), sum(map(len, rounds)))
 
 
 def greedy_klis_scripted(
@@ -125,7 +130,15 @@ def greedy_klis_scripted(
             if idx <= prev_idx or (prev_val is not None and values[idx] <= prev_val):
                 raise ScriptError(f"round {r}: indices must be increasing in position and value")
             prev_idx, prev_val = idx, values[idx]
-        best = _suffix_lis_lengths(list(itertools.compress(values, alive)))[1]
+        # Patience piles over the residue: only their number is needed.
+        tails: list[int] = []
+        for x in itertools.compress(values, alive):
+            pos = bisect_left(tails, x)
+            if pos == len(tails):
+                tails.append(x)
+            else:
+                tails[pos] = x
+        best = len(tails)
         if len(entry) != best:
             raise ScriptError(
                 f"round {r}: scripted pick has length {len(entry)}, "
@@ -142,7 +155,11 @@ def greedy_klis_scripted(
 def parse_sequence(text: str) -> list[int]:
     """One line of comma- or whitespace-separated integers."""
     tokens = text.replace(",", " ").split()
-    return [int(t) for t in tokens]
+    # int() reads "_" as a digit separator; one test of the text stays in C.
+    if "_" in text:
+        token = next(t for t in tokens if "_" in t)
+        raise ValueError(f"sequence token {token!r} has an underscore")
+    return list(map(int, tokens))
 
 
 def format_sequence(values: Sequence[int]) -> str:
@@ -152,6 +169,6 @@ def format_sequence(values: Sequence[int]) -> str:
 def selection_to_json(selection: SubseqSelection, values: Sequence[int]) -> dict:
     return {
         "rounds": [list(r) for r in selection.rounds],
-        "values": [[values[i] for i in r] for r in selection.rounds],
+        "values": [list(map(values.__getitem__, r)) for r in selection.rounds],
         "total": selection.total_length,
     }

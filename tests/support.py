@@ -23,8 +23,12 @@ private index routines (`flow.Residual`, `network._slacks`).
 the decomposition's levels from them and `apply_plan`, one named network per
 day or level, so that the library's loops over edge positions are checked
 against them; `reference_verify` checks named levels as `verify_trace` does.
-The flow, network and differential tests use the adapters too.  The one CLI
-helper, `assert_exit_defined`, checks the exit contract of `kgreedy.cli.main`.
+`reference_greedy_klis` repeats `lis` over a residue of (position, value)
+pairs and `reference_random_network` builds `random_network`'s draws edge by
+edge with `linear_schedule`, so the library's leaner bookkeeping is checked
+against the plain construction.  The flow, network and differential tests
+use the adapters too.  The one CLI helper, `assert_exit_defined`, checks the
+exit contract of `kgreedy.cli.main`.
 """
 
 import contextlib
@@ -37,7 +41,7 @@ from fractions import Fraction
 
 from kgreedy.cli import main
 from kgreedy.flow import Residual
-from kgreedy.klis import SubseqSelection
+from kgreedy.klis import SubseqSelection, lis
 from kgreedy.errors import NetworkValidationError
 from kgreedy.network import (
     Edge,
@@ -373,6 +377,42 @@ def reference_exact_klis(values, k):
             live[slot] = values[i]
     classes.sort(key=lambda part: (-len(part), part))
     return SubseqSelection(tuple(tuple(part) for part in classes), best_count)
+
+
+def reference_greedy_klis(values, k):
+    """k rounds of `lis` over a residue of (position, value) pairs, deleting
+    each pick from it one at a time; `greedy_klis` keeps the positions and
+    the values in two lists and drops a round's picks in one pass."""
+    residue = list(enumerate(values))
+    rounds = []
+    for _ in range(k):
+        local = lis([v for _, v in residue])
+        rounds.append(tuple(residue[p][0] for p in local))
+        for p in reversed(local):
+            del residue[p]
+    return SubseqSelection(tuple(rounds), sum(len(r) for r in rounds))
+
+
+def reference_random_network(spec):
+    """`random_network`'s draws in the same order, each edge built by keyword
+    with its own `linear_schedule`; `random_network` shares one parsed cost
+    per drawn value and builds each edge positionally."""
+    rng = random.Random(spec.seed)
+    m = spec.node_count
+    nodes = tuple(f"n{i}" for i in range(m))
+    pairs = [(i, i + 1) for i in range(m - 1)]
+    while len(pairs) < spec.edge_count:
+        u = rng.randrange(0, m - 1)
+        v = rng.randrange(u + 1, m)
+        pairs.append((u, v))
+    lo, hi = spec.cost_range
+    edges = []
+    for j, (u, v) in enumerate(pairs):
+        b = rng.randint(1, spec.max_normal_len)
+        crash = rng.randint(0, min(spec.max_crashable, b))
+        edges.append(Edge(id=f"e{j}", src=nodes[u], dst=nodes[v], min_len=b - crash,
+                          normal_len=b, cost_schedule=linear_schedule(rng.randint(lo, hi), crash)))
+    return ProjectNetwork(nodes=nodes, source=nodes[0], sink=nodes[-1], edges=tuple(edges))
 
 
 def reference_greedy(net, k):

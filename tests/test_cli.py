@@ -299,6 +299,11 @@ class TestKlisAndLis:
         code, _ = run(capsys, ["klis", "-k", "1"], stdin="1,two,3", monkeypatch=monkeypatch)
         assert code == 3
 
+    def test_underscore_in_sequence_exits_three(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1_0,2,3"))
+        err = assert_exit_defined(["lis"], (3,))
+        assert err == "error: sequence token '1_0' has an underscore\n"
+
     def test_bad_script_exits_four(self, capsys, tmp_path, monkeypatch):
         script = tmp_path / "script.json"
         script.write_text(json.dumps([[0]]))

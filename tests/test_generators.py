@@ -15,7 +15,7 @@ from kgreedy.generators import (
 from kgreedy.klis import greedy_klis_scripted
 from kgreedy.network import duration, network_from_json, network_to_json
 from kgreedy.oracle import exact_crash_cost, exact_klis
-from support import critical_graph, edge_ids
+from support import critical_graph, edge_ids, reference_random_network
 
 
 def loads_back(net):
@@ -95,6 +95,18 @@ class TestRandomNetwork:
                 RandomNetSpec(node_count=3 + seed % 4, edge_count=6 + seed % 3, seed=seed)
             )
             loads_back(net)
+
+    def test_matches_edge_by_edge_reference(self):
+        for seed in range(40):
+            for nodes, edges, crashable, costs in [
+                (2, 1, 0, (1, 1)),
+                (4, 9, 2, (1, 9)),
+                (6, 14, 5, (3, 4)),
+                (9, 20, 3, (1, 10**6)),
+            ]:
+                spec = RandomNetSpec(node_count=nodes, edge_count=edges, max_normal_len=6,
+                                     max_crashable=crashable, cost_range=costs, seed=seed)
+                assert random_network(spec) == reference_random_network(spec)
 
     def test_spec_bounds_checked(self):
         with pytest.raises(ValueError):

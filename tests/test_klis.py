@@ -12,7 +12,12 @@ from kgreedy.klis import (
     total_ratio_bound,
 )
 from kgreedy.oracle import exact_klis
-from support import all_max_lis_index_lists, assert_valid_selection, brute_lis_length
+from support import (
+    all_max_lis_index_lists,
+    assert_valid_selection,
+    brute_lis_length,
+    reference_greedy_klis,
+)
 
 KNOWN_SEQ = [3, 4, 5, 8, 9, 1, 6, 7, 8, 9]
 
@@ -116,6 +121,14 @@ class TestGreedyKlis:
                         assert len(round_x) >= len(survivors)
                     removed.update(round_x)
 
+    def test_matches_residue_of_pairs_reference(self):
+        # 500 seeded sequences of length 0 to 39 over value ranges 3, 8 and 40,
+        # so ties are common, at every k from 1 to 6
+        for seed in range(500):
+            values = random_sequence(seed % 40, (3, 8, 40)[seed % 3], seed=seed)
+            for k in range(1, 7):
+                assert greedy_klis(values, k) == reference_greedy_klis(values, k)
+
 
 class TestScriptedGreedy:
     def test_matrix_three_rounds(self):
@@ -134,6 +147,27 @@ class TestScriptedGreedy:
         message = "round 0: scripted pick has length 1, longest increasing subsequence has length 3"
         with pytest.raises(ScriptError, match=message):
             greedy_klis_scripted([1, 2, 3], 1, [[0]])
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_each_staircase_round_is_a_longest_subsequence(self, k):
+        values, script = matrix_sequence(k)
+        assert greedy_klis_scripted(values, k, script).rounds == tuple(map(tuple, script))
+        removed = set()
+        for entry in script:
+            residue = [v for i, v in enumerate(values) if i not in removed]
+            assert len(entry) == brute_lis_length(residue)
+            removed.update(entry)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_staircase_round_one_short_rejected(self, k):
+        values, script = matrix_sequence(k)
+        for r, entry in enumerate(script):
+            short = [list(e) for e in script]
+            short[r].pop()
+            message = (f"round {r}: scripted pick has length {len(entry) - 1}, "
+                       f"longest increasing subsequence has length {len(entry)}")
+            with pytest.raises(ScriptError, match=message):
+                greedy_klis_scripted(values, k, short)
 
     def test_removed_index_rejected(self):
         values, _ = matrix_sequence(2)
@@ -159,6 +193,13 @@ class TestTextFormats:
     def test_parse_commas_and_spaces(self):
         assert parse_sequence("3,4, 5\n") == [3, 4, 5]
         assert parse_sequence("3 4\t5") == [3, 4, 5]
+
+    def test_underscore_token_rejected(self):
+        # int() would read "1_0" as 10
+        for text in ("1_0,2,3", "3 4 1_0", "_1"):
+            token = next(t for t in text.replace(",", " ").split() if "_" in t)
+            with pytest.raises(ValueError, match=f"sequence token '{token}' has an underscore"):
+                parse_sequence(text)
 
     def test_format_round_trip(self):
         values = random_sequence(9, 9, seed=3)
