@@ -47,11 +47,11 @@ leave a flow above its capacity; the residual then drops the flow.
 
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
 restricted minimum cuts whose costs are provably monotone.  It runs on the
-same position lists and on one residual per run: capacities only go from an
-edge's price to no limit, when its plan units run out, and edges only leave
-the critical list.  It keeps the input network once in the trace and stores
-each level as lists by edge and node position: lengths, remaining plan
-units, critical edges, cut edges and the cut's reached nodes.
+same position lists and on one residual per run: as on greedy days, an edge
+is priced at its next planned unit, so capacities only rise, and edges only
+leave the critical list.  It keeps the input network once in the trace and
+stores each level as lists by edge and node position: lengths, remaining
+plan units, critical edges, cut edges and the cut's reached nodes.
 ``verify_trace`` derives the cut-overlap partitions that witness the
 monotonicity from those levels and checks them, so a changed level is
 checked as it stands.
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import flow
-from .errors import ConvexNotSupportedError, NotCrashableError, NotKCrashingError
+from .errors import NotCrashableError, NotKCrashingError
 from .network import (
     EdgeId,
     Plan,
@@ -203,27 +203,31 @@ class DecompositionTrace:
 def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     """Build the k-level cut decomposition of a k-day plan.
 
-    Linear schedules only: the cost of a cut must not depend on the order in
-    which plan units are consumed, so each edge keeps one price throughout.
+    An edge is priced at its next planned schedule entry (no limit once the
+    plan's units run out): its cheapest unspent unit, which a minimum cut of
+    the edge as a chain of one-day edges would take.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    for e in net.edges:
-        if not e.is_linear():
-            raise ConvexNotSupportedError(f"edge {e.id!r} has a non-constant schedule")
     if not is_k_crashing(net, plan, k):
         raise NotKCrashingError(f"plan shortens the project by fewer than {k} days")
 
     tails, heads, order = net._index
     n = len(net.nodes)
     source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
-    length = [e.normal_len for e in net.edges]
-    remaining = [plan.amounts.get(e.id, 0) for e in net.edges]
+    edges = net.edges
+    length = [e.normal_len for e in edges]
+    remaining = [plan.amounts.get(e.id, 0) for e in edges]
+
+    def prices(positions):
+        return [
+            edges[j].cost_schedule[edges[j].normal_len - length[j]] if remaining[j] else None
+            for j in positions
+        ]
+
     residual = flow.Residual(n, source, sink, tails, heads)
     critical = list(range(len(length)))  # the previous level's critical edges
-    residual.raise_to(critical, [
-        e.cost_schedule[0] if x else None for e, x in zip(net.edges, remaining)
-    ])
+    residual.raise_to(critical, prices(critical))
     levels: list[TraceLevel] = []
     for i in range(1, k + 1):
         # ``order`` holds the previous critical edges only, so only their
@@ -244,8 +248,7 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
         for j in cut:
             length[j] -= 1
             remaining[j] -= 1
-        exhausted = [j for j in cut if not remaining[j]]
-        residual.raise_to(exhausted, [None] * len(exhausted))
+        residual.raise_to(cut, prices(cut))
     return DecompositionTrace(net, tuple(levels))
 
 

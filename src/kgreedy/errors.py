@@ -29,10 +29,6 @@ class NotKCrashingError(KGreedyError):
     """A plan claimed to be k-crashing does not reduce the duration by k."""
 
 
-class ConvexNotSupportedError(KGreedyError):
-    """The operation is defined for constant per-day cost schedules only."""
-
-
 # -- subsequence scripts ------------------------------------------------------
 
 class ScriptError(KGreedyError):

@@ -455,9 +455,9 @@ class ReferenceLevel:
 
 
 def reference_decompose(net, plan, k):
-    """The k levels of a linear k-crashing plan's decomposition, each from
-    named pieces: the critical graph of the level's network, a flow graph
-    pricing each critical edge that the remaining plan still carries at its
+    """The k levels of a k-crashing plan's decomposition, each from named
+    pieces: the critical graph of the level's network, a flow graph pricing
+    each critical edge that the remaining plan still carries at its next
     cost (unbounded otherwise), a minimum cut, and as the next level's
     network the critical graph with each cut edge one day shorter."""
     levels = []

@@ -154,14 +154,17 @@ class TestCrash:
         assert data["trace"]["report"]["passed"] is True
         assert len(data["trace"]["cuts"]) == 2
 
-    def test_trace_of_convex_schedule_exits_three(self, tmp_path):
+    def test_trace_of_convex_schedule_passes(self, capsys, tmp_path):
         convex = tmp_path / "convex.json"
         convex.write_text(json.dumps({
             "nodes": ["s", "t"], "source": "s", "sink": "t",
             "edges": [{"id": "e", "from": "s", "to": "t", "a": 1, "b": 3, "c": [1, 2]}],
         }))
-        err = assert_exit_defined(["crash", "--input", str(convex), "-k", "1", "--trace"], {3})
-        assert err == "error: edge 'e' has a non-constant schedule\n"
+        code, out = run(capsys, ["crash", "--input", str(convex), "-k", "2", "--trace"])
+        assert code == 0
+        trace = json.loads(out)["trace"]
+        assert trace["report"]["passed"] is True
+        assert trace["cut_costs"] == ["1", "2"]
 
     def test_infeasible_k_exits_two(self, capsys, fig2_path):
         code, _ = run(capsys, ["crash", "--input", fig2_path, "-k", "99"])

@@ -11,11 +11,7 @@ from kgreedy.crashing import (
     greedy_crash,
     verify_trace,
 )
-from kgreedy.errors import (
-    ConvexNotSupportedError,
-    NotCrashableError,
-    NotKCrashingError,
-)
+from kgreedy.errors import NotCrashableError, NotKCrashingError
 from kgreedy.generators import (
     RandomNetSpec,
     counterexample_network,
@@ -42,6 +38,7 @@ from support import (
     plan_cost,
     reference_decompose,
     reference_greedy,
+    reference_validate,
     reference_verify,
     removing_disconnects,
 )
@@ -171,9 +168,11 @@ class TestGreedyCrash:
                 assert opt >= k * one
 
 
-def reference_suite(count=300):
+def reference_suite(count=300, decreasing=False):
     """Seeded random networks with 3-7 nodes, each as drawn, with convex
-    schedules, and with each edge's costs divided by its own 2..7."""
+    schedules, and with each edge's costs divided by its own 2..7, all valid.
+    With ``decreasing``, each also comes with each day's cost divided by its
+    own 2..7, which mostly gives decreasing schedules that loading rejects."""
     for seed in range(count):
         nodes = 3 + seed % 5
         spec = RandomNetSpec(
@@ -182,12 +181,18 @@ def reference_suite(count=300):
         net = random_network(spec)
         rng = random.Random(seed)
         scaled = tuple(
-            e._replace(cost_schedule=tuple(c / rng.randint(2, 7) for c in e.cost_schedule))
-            for e in net.edges
+            e._replace(cost_schedule=tuple(c / d for c in e.cost_schedule))
+            for e, d in zip(net.edges, [rng.randint(2, 7) for _ in net.edges])
         )
-        yield net
-        yield with_convex_schedules(net, seed=seed + 1000)
-        yield replace(net, edges=scaled)
+        for valid in (net, with_convex_schedules(net, seed=seed + 1000), replace(net, edges=scaled)):
+            reference_validate(valid)
+            yield valid
+        if decreasing:
+            rng = random.Random(seed)
+            yield replace(net, edges=tuple(
+                e._replace(cost_schedule=tuple(c / rng.randint(2, 7) for c in e.cost_schedule))
+                for e in net.edges
+            ))
 
 
 def layered_nets(count=6):
@@ -217,7 +222,8 @@ def layered_nets(count=6):
 
 class TestGreedyMatchesReference:
     def test_every_k_matches_the_one_day_pieces(self):
-        for net in reference_suite():
+        # the decreasing variants keep the path that drops the flow covered
+        for net in reference_suite(decreasing=True):
             top = k_max(net)
             days = reference_greedy(net, top + 1)
             assert len(days) == top
@@ -280,11 +286,20 @@ class TestDecompose:
         with pytest.raises(NotKCrashingError):
             decompose(counterexample_network(), Plan({"j3": 1}), 2)
 
-    def test_rejects_convex_schedules(self):
-        e = Edge("e", "s", "t", 1, 3, (Fraction(2), Fraction(5)))
-        net = ProjectNetwork(("s", "t"), "s", "t", (e,))
-        with pytest.raises(ConvexNotSupportedError):
-            decompose(net, Plan({"e": 2}), 2)
+    def test_convex_levels_price_each_unit_at_its_own_entry(self):
+        # test_convex_marginals_switch_edges's network: e1's first day costs
+        # 1 and its second 100, e2's days cost 3 each
+        e1 = Edge("e1", "s", "u", 0, 2, (Fraction(1), Fraction(100)))
+        e2 = Edge("e2", "u", "t", 0, 2, (Fraction(3), Fraction(3)))
+        net = ProjectNetwork(("s", "u", "t"), "s", "t", (e1, e2))
+        for plan, cuts, costs in [
+            (Plan({"e1": 2}), [{"e1"}, {"e1"}], [1, 100]),
+            (Plan({"e1": 2, "e2": 2}), [{"e1"}, {"e2"}], [1, 3]),
+        ]:
+            trace = decompose(net, plan, 2)
+            assert [cut_ids(net, level) for level in trace.levels] == cuts
+            assert [level.cut_cost for level in trace.levels] == costs
+            assert verify_trace(trace).passed
 
     def test_overcrashing_plan_accepted_at_stated_k(self):
         net = counterexample_network()
@@ -387,10 +402,26 @@ class TestDecomposeMatchesReference:
                 traces += 1
         assert traces >= 300
 
+    def test_reference_suite_matches_for_every_k(self):
+        # linear, convex and rational networks; greedy and exact plans for
+        # every k, and the full plan: every trace passes
+        for net in reference_suite(150):
+            top = k_max(net)
+            if top < 1:
+                continue
+            cases = [(full_plan(net), top)]
+            for k in range(1, top + 1):
+                cases += [(greedy_crash(net, k).plan, k), (exact_crash_cost(net, k)[0], k)]
+            for plan, k in cases:
+                trace = decompose(net, plan, k)
+                reference = reference_decompose(net, plan, k)
+                assert _named_levels(net, trace) == _reference_named_levels(reference)
+                report = _report(trace)
+                assert report == reference_verify(reference)
+                assert all(passed for _, _, passed, _ in report)
+
     def test_layered_networks_match_for_every_k(self):
         for net in layered_nets():
-            if not all(e.is_linear() for e in net.edges):
-                continue
             top = k_max(net)
             cases = [(greedy_crash(net, k).plan, k) for k in range(1, top + 1)]
             for plan, k in cases + [(full_plan(net), top)]:
@@ -433,10 +464,7 @@ def test_each_day_and_level_starts_from_the_previous_maximum_flow(monkeypatch):
         top = k_max(net)
         if top < 2:
             continue
-        runs = [lambda: greedy_crash(net, top)]
-        if all(e.is_linear() for e in net.edges):
-            runs.append(lambda: decompose(net, full_plan(net), top))
-        for run in runs:
+        for run in [lambda: greedy_crash(net, top), lambda: decompose(net, full_plan(net), top)]:
             calls.clear()
             run()
             # one residual graph per run, starting from zero flow
@@ -445,7 +473,7 @@ def test_each_day_and_level_starts_from_the_previous_maximum_flow(monkeypatch):
             for (_, _, previous_cost), (_, start, _) in zip(calls, calls[1:]):
                 assert start == previous_cost
                 warm += start > 0
-    assert warm >= 120  # 123 days and levels start from a positive flow
+    assert warm >= 145  # 148 days and levels start from a positive flow
 
 
 def detour_network():

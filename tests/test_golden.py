@@ -22,12 +22,15 @@ SEQ = "3,4,5,8,9,1,6,7,8,9"
 
 # (name, argv, stdin).  The commands run in this order in one directory,
 # "{dir}" in an argument, and each stdout is also saved there as <name>.out,
-# so later commands read what earlier ones wrote.
+# so later commands read what earlier ones wrote.  Inputs no command writes
+# are committed beside the transcripts.
 TRANSCRIPTS = [
     ("gen_fig2", ["gen", "fig2"], None),
     ("crash_fig2_k2", ["crash", "--input", "{dir}/gen_fig2.out", "-k", "2"], None),
     ("crash_fig2_k2_exact", ["crash", "--input", "{dir}/gen_fig2.out", "-k", "2", "--exact"], None),
     ("crash_fig2_k2_trace", ["crash", "--input", "{dir}/gen_fig2.out", "-k", "2", "--trace"], None),
+    ("crash_convex_k2_trace",
+     ["crash", "--input", str(GOLDEN / "convex_project.json"), "-k", "2", "--trace"], None),
     ("klis_k2", ["klis", "-k", "2"], SEQ),
     ("klis_k2_exact", ["klis", "-k", "2", "--exact"], SEQ),
     ("lis", ["lis"], SEQ),
