@@ -23,8 +23,26 @@ EXIT_INPUT = 3
 EXIT_SCRIPT = 4
 
 
+def _digits(n: int) -> str:
+    """``str(n)`` in full: past the interpreter's int-to-str digit limit, n
+    is split at a power of ten into parts within it."""
+    if n < 0:
+        return "-" + _digits(-n)
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half of n's decimal digits
+        high, low = divmod(n, 10**half)
+        return _digits(high) + _digits(low).zfill(half)
+
+
 def _frac(value: Fraction) -> str:
-    return str(int(value)) if value.denominator == 1 else str(value)
+    """The exact value as ``str`` prints it, in full at any size."""
+    try:
+        return str(int(value)) if value.denominator == 1 else str(value)
+    except ValueError:  # more digits than the int-to-str limit
+        text = _digits(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{_digits(value.denominator)}"
 
 
 def _emit(payload: dict) -> None:

@@ -113,9 +113,8 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    all_tails, all_heads, all_order = net._index
+    all_tails, all_heads, all_order, source, sink = net._index
     n = len(net.nodes)
-    source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
     slack, total = _slacks(
         all_order, all_tails, all_heads, [e.normal_len for e in net.edges], n, sink
     )
@@ -212,9 +211,8 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     if not is_k_crashing(net, plan, k):
         raise NotKCrashingError(f"plan shortens the project by fewer than {k} days")
 
-    tails, heads, order = net._index
+    tails, heads, order, source, sink = net._index
     n = len(net.nodes)
-    source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
     edges = net.edges
     length = [e.normal_len for e in edges]
     remaining = [plan.amounts.get(e.id, 0) for e in edges]
@@ -271,24 +269,6 @@ class TraceReport:
         return all(c.passed for c in self.checks)
 
 
-def _disconnects(n, source, sink, tails, heads, edges, removed: frozenset[int]) -> bool:
-    """True iff the listed edges, less the removed ones, leave no path from
-    node ``source`` to node ``sink``."""
-    out: list[list[int]] = [[] for _ in range(n)]
-    for j in edges:
-        if j not in removed:
-            out[tails[j]].append(heads[j])
-    seen = [False] * n
-    seen[source] = True
-    stack = [source]
-    while stack:
-        for v in out[stack.pop()]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return not seen[sink]
-
-
 def _edge_classes(level: TraceLevel, tails, heads):
     """The level's critical edges within the source side, within the sink
     side, and crossing from the sink side back to the source side."""
@@ -314,22 +294,30 @@ def verify_trace(trace: DecompositionTrace) -> TraceReport:
     """
     net = trace.network
     ids = [e.id for e in net.edges]
-    tails, heads, order = net._index
+    tails, heads, order, source, sink = net._index
     n = len(net.nodes)
-    source, sink = net.nodes.index(net.source), net.nodes.index(net.sink)
     base = _longest_dists(order, tails, heads, [e.normal_len for e in net.edges], n)[sink]
 
-    def disconnects(edges, removed):
-        return _disconnects(n, source, sink, tails, heads, edges, removed)
+    def disconnects(live, removed):
+        # ``_kahn`` lists a node's out-edges only after all its in-edges, so
+        # one sweep in that order settles every tail before its out-edges.
+        seen = [False] * n
+        seen[source] = True
+        for j in live:
+            if seen[tails[j]] and j not in removed:
+                seen[heads[j]] = True
+        return not seen[sink]
 
     def crosses(level: TraceLevel, j: int) -> bool:
         return level.reached[tails[j]] and not level.reached[heads[j]]
 
     checks: list[TraceCheck] = []
+    lives = []  # each level's critical edges, in topological order
     for i, level in enumerate(trace.levels, start=1):
         # A level's longest paths run through its critical edges only.
         critical = set(level.critical)
         live = [j for j in order if j in critical]
+        lives.append(live)
         got = _longest_dists(live, tails, heads, level.lengths, n)[sink]
         want = base - (i - 1)
         not_in_plan = sorted(ids[j] for j in level.cut if not level.remaining[j])
@@ -340,7 +328,7 @@ def verify_trace(trace: DecompositionTrace) -> TraceReport:
                 f"cut edges outside the remaining plan: {not_in_plan}",
             ),
             TraceCheck(
-                "cut-disconnects", i, disconnects(level.critical, level.cut),
+                "cut-disconnects", i, disconnects(live, level.cut),
                 "removing the cut must disconnect the critical graph",
             ),
         ]
@@ -390,12 +378,12 @@ def verify_trace(trace: DecompositionTrace) -> TraceReport:
             ),
             TraceCheck(
                 "forward-mix-contains-cut", i,
-                disconnects(cur.critical, next_ahead | shared | cur_ahead),
+                disconnects(lives[i - 1], next_ahead | shared | cur_ahead),
                 "next-ahead + shared + cur-ahead must contain a cut of the current critical graph",
             ),
             TraceCheck(
                 "backward-mix-contains-cut", i,
-                disconnects(cur.critical, next_behind | shared | cur_behind),
+                disconnects(lives[i - 1], next_behind | shared | cur_behind),
                 "next-behind + shared + cur-behind must contain a cut of the current critical graph",
             ),
         ]

@@ -13,6 +13,8 @@ index is not a field, so it takes no part in equality, hashing or ``repr``.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -29,6 +31,9 @@ EdgeId = str
 # expanded into one schedule entry per day, so this bounds memory.
 MAX_CRASHABLE_DAYS = 1_000_000
 
+# The decimal exponent at the end of a literal ``Fraction`` reads.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
+
 
 def as_cost(value) -> Fraction:
     """Coerce a cost literal to an exact Fraction.
@@ -37,15 +42,25 @@ def as_cost(value) -> Fraction:
     converted through their decimal repr so that 0.1 means one tenth.  A
     literal that is not a number raises ValueError, and so does a string
     with an underscore, which ``Fraction`` reads as a digit separator only
-    from Python 3.11 on; one with a zero denominator raises
-    NetworkValidationError.
+    from Python 3.11 on.  One with a zero denominator raises
+    NetworkValidationError, and so does one whose decimal exponent makes a
+    power of ten of more digits than ``sys.get_int_max_str_digits()``, as a
+    JSON integer literal of that many digits would: ``Fraction`` would spend
+    time growing with the exponent on it.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(repr(value))
-    if isinstance(value, str) and "_" in value:
-        raise ValueError(f"cost {value!r} has an underscore")
+    if isinstance(value, str):
+        if "_" in value:
+            raise ValueError(f"cost {value!r} has an underscore")
+        exponent = _EXPONENT.search(value)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if exponent and limit and abs(int(exponent[1])) >= limit:
+            raise NetworkValidationError(
+                f"cost {value!r:.80} needs a power of ten of more than {limit} digits"
+            )
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -95,7 +110,7 @@ class ProjectNetwork:
     edges: tuple[Edge, ...]
 
     @cached_property
-    def _index(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    def _index(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, int]:
         """``_topological_order(self)``, computed once per network."""
         return _topological_order(self)
 
@@ -134,8 +149,8 @@ class Plan:
 #
 # The private routines work on positions: node i is ``net.nodes[i]`` and
 # edge i is ``net.edges[i]``, running from node ``tails[i]`` to ``heads[i]``.
-# A network keeps its ``_topological_order`` as ``net._index``, so every
-# consumer after the first reads it for free.
+# A network keeps its ``_topological_order``, source and sink positions
+# included, as ``net._index``, so every consumer after the first reads it free.
 
 def _kahn(nodes, tails, heads, ends=None) -> tuple[int, ...]:
     """The edge positions listed in a topological order of their tails.
@@ -182,12 +197,13 @@ def _kahn(nodes, tails, heads, ends=None) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _topological_order(net: ProjectNetwork) -> tuple[tuple[int, ...], ...]:
-    """Each edge's tail and head, and ``_kahn``'s order of the edges."""
+def _topological_order(net: ProjectNetwork):
+    """Each edge's tail and head, ``_kahn``'s order of the edges, and the
+    source and sink positions."""
     index = {v: i for i, v in enumerate(net.nodes)}
     tails = tuple([index[e.src] for e in net.edges])
     heads = tuple([index[e.dst] for e in net.edges])
-    return tails, heads, _kahn(net.nodes, tails, heads)
+    return tails, heads, _kahn(net.nodes, tails, heads), index[net.source], index[net.sink]
 
 
 def _longest_dists(order, tails, heads, lengths, n: int) -> list[int]:
@@ -219,8 +235,8 @@ def _slacks(order, tails, heads, lengths: list[int], n: int, sink: int) -> tuple
 
 def _duration(net: ProjectNetwork, lengths) -> int:
     """The longest source-to-sink path with edge i ``lengths[i]`` days long."""
-    tails, heads, order = net._index
-    return _longest_dists(order, tails, heads, lengths, len(net.nodes))[net.nodes.index(net.sink)]
+    tails, heads, order, _, sink = net._index
+    return _longest_dists(order, tails, heads, lengths, len(net.nodes))[sink]
 
 
 def duration(net: ProjectNetwork) -> int:
@@ -433,7 +449,7 @@ def network_from_json(data: dict) -> ProjectNetwork:
 
     order = _kahn(nodes, tails, heads, (source, sink))
     net = ProjectNetwork(tuple(nodes), source, sink, tuple(edges))
-    vars(net)["_index"] = (tuple(tails), tuple(heads), order)
+    vars(net)["_index"] = (tuple(tails), tuple(heads), order, index[source], index[sink])
     return net
 
 

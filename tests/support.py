@@ -95,7 +95,7 @@ def reference_validate(net: ProjectNetwork) -> None:
                         f"day {d} is cheaper than day {d - 1}"
                     )
 
-    tails, heads, _ = net._index  # raises on a cycle
+    tails, heads, *_ = net._index  # raises on a cycle
 
     # In a DAG whose only node without in-edges is the source and only node
     # without out-edges is the sink, walking back from any node ends at the
@@ -231,9 +231,9 @@ def critical_graph(net):
     """The subnetwork of edges lying on some longest source-to-sink path,
     in the network's node and edge order; a node is kept when it is the
     source, the sink or an end of a kept edge."""
-    tails, heads, order = _topological_order(net)
+    tails, heads, order, _, sink = _topological_order(net)
     lengths = [e.normal_len for e in net.edges]
-    slack, _ = _slacks(order, tails, heads, lengths, len(net.nodes), net.nodes.index(net.sink))
+    slack, _ = _slacks(order, tails, heads, lengths, len(net.nodes), sink)
     kept = [i for i, x in enumerate(slack) if not x]
     ends = {tails[i] for i in kept} | {heads[i] for i in kept}
     nodes = tuple(
@@ -292,8 +292,7 @@ def reference_exact_crash_cost(net, k):
     """Cheapest k-crashing plan and its cost, by enumerating every in-bounds
     integer plan with cost-bound pruning; among equal-cost optima the first
     in per-edge lexicographic order wins.  Needs 1 <= k <= k_max."""
-    tails, heads, order = _topological_order(net)
-    sink = net.nodes.index(net.sink)
+    tails, heads, order, _, sink = _topological_order(net)
 
     def duration(lengths):
         dist = [0] * len(net.nodes)

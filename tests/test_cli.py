@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,15 +95,16 @@ def test_klis_exact_on_60_elements_exits_zero(tmp_path, capsys):
     assert json.loads(out)["total"] == oracle.exact_klis_total(values, 4) == 38
 
 
+def kgreedy(*argv, **env):
+    """The CLI run as a child process, with ``env`` added to its environment."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "kgreedy.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 def test_shell_exit_codes(tmp_path):
     # what a shell sees: the exit status of the process, not main's return value
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-
-    def kgreedy(*argv):
-        return subprocess.run([sys.executable, "-m", "kgreedy.cli", *argv], env=env,
-                              capture_output=True, text=True)
-
     fig2 = kgreedy("gen", "fig2")
     assert fig2.returncode == 0
     path = tmp_path / "fig2.json"
@@ -253,6 +255,30 @@ class TestCrash:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no int-to-str digit limit")
+    def test_cost_exponent_past_the_digit_limit_exits_three(self, capsys, tmp_path):
+        # Fraction would compute the power of ten first: 21 s for 1e20000000
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "exponent.json"
+
+        def crash(c):
+            path.write_text('{"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": ['
+                            f'{{"id": "e", "from": "s", "to": "t", "a": 0, "b": 1, "c": {c}}}]}}')
+            start = time.perf_counter()
+            code = main(["crash", "--input", str(path), "-k", "1"])
+            assert time.perf_counter() - start < 1
+            return code, capsys.readouterr()
+
+        for c in ('"1e5000"', "1e-5000"):  # a JSON string and a JSON number
+            code, captured = crash(c)
+            assert code == 3
+            assert captured.err == (f"error: cost {c.strip(chr(34))!r} needs a power of ten "
+                                    f"of more than {limit} digits\n")
+        code, captured = crash("1e300")
+        assert code == 0
+        assert json.loads(captured.out)["total_cost"] == str(10**300)
+
     def test_exact_on_long_chain(self, capsys, tmp_path):
         # 1,500 jobs in series, one of them crashable: deep, but three plans.
         edges = [
@@ -268,6 +294,38 @@ class TestCrash:
         code, out = run(capsys, ["crash", "--input", str(chain), "-k", "1", "--exact"])
         assert code == 0
         assert json.loads(out)["total_cost"] == "1"
+
+
+class TestExactValuesPrintInFull:
+    """Exact values past the interpreter's int-to-str digit limit print in
+    full.  The children run with the limit at 640 digits, its least, so the
+    instances stay small."""
+
+    def test_klis_bound_with_a_744_digit_denominator(self):
+        child = kgreedy("experiment", "--problem", "klis", "--trials", "1", "-k", "300",
+                        "--length", "3", PYTHONINTMAXSTRDIGITS="640")
+        assert child.returncode == 0, child.stderr
+        bound = Fraction(child.stdout.splitlines()[2].split(",")[6])
+        assert bound == klis.total_ratio_bound(300)
+        assert len(str(bound.denominator)) == 744  # 300**300
+
+    @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["greedy", "exact"])
+    def test_crash_cost_of_300_prime_reciprocals(self, tmp_path, mode):
+        # 300 parallel jobs whose one day costs 1/p for the first 300 primes:
+        # one day saved cuts them all, at a cost whose denominator is their product
+        primes = [p for p in range(2, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+        assert len(primes) == 303
+        path = tmp_path / "primes.json"
+        path.write_text(json.dumps({"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [
+            {"id": f"e{p}", "from": "s", "to": "t", "a": 0, "b": 1, "c": f"1/{p}"}
+            for p in primes[:300]
+        ]}))
+        child = kgreedy("crash", "--input", str(path), "-k", "1", *mode,
+                        PYTHONINTMAXSTRDIGITS="640")
+        assert child.returncode == 0, child.stderr
+        cost = Fraction(json.loads(child.stdout)["total_cost"])
+        assert cost == sum(Fraction(1, p) for p in primes[:300])
+        assert len(str(cost.denominator)) > 640
 
 
 class TestKlisAndLis:

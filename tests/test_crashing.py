@@ -579,6 +579,22 @@ def test_near_critical_edges_match_the_reference_at_every_boundary():
 
 
 class TestVerifyTrace:
+    @staticmethod
+    def _fig2(edge_order):
+        """The counterexample network, its edges listed in topological order
+        or reversed, so that a sweep in edge order would reach nothing."""
+        net = counterexample_network()
+        return net if edge_order == "topological" else replace(net, edges=net.edges[::-1])
+
+    @staticmethod
+    def _with_critical(trace, level, extra):
+        """The trace with the ``extra`` edge positions added to the critical
+        edges of level ``level`` (from 1), listed in edge order."""
+        levels = list(trace.levels)
+        critical = tuple(sorted({*levels[level - 1].critical, *extra}))
+        levels[level - 1] = replace(levels[level - 1], critical=critical)
+        return replace(trace, levels=tuple(levels))
+
     def test_counterexample_trace_passes(self):
         net = counterexample_network()
         trace = decompose(net, Plan({"j1": 1, "j5": 1}), 2)
@@ -588,12 +604,41 @@ class TestVerifyTrace:
 
     def test_cut_that_does_not_disconnect_fails(self):
         # j2 is in the greedy plan but off the critical path j1, j3, j5.
-        net = counterexample_network()
-        trace = decompose(net, greedy_crash(net, 2).plan, 2)
-        tampered = replace(trace.levels[0], cut=positions(net, "j2"))
-        report = verify_trace(replace(trace, levels=(tampered,) + trace.levels[1:]))
-        assert not report.passed
-        assert ("cut-disconnects", 1) in [(c.name, c.level) for c in failures(report)]
+        for edge_order in ("topological", "reversed"):
+            net = self._fig2(edge_order)
+            trace = decompose(net, greedy_crash(net, 2).plan, 2)
+            assert verify_trace(trace).passed
+            tampered = replace(trace.levels[0], cut=positions(net, "j2"))
+            report = verify_trace(replace(trace, levels=(tampered,) + trace.levels[1:]))
+            assert not report.passed
+            assert ("cut-disconnects", 1) in [(c.name, c.level) for c in failures(report)]
+
+    @pytest.mark.parametrize("edge_order", ["topological", "reversed"])
+    def test_forward_mix_must_contain_a_cut(self, edge_order):
+        # Level 1 cuts j1 and level 2 cuts j5.  Listing j4 (2 -> 4) as
+        # critical at level 1 puts it on that level's sink side, where it
+        # bypasses the forward mix {j5}; the level-1 cut j1 still holds.
+        net = self._fig2(edge_order)
+        trace = decompose(net, Plan({"j1": 1, "j5": 1}), 2)
+        assert [cut_ids(net, level) for level in trace.levels] == [{"j1"}, {"j5"}]
+        report = verify_trace(self._with_critical(trace, 1, positions(net, "j4")))
+        assert [(c.name, c.level) for c in failures(report)] == [("forward-mix-contains-cut", 1)]
+
+    @pytest.mark.parametrize("edge_order", ["topological", "reversed"])
+    def test_backward_mix_must_contain_a_cut(self, edge_order):
+        # With j5's days at 9, level 1 cuts j5 and level 2 cuts j1.  Listing
+        # j2 (1 -> 3) as critical at level 1 puts it on that level's source
+        # side, where it bypasses the backward mix {j1}; the level-1 cut j5
+        # still holds.
+        net = self._fig2(edge_order)
+        net = replace(net, edges=tuple(
+            e._replace(cost_schedule=linear_schedule(9, 2)) if e.id == "j5" else e
+            for e in net.edges
+        ))
+        trace = decompose(net, Plan({"j1": 1, "j5": 1}), 2)
+        assert [cut_ids(net, level) for level in trace.levels] == [{"j5"}, {"j1"}]
+        report = verify_trace(self._with_critical(trace, 1, positions(net, "j2")))
+        assert [(c.name, c.level) for c in failures(report)] == [("backward-mix-contains-cut", 1)]
 
     def test_changed_cut_is_checked_as_it_stands(self):
         # Level 1 cuts j1, and level 2's partition keeps j1 on its source

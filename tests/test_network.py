@@ -3,6 +3,8 @@ import dataclasses
 import pickle
 import random
 import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -273,7 +275,7 @@ class TestCriticalGraph:
         rng = random.Random(0)
         positive = 0
         for net in random_suite():
-            tails, heads, order = _topological_order(net)
+            tails, heads, order, _, sink = _topological_order(net)
             lengths = [rng.randint(0, 6) for _ in net.edges]
             changed = {e.id: x for e, x in zip(net.edges, lengths)}
             sub = critical_graph(net)
@@ -285,7 +287,7 @@ class TestCriticalGraph:
             total = max(days for days, _ in paths)
             slack, got = _slacks(
                 [i for i in order if net.edges[i].id in listed], tails, heads, lengths,
-                len(net.nodes), net.nodes.index(net.sink),
+                len(net.nodes), sink,
             )
             assert got == total
             for i, e in enumerate(net.edges):
@@ -647,6 +649,28 @@ class TestJson:
 
     _two_edge_project = staticmethod(two_edge_project)
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no int-to-str digit limit")
+    def test_cost_exponent_is_bounded_like_an_integer_literal(self, monkeypatch):
+        # 10**5000 has more digits than a JSON integer literal may; Fraction
+        # would compute the power first, in time growing with the exponent
+        limit = sys.get_int_max_str_digits()
+        assert limit < 5000
+        for literal in ("1e5000", "1E-5000", f"2.5e{limit}", f" 1e-{limit} "):
+            start = time.perf_counter()
+            message = re.escape(f"cost {literal!r} needs a power of ten of more than {limit} digits")
+            with pytest.raises(NetworkValidationError, match=message):
+                network_from_json(self._two_edge_project(literal, 1))
+            assert time.perf_counter() - start < 1
+        for literal, cost in (("1e300", 10**300), ("1e-300", Fraction(1, 10**300)),
+                              (f"1e{limit - 1}", 10**(limit - 1))):
+            net = network_from_json(self._two_edge_project(1, literal))
+            assert net.edges[1].cost_schedule == (Fraction(cost),) * 3
+        # without a limit, as on interpreters that lack one, nothing is bounded
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        net = network_from_json(self._two_edge_project(1, "1e5000"))
+        assert net.edges[1].cost_schedule == (Fraction(10**5000),) * 3
+
     def test_booleans_are_not_costs_even_after_equal_numbers(self):
         # a parsed 1 must not stand in for true, in the same list or a later edge
         message = re.escape('"c" must be a cost or a list of costs, got True')
@@ -773,4 +797,8 @@ class TestValues:
         assert duration(flipped) == duration(net) == 9
 
     def test_index_is_read_only(self):
-        assert all(type(part) is tuple for part in self._validated()._index)
+        net = self._validated()
+        tails, heads, order, source, sink = net._index
+        assert all(type(part) is tuple for part in (tails, heads, order))
+        assert type(source) is int and type(sink) is int
+        assert (net.nodes[source], net.nodes[sink]) == (net.source, net.sink)
