@@ -46,9 +46,11 @@ edges are open.  A decreasing schedule, which loading rejects, can
 leave a flow above its capacity; the residual then drops the flow.
 
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
-restricted minimum cuts whose costs are provably monotone.  It runs on the
-same position lists and on one residual per run: as on greedy days, an edge
-is priced at its next planned unit, so capacities only rise, and edges only
+restricted minimum cuts whose costs are provably monotone.  Each level's
+critical edges are a subset of the previous level's, so only the edges of
+slack 0 in the input can be cut, and its slack passes and one residual per
+run hold those alone, by position among them: as on greedy days, an edge is
+priced at its next planned unit, so capacities only rise, and edges only
 leave the critical list.  It keeps the input network once in the trace and
 stores each level as lists by edge and node position: lengths, remaining
 plan units, critical edges, cut edges and the cut's reached nodes.
@@ -102,6 +104,26 @@ class GreedyCrashResult:
     durations: tuple[int, ...]
 
 
+def _restriction(net: ProjectNetwork, below: int):
+    """The network's slacks and duration, and its edges of slack less than
+    ``below``: their positions, and their tails, heads and ``_kahn`` order by
+    position among them."""
+    tails, heads, order, _, sink = net._index
+    slack, total = _slacks(
+        order, tails, heads, [e.normal_len for e in net.edges], len(net.nodes), sink
+    )
+    near = [j for j, x in enumerate(slack) if x < below]
+    position = {j: p for p, j in enumerate(near)}
+    return (
+        slack,
+        total,
+        near,
+        [tails[j] for j in near],
+        [heads[j] for j in near],
+        [position[j] for j in order if slack[j] < below],
+    )
+
+
 def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     """Run the one-day greedy k times, accumulating the plan as a multiset.
 
@@ -113,18 +135,11 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    all_tails, all_heads, all_order, source, sink = net._index
+    _, _, _, source, sink = net._index
     n = len(net.nodes)
-    slack, total = _slacks(
-        all_order, all_tails, all_heads, [e.normal_len for e in net.edges], n, sink
-    )
     # Only edges of slack less than k are ever critical (see the module docstring).
-    near = [j for j, x in enumerate(slack) if x < k]
-    position = {j: p for p, j in enumerate(near)}
+    slack, total, near, tails, heads, order = _restriction(net, k)
     edges = [net.edges[j] for j in near]
-    tails = [all_tails[j] for j in near]
-    heads = [all_heads[j] for j in near]
-    order = [position[j] for j in all_order if slack[j] < k]
     length = [e.normal_len for e in edges]
     schedule = [e.cost_schedule for e in edges]
     used = [0] * len(edges)
@@ -211,42 +226,49 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     if not is_k_crashing(net, plan, k):
         raise NotKCrashingError(f"plan shortens the project by fewer than {k} days")
 
-    tails, heads, order, source, sink = net._index
+    _, _, _, source, sink = net._index
     n = len(net.nodes)
     edges = net.edges
+    # Only the input's critical edges are ever cut (see the module docstring).
+    _, _, near, tails, heads, order = _restriction(net, 1)
     length = [e.normal_len for e in edges]
     remaining = [plan.amounts.get(e.id, 0) for e in edges]
+    short = [length[j] for j in near]
 
     def prices(positions):
         return [
             edges[j].cost_schedule[edges[j].normal_len - length[j]] if remaining[j] else None
-            for j in positions
+            for j in map(near.__getitem__, positions)
         ]
 
     residual = flow.Residual(n, source, sink, tails, heads)
-    critical = list(range(len(length)))  # the previous level's critical edges
+    critical = list(range(len(near)))  # the previous level's critical edges
     residual.raise_to(critical, prices(critical))
     levels: list[TraceLevel] = []
     for i in range(1, k + 1):
         # ``order`` holds the previous critical edges only, so only their
         # slacks are those of the previous critical graph.
-        slack, _ = _slacks(order, tails, heads, length, n, sink)
-        residual.close([j for j in critical if slack[j]])
-        critical = [j for j in critical if not slack[j]]
-        order = [j for j in order if not slack[j]]
+        slack, _ = _slacks(order, tails, heads, short, n, sink)
+        residual.close([p for p in critical if slack[p]])
+        critical = [p for p in critical if not slack[p]]
+        order = [p for p in order if not slack[p]]
         crossing, reached, cost = residual.cut(critical)
         if cost is None:
             raise NotKCrashingError(
                 f"level {i}: the remaining plan contains no cut of the critical graph"
             )
-        cut = frozenset(crossing)
-        levels.append(
-            TraceLevel(tuple(length), tuple(remaining), tuple(critical), cut, cost, tuple(reached))
-        )
-        for j in cut:
+        cut = [near[p] for p in crossing]
+        levels.append(TraceLevel(
+            tuple(length), tuple(remaining), tuple([near[p] for p in critical]),
+            frozenset(cut), cost, tuple(reached),
+        ))
+        if i == k:
+            break
+        for p, j in zip(crossing, cut):
+            short[p] -= 1
             length[j] -= 1
             remaining[j] -= 1
-        residual.raise_to(cut, prices(cut))
+        residual.raise_to(crossing, prices(crossing))
     return DecompositionTrace(net, tuple(levels))
 
 

@@ -22,12 +22,17 @@ each cut, since an open arc of capacity 0 looks closed.
 Rooms are exact integers in units of 1/scale, so the inner loop adds and
 compares plain ints.  The scale only grows: a capacity whose denominator
 does not divide it makes it the least common multiple, and every room is
-multiplied up, never rounded.  An arc without a limit has room
-``math.inf``, which stays ``math.inf`` under every addition, subtraction
-and scaling.  A capacity raised to less than its arc's flow (a decreasing
-schedule, which only unvalidated networks have) would leave a negative room,
-which the truthy-room test cannot tell from a usable one, so all flow is
-dropped, every forward room getting its arc's flow back.
+multiplied up, never rounded.  An arc without a limit has room ``math.inf``.
+It stays ``math.inf`` when an int within float range is added to it,
+subtracted from it or multiplies it, but arithmetic with a larger int raises
+OverflowError, and exact costs reach such scales once their denominators
+multiply past about 1e308.  So ``raise_to`` and the flow drop below leave an
+unbounded room as it is, and a rescale by a factor, or an augmenting path by
+a bottleneck, past float range multiplies or updates only the finite rooms.
+A capacity raised to less than its arc's flow (a decreasing schedule, which
+only unvalidated networks have) would leave a negative room, which the
+truthy-room test cannot tell from a usable one, so all flow is dropped,
+every forward room getting its arc's flow back.
 
 Each phase labels nodes with their residual distance from the source by BFS,
 then augments a blocking flow along arcs that climb one level.  A depth-first
@@ -54,7 +59,12 @@ its cost depend neither on the augmentation order nor on the starting flow.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+
+# No int above the largest float converts to one, so ``math.inf`` plus or
+# minus such an int raises OverflowError.
+_FLOAT_MAX = sys.float_info.max
 
 
 class Residual:
@@ -83,20 +93,24 @@ class Residual:
         their flow (none, if closed) unless a capacity is less than it."""
         for i, cap in zip(arcs, caps):
             if cap is None:
-                units = math.inf
-            else:
-                d = cap.denominator
-                if self.scale % d:
-                    up = d // math.gcd(self.scale, d)
-                    self.scale *= up
+                self.room[2 * i] = math.inf
+                continue
+            d = cap.denominator
+            if self.scale % d:
+                up = d // math.gcd(self.scale, d)
+                self.scale *= up
+                if up <= _FLOAT_MAX:
                     self.room = [r * up for r in self.room]
-                    self.total *= up
-                units = cap.numerator * (self.scale // d)
+                else:
+                    self.room = [r if r == math.inf else r * up for r in self.room]
+                self.total *= up
+            units = cap.numerator * (self.scale // d)
             room = self.room
             if units < room[2 * i + 1]:
                 # every forward room gets its arc's flow back
                 for j in range(0, len(room), 2):
-                    room[j] += room[j + 1]
+                    if room[j] != math.inf:
+                        room[j] += room[j + 1]
                     room[j + 1] = 0
                 self.total = 0
             room[2 * i] = units - room[2 * i + 1]
@@ -160,9 +174,17 @@ class Residual:
                     if bottleneck == math.inf:
                         self.total = total
                         return [], [], None
-                    for j in path:
-                        room[j] -= bottleneck
-                        room[j ^ 1] += bottleneck
+                    if bottleneck <= _FLOAT_MAX:
+                        for j in path:
+                            room[j] -= bottleneck
+                            room[j ^ 1] += bottleneck
+                    else:
+                        # math.inf less an int past float range overflows
+                        for j in path:
+                            if room[j] != math.inf:
+                                room[j] -= bottleneck
+                            if room[j ^ 1] != math.inf:
+                                room[j ^ 1] += bottleneck
                     total += bottleneck
                     # resume from the tail of the first arc the path saturated
                     k = next(k for k, j in enumerate(path) if not room[j])

@@ -47,12 +47,26 @@ def as_cost(value) -> Fraction:
     power of ten of more digits than ``sys.get_int_max_str_digits()``, as a
     JSON integer literal of that many digits would: ``Fraction`` would spend
     time growing with the exponent on it.
+
+    A string of ASCII digits, or of ASCII digits, "/" and ASCII digits with
+    a nonzero denominator, is read with ``int`` and skips ``Fraction``'s
+    parser; every other spelling (signs, spaces, decimals, exponents,
+    non-ASCII digits, zero denominators) goes through it, so both give the
+    same value or the same exception.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
+        if value.isascii():
+            if value.isdigit():
+                return Fraction(int(value))
+            n, slash, d = value.partition("/")
+            if slash and n.isdigit() and d.isdigit():
+                denominator = int(d)
+                if denominator:
+                    return Fraction(int(n), denominator)
         if "_" in value:
             raise ValueError(f"cost {value!r} has an underscore")
         exponent = _EXPONENT.search(value)
@@ -343,10 +357,14 @@ def network_from_json(data: dict) -> ProjectNetwork:
     A scalar "c" is a constant per-day cost; a list gives the convex schedule
     explicitly: b - a entries, non-decreasing from a non-negative day 0.
     Costs given as strings are parsed exactly, and each distinct non-negative
-    cost literal once per call.  A missing key, a value of the wrong JSON type
-    (names must be strings or integers), a literal that does not parse, more
-    than MAX_CRASHABLE_DAYS crashable days, and every structural fault raise
-    NetworkValidationError: the first met, reading nodes, edges, then graph.
+    cost literal once per call; plain ASCII integers and "n/d" skip
+    ``Fraction``'s parser (see ``as_cost``), every other spelling does not.
+    A list of JSON integers of the right length is checked on the integers
+    themselves, any other list element by element.  A missing key, a value
+    of the wrong JSON type (names must be strings or integers), a literal
+    that does not parse, more than MAX_CRASHABLE_DAYS crashable days, and
+    every structural fault raise NetworkValidationError: the first met,
+    reading nodes, edges, then graph.
     """
     _json_value(data, dict, "a project must be a JSON object")
     try:
@@ -413,6 +431,10 @@ def network_from_json(data: dict) -> ProjectNetwork:
         parsed = costs.get(c if t is int else (t, c)) if t in _COST_TYPES else None
         if parsed is not None:
             schedule, checked = (parsed,) * (b - a), True
+        elif (t is list and len(c) == b - a and all(type(x) is int for x in c)
+              and c == sorted(c) and (not c or c[0] >= 0)):
+            # Sorted and non-negative as raw ints, so as Fractions too.
+            schedule, checked = tuple([costs[x] if x in costs else cost(x) for x in c]), True
         elif isinstance(c, list):
             schedule, checked = tuple([cost(x) for x in c]), False
         else:

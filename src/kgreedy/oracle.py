@@ -86,8 +86,18 @@ class _Residual:
 
     def augment(self, potential: list[int], s: int, t: int, target: int) -> int:
         """Push flow along longest residual s-t paths while one gains G > T =
-        ``target``; return the sum of amount * (G - T).  Paths with no
-        capacity limit must gain at most T."""
+        ``target``; return the sum of amount * (G - T).
+
+        Forward paths whose arcs have no capacity limit must gain at most T;
+        then the flow value never passes C, the sum of the other forward
+        arcs' capacities, so a capacity above C serves as no limit.  Split
+        the flow into s-t paths of forward arcs: those with a limited arc
+        carry at most C.  Each flow reached is one of largest gain for its
+        value, and the last path pushed gained G > T, so every flow of x
+        units less gains at least x * G less; withdrawing x units along a
+        path of unlimited arcs loses at most x * T, so no such path carries
+        flow.
+        """
         caps = self.caps
         total = 0
         while True:
@@ -168,6 +178,7 @@ def exact_crash_cost(net: ProjectNetwork, k: int) -> tuple[Plan, Fraction]:
     scale = math.lcm(*(c.denominator for e in net.edges for c in e.cost_schedule))
     index = evaluator.index
     graph = _Residual(len(net.nodes))
+    unbounded = []
     for e in net.edges:
         u, v = index[e.src], index[e.dst]
         previous = 0
@@ -177,7 +188,13 @@ def exact_crash_cost(net: ProjectNetwork, k: int) -> tuple[Plan, Fraction]:
                 graph.add_arc(u, v, e.normal_len - i, scaled - previous)
             previous = scaled
         # A path of these arcs only gains at most ``floor <= target``.
-        graph.add_arc(u, v, e.min_len, math.inf)
+        unbounded.append(len(graph.heads))
+        graph.add_arc(u, v, e.min_len, 0)
+    # No flow reaches the sum of the finite capacities (see ``_Residual.augment``),
+    # so one more is no limit, and stays an int past float range.
+    no_limit = sum(graph.caps) + 1
+    for a in unbounded:
+        graph.caps[a] = no_limit
 
     potential = graph.potentials(evaluator.order)
     s, t = index[net.source], index[net.sink]

@@ -328,6 +328,50 @@ class TestExactValuesPrintInFull:
         assert len(str(cost.denominator)) > 640
 
 
+class TestCostsPastFloatRange:
+    """200 one-day jobs costing 1/p for the first 200 primes, whose common
+    denominator is past float range, beside jobs without a limit once their
+    days are spent: every mode exits 0 with the exact cost."""
+
+    PRIMES = [p for p in range(2, 1224) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+    def project(self, tmp_path, series):
+        """The jobs from s to t, or with ``series`` from s to m followed by
+        a two-day job m -> t at 5 a day."""
+        assert len(self.PRIMES) == 200
+        head = "m" if series else "t"
+        edges = [{"id": f"e{p}", "from": "s", "to": head, "a": 0, "b": 1, "c": f"1/{p}"}
+                 for p in self.PRIMES]
+        if series:
+            edges.append({"id": "mt", "from": "m", "to": "t", "a": 0, "b": 2, "c": 5})
+        path = tmp_path / "primes.json"
+        nodes = ["s", "m", "t"] if series else ["s", "t"]
+        path.write_text(json.dumps({"nodes": nodes, "source": "s", "sink": "t", "edges": edges}))
+        return str(path)
+
+    def test_parallel_jobs_traced(self, capsys, tmp_path):
+        code, out = run(capsys, ["crash", "--input", self.project(tmp_path, False),
+                                 "-k", "1", "--trace"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["trace"]["report"]["passed"]
+        assert Fraction(data["total_cost"]) == sum(Fraction(1, p) for p in self.PRIMES)
+
+    @pytest.mark.parametrize("mode", [[], ["--exact"], ["--trace"]],
+                             ids=["greedy", "exact", "trace"])
+    def test_jobs_in_series_with_a_two_day_job(self, capsys, tmp_path, mode):
+        # day 1 crashes every 1/p job (about 2.2 all told, less than 5), and
+        # day 2 the job m -> t, the only one left with a day to spend
+        code, out = run(capsys, ["crash", "--input", self.project(tmp_path, True),
+                                 "-k", "2", *mode])
+        assert code == 0
+        data = json.loads(out)
+        assert Fraction(data["total_cost"]) == sum(Fraction(1, p) for p in self.PRIMES) + 5
+        assert data["plan"]["amounts"]["mt"] == 1
+        if "--trace" in mode:
+            assert data["trace"]["report"]["passed"]
+
+
 class TestKlisAndLis:
     SEQ = "3,4,5,8,9,1,6,7,8,9"
 

@@ -22,6 +22,7 @@ from kgreedy.network import (
     Edge,
     Plan,
     ProjectNetwork,
+    _slacks,
     apply_plan,
     duration,
     k_max,
@@ -526,6 +527,71 @@ def test_a_day_that_saves_more_than_one_day_is_an_error(monkeypatch):
     monkeypatch.setattr(flow.Residual, "cut", every_open_arc)
     with pytest.raises(RuntimeError, match="day 1 left a duration of 3, expected 5"):
         greedy_crash(net, 2)
+
+
+def record_residuals(monkeypatch):
+    """Replace ``flow.Residual`` with a subclass that logs its "raise" and
+    "cut" calls in ``events``; returns the list of residuals built."""
+    built = []
+
+    class Recording(flow.Residual):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.events = []
+            built.append(self)
+
+        def raise_to(self, arcs, caps):
+            self.events.append("raise")
+            super().raise_to(arcs, caps)
+
+        def cut(self, open_arcs):
+            self.events.append("cut")
+            return super().cut(open_arcs)
+
+    monkeypatch.setattr(flow, "Residual", Recording)
+    return built
+
+
+def test_decompose_holds_only_the_input_slack_zero_edges(monkeypatch):
+    # On ``example`` the 4-day path s-a-t is critical, s-b-t (a day shorter)
+    # turns critical after day 1, and e5 only three days later.  The greedy's
+    # residual holds every edge of slack less than k, the decomposition's
+    # only those of slack 0, and neither raises a capacity after its last cut.
+    def job(name, u, v, normal, cost):
+        return Edge(name, u, v, 0, normal, linear_schedule(cost, normal))
+
+    example = ProjectNetwork(("s", "a", "b", "t"), "s", "t", (
+        job("e1", "s", "a", 2, 1), job("e2", "a", "t", 2, 3),
+        job("e3", "s", "b", 1, 1), job("e4", "b", "t", 2, 2), job("e5", "s", "t", 1, 1),
+    ))
+    built = record_residuals(monkeypatch)
+    restricted = 0
+    for net, k in [(example, 2), *((n, k_max(n)) for n in [*layered_nets(), *small_nets(40)])]:
+        if k < 1:
+            continue
+        tails, heads, order, _, sink = net._index
+        slack, _ = _slacks(order, tails, heads, [e.normal_len for e in net.edges],
+                           len(net.nodes), sink)
+        if net is example:
+            assert slack == [0, 0, 1, 1, 3]
+        near = [j for j, x in enumerate(slack) if x < k]
+        zero = [j for j, x in enumerate(slack) if not x]
+        built.clear()
+        plans = [greedy_crash(net, k).plan, full_plan(net)]
+        (greedy,) = built
+        assert list(zip(greedy.tails, greedy.heads)) == [(tails[j], heads[j]) for j in near]
+        assert greedy.events[-1] == "cut" and greedy.events.count("cut") == k
+        for plan in plans:
+            built.clear()
+            trace = decompose(net, plan, k)
+            (residual,) = built
+            assert list(zip(residual.tails, residual.heads)) == [
+                (tails[j], heads[j]) for j in zero
+            ]
+            assert residual.events[-1] == "cut" and residual.events.count("cut") == k
+            assert trace.levels[0].critical == tuple(zero)
+        restricted += len(zero) < len(near)
+    assert restricted >= 10
 
 
 def bypassed(net, length, cost):

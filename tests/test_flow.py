@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -402,3 +403,45 @@ def test_opened_and_closed_arcs_match_a_cold_start():
             cold.raise_to(list(live), [live[i] for i in live])
             assert r.cut(sorted(live)) == cold.cut(sorted(live)), seed
     assert refused >= 400 and closed >= 1000  # 450 refused, 1,374 closed
+
+
+# -- unbounded rooms past float range -----------------------------------------
+
+PRIMES = [p for p in range(2, 1224) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def test_unbounded_rooms_beside_a_scale_past_float_range():
+    # Rooms are in units of 1/scale, here the product of the first 200 primes
+    # times 10**400, far past float range, beside math.inf rooms: every
+    # rescale, the augmentations through m -> t, the raise to no limit and
+    # the flow dropped by a capacity below it do exact arithmetic.
+    assert len(PRIMES) == 200
+    arcs = [Arc("ut", "u", "t", None), Arc("mt", "m", "t", None)]
+    arcs += [Arc(f"p{p}", "s", "m", Fraction(1, p)) for p in PRIMES]
+    arcs += [Arc("tiny", "s", "u", Fraction(1, 10**400)), Arc("su", "s", "u", Fraction(3))]
+    g = FlowGraph(("s", "m", "u", "t"), "s", "t", tuple(arcs))
+    cut = min_cut(g)
+    assert cut.cost == brute_min_cut_cost(g) == sum(Fraction(1, p) for p in PRIMES) + Fraction(
+        1, 10**400) + 3
+    assert cut.cut_arcs == {a.id for a in arcs if a.src == "s"}
+
+    index = {v: i for i, v in enumerate(g.nodes)}
+    where = (4, 0, 3, [index[a.src] for a in arcs], [index[a.dst] for a in arcs])
+    every = range(len(arcs))
+    caps = [a.capacity for a in arcs]
+    r = residual(where, caps)
+    assert r.scale > 10**700
+    # m -> t below its flow (all flow is dropped), then an s -> m arc that
+    # carries flow without a limit, then m -> t back above its flow
+    for pick, cap in ((lambda: 1, Fraction(1, 7)),
+                      (lambda: next(i for i in range(2, 202) if r.room[2 * i + 1]), None),
+                      (lambda: 1, Fraction(5))):
+        r.cut(every)
+        i = pick()
+        r.raise_to([i], [cap])
+        caps[i] = cap
+        brute = brute_min_cut_cost(replace(g, arcs=tuple(
+            replace(a, capacity=c) for a, c in zip(arcs, caps))))
+        cost = r.cut(every)[2]
+        assert cost == brute == residual(where, caps).cut(every)[2]
+        assert_maximum_flow(where, caps, r, cost)

@@ -24,6 +24,7 @@ from kgreedy.network import (
     _slacks,
     _topological_order,
     apply_plan,
+    as_cost,
     duration,
     is_k_crashing,
     k_max,
@@ -704,6 +705,97 @@ class TestJson:
         for e in net.edges:
             assert e.cost_schedule == (Fraction(2),) * 3 and e.is_linear()
             assert all(type(x) is Fraction for x in e.cost_schedule)
+
+    @pytest.mark.parametrize("c, changes", [
+        pytest.param([1, 2, 2], {}, id="sorted"),
+        pytest.param([0, 0, 0], {}, id="zeros"),
+        pytest.param([], {"a": 3}, id="empty"),
+        pytest.param([3, 1, 2], {}, id="unsorted"),
+        pytest.param([1, 3, 2], {}, id="unsorted-late"),
+        pytest.param([-1, 0, 1], {}, id="negative-day-0"),
+        pytest.param([-1, 5, 2], {}, id="negative-day-0-and-unsorted"),
+        pytest.param([1, True, 2], {}, id="bool"),
+        pytest.param([2, 1, True], {"a": 5}, id="bool-with-a-over-b"),
+        pytest.param([1, 2], {}, id="short"),
+        pytest.param([3, 2], {}, id="short-and-unsorted"),
+        pytest.param([1, 2, 3, 4], {}, id="long"),
+        pytest.param([1, 2.0, 3], {}, id="equal-float"),
+        pytest.param([1, 2.0, 1], {}, id="equal-float-and-unsorted"),
+        pytest.param([2, 1, 0], {"a": 4}, id="a-over-b-and-unsorted"),
+        pytest.param([2, 1, 0], {"id": "e"}, id="duplicate-id-and-unsorted"),
+        pytest.param([-2, 1, 0], {"to": "x"}, id="unknown-node-and-negative"),
+    ])
+    def test_integer_lists_are_judged_like_the_reference(self, c, changes):
+        # A list of ints is checked on the ints; its verdict, first fault
+        # included, is the reference's on the parsed schedule, and a bool
+        # breaks the type rule before any structural fault.
+        data = self._two_edge_project(1, c)
+        data["edges"][1].update(changes)
+        if any(type(x) is bool for x in c):
+            expected = f'{_JSON_RULES["c"]}, got True'
+        else:
+            try:
+                reference_validate(unchecked_network(data))
+                expected = None
+            except NetworkValidationError as exc:
+                expected = str(exc)
+        try:
+            net = network_from_json(data)
+            got = None
+        except NetworkValidationError as exc:
+            got = str(exc)
+        assert got == expected
+        if got is None:
+            assert net == unchecked_network(data)
+            assert all(type(x) is Fraction for x in net.edges[1].cost_schedule)
+
+    def test_cost_literals_read_as_fraction_reads_them(self):
+        # ASCII "n" and "n/d" skip Fraction's parser, so every spelling must
+        # give Fraction's value or its exception class (ValueError; a zero
+        # denominator, ZeroDivisionError there, is a NetworkValidationError).
+        # The digit limit is lowered so that long strings meet it.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no int-to-str digit limit")
+        digits = st.text("0123456789", max_size=4)
+        long_digits = st.integers(630, 660).map(lambda n: "7" * n)
+        number = st.builds(
+            lambda sign, whole, fraction, exponent: sign + whole + fraction + exponent,
+            st.sampled_from(["", "+", "-"]),
+            digits | long_digits,
+            st.just("") | digits.map(lambda d: "." + d),
+            st.just("") | st.builds(lambda e, d: e + d, st.sampled_from(["e", "E-", "e+"]),
+                                    st.text("0123456789", min_size=1, max_size=2)),
+        )
+        ratio = st.builds(lambda n, d: n + "/" + d, digits | long_digits, digits | long_digits)
+        padded = st.builds(lambda left, s, right: left + s + right,
+                           st.sampled_from(["", " ", "\t"]), number | ratio,
+                           st.sampled_from(["", " ", "\n"]))
+        fixed = st.sampled_from(["007", "007/014", "3/0", "0/0", "3/00", "/3", "3/", "/", "",
+                                 " ", "-0", "1/2/3", "٣/٤", "٣", "3/٤", "1.5", "2e3", "-3/4"])
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None)
+        @hypothesis.given(fixed | padded)
+        def check(literal):
+            try:
+                want = Fraction(literal)
+            except ZeroDivisionError:
+                want = NetworkValidationError
+            except ValueError:
+                want = ValueError
+            try:
+                got = as_cost(literal)
+            except (ValueError, NetworkValidationError) as exc:
+                got = type(exc)
+            assert got == want and type(got) is type(want), literal
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            check()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_subclassed_names_and_day_counts_load_as_plain_values(self):
         class Name(str):
