@@ -26,9 +26,9 @@ multiplied up, never rounded.  An arc without a limit has room ``math.inf``.
 It stays ``math.inf`` when an int within float range is added to it,
 subtracted from it or multiplies it, but arithmetic with a larger int raises
 OverflowError, and exact costs reach such scales once their denominators
-multiply past about 1e308.  So ``raise_to`` and the flow drop below leave an
-unbounded room as it is, and a rescale by a factor, or an augmenting path by
-a bottleneck, past float range multiplies or updates only the finite rooms.
+multiply past about 1e308.  So a rescale, ``raise_to`` and the flow drop
+below leave an unbounded room as it is, and an augmenting path by a
+bottleneck past float range updates only the finite rooms.
 A capacity raised to less than its arc's flow (a decreasing schedule, which
 only unvalidated networks have) would leave a negative room, which the
 truthy-room test cannot tell from a usable one, so all flow is dropped,
@@ -99,10 +99,7 @@ class Residual:
             if self.scale % d:
                 up = d // math.gcd(self.scale, d)
                 self.scale *= up
-                if up <= _FLOAT_MAX:
-                    self.room = [r * up for r in self.room]
-                else:
-                    self.room = [r if r == math.inf else r * up for r in self.room]
+                self.room = [r if r == math.inf else r * up for r in self.room]
                 self.total *= up
             units = cap.numerator * (self.scale // d)
             room = self.room

@@ -539,6 +539,23 @@ _FAULTS = [
 ]
 
 
+def _load_beside_reference(data):
+    """The reference's verdict on ``data``, the loader's, and the network the
+    loader built (None on a fault), which must be the unchecked one; a
+    verdict is the fault's message, or None."""
+    try:
+        reference_validate(unchecked_network(data))
+        expected = None
+    except NetworkValidationError as exc:
+        expected = str(exc)
+    try:
+        net = network_from_json(data)
+    except NetworkValidationError as exc:
+        return str(exc), expected, None
+    assert net == unchecked_network(data)
+    return None, expected, net
+
+
 class TestJson:
     @pytest.mark.parametrize("changes, message", _FIRST_FAULT_CASES)
     def test_first_fault_wins(self, changes, message):
@@ -604,19 +621,9 @@ class TestJson:
             fault = _FAULTS[seed % len(_FAULTS)]
             if fault is not None:
                 fault(rng, data)
-            try:
-                reference_validate(unchecked_network(data))
-                expected = None
-            except NetworkValidationError as exc:
-                expected = str(exc)
-            try:
-                net = network_from_json(data)
-                got = None
-            except NetworkValidationError as exc:
-                got = str(exc)
+            got, expected, net = _load_beside_reference(data)
             assert got == expected, (seed, data)
             if got is None:
-                assert net == unchecked_network(data)
                 assert net._index == _topological_order(net)
                 if fault is None:
                     assert net == generated
@@ -731,22 +738,11 @@ class TestJson:
         # breaks the type rule before any structural fault.
         data = self._two_edge_project(1, c)
         data["edges"][1].update(changes)
+        got, expected, net = _load_beside_reference(data)
         if any(type(x) is bool for x in c):
             expected = f'{_JSON_RULES["c"]}, got True'
-        else:
-            try:
-                reference_validate(unchecked_network(data))
-                expected = None
-            except NetworkValidationError as exc:
-                expected = str(exc)
-        try:
-            net = network_from_json(data)
-            got = None
-        except NetworkValidationError as exc:
-            got = str(exc)
         assert got == expected
         if got is None:
-            assert net == unchecked_network(data)
             assert all(type(x) is Fraction for x in net.edges[1].cost_schedule)
 
     def test_cost_literals_read_as_fraction_reads_them(self):
