@@ -13,7 +13,6 @@ from .crashing import (
 from .generators import (
     RandomNetSpec,
     counterexample_network,
-    matrix_optimal_parts,
     matrix_sequence,
     random_network,
     random_sequence,
@@ -61,7 +60,6 @@ __all__ = [
     "k_max",
     "linear_schedule",
     "lis",
-    "matrix_optimal_parts",
     "matrix_sequence",
     "random_network",
     "random_sequence",

@@ -23,26 +23,16 @@ EXIT_INPUT = 3
 EXIT_SCRIPT = 4
 
 
-def _digits(n: int) -> str:
-    """``str(n)`` in full: past the interpreter's int-to-str digit limit, n
-    is split at a power of ten into parts within it."""
-    if n < 0:
-        return "-" + _digits(-n)
-    try:
-        return str(n)
-    except ValueError:
-        half = n.bit_length() * 3 // 20  # about half of n's decimal digits
-        high, low = divmod(n, 10**half)
-        return _digits(high) + _digits(low).zfill(half)
-
-
 def _frac(value: Fraction) -> str:
     """The exact value as ``str`` prints it, in full at any size."""
     try:
         return str(int(value)) if value.denominator == 1 else str(value)
     except ValueError:  # more digits than the int-to-str limit
-        text = _digits(value.numerator)
-        return text if value.denominator == 1 else f"{text}/{_digits(value.denominator)}"
+        # A Decimal made from an int prints it without that limit; importing
+        # decimal here keeps it out of every other run's start-up.
+        from decimal import Decimal
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def _emit(payload: dict) -> None:
@@ -211,14 +201,7 @@ def _klis_matrix_trial(args, seed: int):
     k = args.k
     values, script = generators.matrix_sequence(k)
     greedy = klis.greedy_klis_scripted(values, k, script).total_length
-    # The optimum is k^2: k disjoint subsequences hold at most all k^2
-    # elements, and the k increasing column copies of 1..k reach that.
-    parts = generators.matrix_optimal_parts(k)
-    if len(parts) != k or sorted(i for p in parts for i in p) != list(range(k * k)) or any(
-        a >= b or values[a] >= values[b] for p in parts for a, b in zip(p, p[1:])
-    ):
-        raise RuntimeError(f"bad staircase optimum for k={k}")
-    return greedy, k * k
+    return greedy, oracle.exact_klis_total(values, k)
 
 
 # The problem options of `experiment`, each with its default.

@@ -37,13 +37,12 @@ comes out the same.
 
 The maximum flow carries over from day to day.  A positive-flow path
 crosses the cut once, as above, so it stays a longest path: the edges that
-leave the critical graph carry no flow and are closed (``Residual.close``
-raises ``RuntimeError`` otherwise).  Newly critical edges open empty, and a
-cut edge rises to its next schedule entry (no smaller, for a non-decreasing
-schedule) or to no limit, so its flow still fits and a later day usually
-costs one BFS.  The critical list, the day's slack-0 edges, records which
-edges are open.  A decreasing schedule, which loading rejects, can
-leave a flow above its capacity; the residual then drops the flow.
+leave the critical graph carry no flow and close at capacity 0.  Newly
+critical edges open empty, and a cut edge rises to its next schedule entry
+(no smaller, for the non-decreasing schedules loading requires, so both
+runs take only networks that pass ``network_from_json``'s checks) or to no
+limit, so its flow still fits and a later day usually costs one BFS.  The
+critical list, the day's slack-0 edges, records which edges are open.
 
 ``decompose`` rebuilds, from any k-day plan, the chain of residual plans and
 restricted minimum cuts whose costs are provably monotone.  Each level's
@@ -128,10 +127,11 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     """Run the one-day greedy k times, accumulating the plan as a multiset.
 
     With k = 1 the plan is a cheapest plan shortening the project by one day.
-    The days run on lists by position among the edges of slack less than k:
-    each edge's current length and how many of its schedule entries are
-    used.  One longest-path pass per day checks the duration the day reached
-    and gives the critical edges the next day cuts.
+    ``net`` must pass ``network_from_json``'s checks.  The days run on lists
+    by position among the edges of slack less than k: each edge's current
+    length and how many of its schedule entries are used.  One longest-path
+    pass per day checks the duration the day reached and gives the critical
+    edges the next day cuts.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -149,7 +149,7 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
 
     residual = flow.Residual(n, source, sink, tails, heads)
     critical = [p for p, j in enumerate(near) if not slack[j]]
-    residual.raise_to(critical, capacities(critical))
+    residual.set_caps(critical, capacities(critical))
     steps: list[CrashStep] = []
     durations: list[int] = []
     for i in range(1, k + 1):
@@ -167,13 +167,14 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
         slack, reached = _slacks(order, tails, heads, length, n, sink)
         if reached != total:
             raise RuntimeError(f"day {i} left a duration of {reached}, expected {total}")
-        residual.raise_to(cut, capacities(cut))
+        residual.set_caps(cut, capacities(cut))
         following = [p for p, x in enumerate(slack) if not x]
         if following != critical:
-            residual.close([p for p in critical if slack[p]])
+            departed = [p for p in critical if slack[p]]
+            residual.set_caps(departed, [0] * len(departed))
             kept = set(critical)
             opened = [p for p in following if p not in kept]
-            residual.raise_to(opened, capacities(opened))
+            residual.set_caps(opened, capacities(opened))
             critical = following
     return GreedyCrashResult(
         steps=tuple(steps),
@@ -219,7 +220,8 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
 
     An edge is priced at its next planned schedule entry (no limit once the
     plan's units run out): its cheapest unspent unit, which a minimum cut of
-    the edge as a chain of one-day edges would take.
+    the edge as a chain of one-day edges would take.  ``net`` must pass
+    ``network_from_json``'s checks.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -243,13 +245,14 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
 
     residual = flow.Residual(n, source, sink, tails, heads)
     critical = list(range(len(near)))  # the previous level's critical edges
-    residual.raise_to(critical, prices(critical))
+    residual.set_caps(critical, prices(critical))
     levels: list[TraceLevel] = []
     for i in range(1, k + 1):
         # ``order`` holds the previous critical edges only, so only their
         # slacks are those of the previous critical graph.
         slack, _ = _slacks(order, tails, heads, short, n, sink)
-        residual.close([p for p in critical if slack[p]])
+        departed = [p for p in critical if slack[p]]
+        residual.set_caps(departed, [0] * len(departed))
         critical = [p for p in critical if not slack[p]]
         order = [p for p in order if not slack[p]]
         crossing, reached, cost = residual.cut(critical)
@@ -268,7 +271,7 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
             short[p] -= 1
             length[j] -= 1
             remaining[j] -= 1
-        residual.raise_to(crossing, prices(crossing))
+        residual.set_caps(crossing, prices(crossing))
     return DecompositionTrace(net, tuple(levels))
 
 

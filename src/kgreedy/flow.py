@@ -1,9 +1,9 @@
 """Exact maximum flow / minimum s-t cut over rational capacities.
 
-Capacities are exact Fractions, or ``None`` for an arc without a capacity
-limit; no "large finite number" stand-in is ever used, and arithmetic or
-ordering on ``None`` raises, so unbounded cuts can never be confused with
-expensive finite ones.  The solver is Dinic's algorithm (Dinic 1970) over one
+Capacities are exact Fractions or ints, or ``None`` for an arc without a
+capacity limit; no "large finite number" stand-in is ever used, and
+arithmetic or ordering on ``None`` raises, so unbounded cuts can never be
+confused with expensive finite ones.  The solver is Dinic's algorithm (Dinic 1970) over one
 residual array that stores arcs in pairs: residual arc 2i runs along arc i
 and holds its unused capacity, and 2i+1 runs against it and holds its flow,
 so ``j ^ 1`` is the partner of residual arc ``j``.  Nodes are indices
@@ -13,11 +13,13 @@ names, so the module has no graph type of its own.
 One ``Residual`` serves a run of related cuts (the greedy's days, the
 decomposition's levels).  It builds its arrays once, over a fixed list of
 arcs that start closed, with no room either way, so the search skips them.
-Between cuts the caller raises arcs' capacities keeping their flow, so a
-closed arc opens empty, and closes arcs, which must carry no flow (``close``
-raises ``RuntimeError`` otherwise); the flow stays conserved, so each cut
-begins from the flow the last one left.  The caller lists the open arcs for
-each cut, since an open arc of capacity 0 looks closed.
+Between cuts the caller sets arcs' capacities, which keeps their flow: a
+closed arc opens empty, a capacity rises, and an arc closes at capacity 0.
+No capacity may fall below its arc's flow (``set_caps`` raises
+``RuntimeError`` otherwise), so every room stays non-negative and the flow
+stays a conserved flow within the capacities: each cut begins from the flow
+the last one left.  The caller lists the open arcs for each cut, since an
+open arc of capacity 0 looks closed.
 
 Rooms are exact integers in units of 1/scale, so the inner loop adds and
 compares plain ints.  The scale only grows: a capacity whose denominator
@@ -26,13 +28,9 @@ multiplied up, never rounded.  An arc without a limit has room ``math.inf``.
 It stays ``math.inf`` when an int within float range is added to it,
 subtracted from it or multiplies it, but arithmetic with a larger int raises
 OverflowError, and exact costs reach such scales once their denominators
-multiply past about 1e308.  So a rescale, ``raise_to`` and the flow drop
-below leave an unbounded room as it is, and an augmenting path by a
-bottleneck past float range updates only the finite rooms.
-A capacity raised to less than its arc's flow (a decreasing schedule, which
-only unvalidated networks have) would leave a negative room, which the
-truthy-room test cannot tell from a usable one, so all flow is dropped,
-every forward room getting its arc's flow back.
+multiply past about 1e308.  So a rescale leaves an unbounded room as it is,
+and an augmenting path by a bottleneck past float range updates only the
+finite rooms.
 
 Each phase labels nodes with their residual distance from the source by BFS,
 then augments a blocking flow along arcs that climb one level.  A depth-first
@@ -88,37 +86,25 @@ class Residual:
         self.scale = 1
         self.total = 0
 
-    def raise_to(self, arcs, caps) -> None:
-        """Give the arcs at positions ``arcs`` capacities ``caps``, keeping
-        their flow (none, if closed) unless a capacity is less than it."""
+    def set_caps(self, arcs, caps) -> None:
+        """Give the arcs at positions ``arcs`` capacities ``caps`` (None for
+        no limit), keeping their flow; a capacity below its arc's flow
+        raises ``RuntimeError``."""
+        room = self.room
         for i, cap in zip(arcs, caps):
             if cap is None:
-                self.room[2 * i] = math.inf
+                room[2 * i] = math.inf
                 continue
             d = cap.denominator
             if self.scale % d:
                 up = d // math.gcd(self.scale, d)
                 self.scale *= up
-                self.room = [r if r == math.inf else r * up for r in self.room]
+                self.room = room = [r if r == math.inf else r * up for r in room]
                 self.total *= up
             units = cap.numerator * (self.scale // d)
-            room = self.room
             if units < room[2 * i + 1]:
-                # every forward room gets its arc's flow back
-                for j in range(0, len(room), 2):
-                    if room[j] != math.inf:
-                        room[j] += room[j + 1]
-                    room[j + 1] = 0
-                self.total = 0
+                raise RuntimeError(f"arc {i} carries flow above its new capacity")
             room[2 * i] = units - room[2 * i + 1]
-
-    def close(self, arcs) -> None:
-        """Close the arcs at positions ``arcs``, which must carry no flow."""
-        room = self.room
-        for i in arcs:
-            if room[2 * i + 1]:
-                raise RuntimeError(f"arc {i} is closed while it carries flow")
-            room[2 * i] = 0
 
     def cut(self, open_arcs) -> tuple[list[int], list[bool], Fraction | None]:
         """A minimum s-t cut of the open arcs, listed in arc order in ``open_arcs``.

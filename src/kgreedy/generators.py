@@ -80,17 +80,6 @@ def matrix_sequence(k: int) -> tuple[list[int], list[list[int]]]:
     return values, script
 
 
-def matrix_optimal_parts(k: int) -> list[list[int]]:
-    """A constructive optimum for the staircase sequence: its k column copies.
-
-    Each column of the matrix appears in the sequence as a strictly
-    increasing run of (1..k); the k columns are disjoint and cover all k^2
-    positions, certifying the exact optimum without enumeration.
-    """
-    pos = _matrix_positions(k)
-    return [[pos[(i, j)] for i in range(1, k + 1)] for j in range(1, k + 1)]
-
-
 # -- seeded random families ------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ enumeration, `reference_exact_crash_cost`, reads the network's topological
 order, which the oracle it checks never uses; the tail-state search,
 `reference_exact_klis`, is exponential in k and checks both the klis flow's
 witnesses and the RSK totals.  `full_plan`, every edge crashed to its
-minimum, builds the floor network the tests compare `k_max` against.
+minimum, builds the floor network the tests compare `k_max` against, and
+`matrix_optimal_parts` reads the staircase's k column copies off its values
+as the certificate of its optimum k^2.
 
 The exception is the named reference path.  `Arc`, `FlowGraph`, `CutResult`
 and `min_cut` are flow graphs and cuts by name, and `critical_graph` is a
@@ -41,6 +43,7 @@ from fractions import Fraction
 
 from kgreedy.cli import main
 from kgreedy.flow import Residual
+from kgreedy.generators import matrix_sequence
 from kgreedy.klis import SubseqSelection, lis
 from kgreedy.errors import NetworkValidationError
 from kgreedy.network import (
@@ -218,7 +221,7 @@ def min_cut(g):
         [index[a.src] for a in arcs], [index[a.dst] for a in arcs],
     )
     everything = range(len(arcs))
-    residual.raise_to(everything, [a.capacity for a in arcs])
+    residual.set_caps(everything, [a.capacity for a in arcs])
     crossing, reached, cost = residual.cut(everything)
     return CutResult(
         frozenset(arcs[i].id for i in crossing),
@@ -390,6 +393,21 @@ def reference_greedy_klis(values, k):
         for p in reversed(local):
             del residue[p]
     return SubseqSelection(tuple(rounds), sum(len(r) for r in rounds))
+
+
+def matrix_optimal_parts(k):
+    """A constructive optimum for the staircase sequence: its k column copies.
+
+    Value v sits at row v of the k-by-k matrix, and the sequence emits the
+    columns' cells in order, so the j-th occurrences of 1, ..., k are column
+    j, a strictly increasing run.  The k columns are disjoint and cover all
+    k^2 positions, certifying the optimum k^2 without enumeration.
+    """
+    values, _ = matrix_sequence(k)
+    seen = [[] for _ in range(k + 1)]
+    for i, v in enumerate(values):
+        seen[v].append(i)
+    return [[seen[v][j] for v in range(1, k + 1)] for j in range(k)]
 
 
 def reference_random_network(spec):

@@ -19,7 +19,6 @@ from kgreedy.crashing import cost_ratio_bound, decompose, greedy_crash, verify_t
 from kgreedy.generators import (
     RandomNetSpec,
     counterexample_network,
-    matrix_optimal_parts,
     matrix_sequence,
     random_network,
     random_sequence,
@@ -28,7 +27,14 @@ from kgreedy.generators import (
 from kgreedy.klis import greedy_klis, greedy_klis_scripted, total_ratio_bound
 from kgreedy.network import k_max
 from kgreedy.oracle import exact_crash_cost, exact_klis
-from support import brute_min_cut_cost, cut_capacity, failures, min_cut, random_flow_graph
+from support import (
+    brute_min_cut_cost,
+    cut_capacity,
+    failures,
+    matrix_optimal_parts,
+    min_cut,
+    random_flow_graph,
+)
 
 
 def conclude(number, description, ok, started):

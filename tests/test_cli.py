@@ -508,19 +508,6 @@ class TestExperiment:
             assert row[5] == want_ratio
             assert row[7] == "yes"
 
-    @pytest.mark.parametrize("broken", [
-        lambda parts: parts[1:],
-        lambda parts: [parts[0] + parts[1][:1], parts[1][1:], *parts[2:]],
-        lambda parts: [parts[0], *parts[:-1]],
-    ], ids=["part-missing", "part-not-increasing", "part-repeated"])
-    def test_broken_matrix_optimum_raises_even_under_dash_o(self, monkeypatch, broken):
-        # an assert would vanish under python -O; this check must not
-        parts = generators.matrix_optimal_parts
-        monkeypatch.setattr(generators, "matrix_optimal_parts", lambda k: broken(parts(k)))
-        with pytest.raises(RuntimeError, match="bad staircase optimum for k=3"):
-            main(["experiment", "--problem", "klis", "--generator", "matrix",
-                  "--trials", "1", "-k", "3"])
-
     def test_matrix_generator_rejected_for_crashing(self, capsys):
         code = main(["experiment", "--problem", "crashing", "--generator", "matrix",
                      "--trials", "1", "-k", "2"])

@@ -27,6 +27,8 @@ from kgreedy.network import (
     duration,
     k_max,
     linear_schedule,
+    network_from_json,
+    network_to_json,
 )
 from kgreedy.oracle import exact_crash_cost
 from support import (
@@ -169,17 +171,11 @@ class TestGreedyCrash:
                 assert opt >= k * one
 
 
-def reference_suite(count=300, decreasing=False):
+def reference_suite(count=300):
     """Seeded random networks with 3-7 nodes, each as drawn, with convex
-    schedules, and with each edge's costs divided by its own 2..7, all valid.
-    With ``decreasing``, each also comes with each day's cost divided by its
-    own 2..7, which mostly gives decreasing schedules that loading rejects."""
+    schedules, and with each edge's costs divided by its own 2..7, all valid."""
     for seed in range(count):
-        nodes = 3 + seed % 5
-        spec = RandomNetSpec(
-            node_count=nodes, edge_count=nodes - 1 + seed % 7, max_crashable=3, seed=seed
-        )
-        net = random_network(spec)
+        net = _reference_draw(seed)
         rng = random.Random(seed)
         scaled = tuple(
             e._replace(cost_schedule=tuple(c / d for c in e.cost_schedule))
@@ -188,12 +184,25 @@ def reference_suite(count=300, decreasing=False):
         for valid in (net, with_convex_schedules(net, seed=seed + 1000), replace(net, edges=scaled)):
             reference_validate(valid)
             yield valid
-        if decreasing:
-            rng = random.Random(seed)
-            yield replace(net, edges=tuple(
-                e._replace(cost_schedule=tuple(c / rng.randint(2, 7) for c in e.cost_schedule))
-                for e in net.edges
-            ))
+
+
+def decreasing_suite(count=300):
+    """``reference_suite``'s draws with each day's cost divided by its own
+    2..7, which mostly gives decreasing schedules that loading rejects."""
+    for seed in range(count):
+        net = _reference_draw(seed)
+        rng = random.Random(seed)
+        yield replace(net, edges=tuple(
+            e._replace(cost_schedule=tuple(c / rng.randint(2, 7) for c in e.cost_schedule))
+            for e in net.edges
+        ))
+
+
+def _reference_draw(seed):
+    nodes = 3 + seed % 5
+    return random_network(RandomNetSpec(
+        node_count=nodes, edge_count=nodes - 1 + seed % 7, max_crashable=3, seed=seed
+    ))
 
 
 def layered_nets(count=6):
@@ -223,8 +232,7 @@ def layered_nets(count=6):
 
 class TestGreedyMatchesReference:
     def test_every_k_matches_the_one_day_pieces(self):
-        # the decreasing variants keep the path that drops the flow covered
-        for net in reference_suite(decreasing=True):
+        for net in reference_suite():
             top = k_max(net)
             days = reference_greedy(net, top + 1)
             assert len(days) == top
@@ -237,6 +245,28 @@ class TestGreedyMatchesReference:
             message = f"no {top + 1}-day plan exists: day {len(days) + 1} cannot be saved"
             with pytest.raises(NotCrashableError, match=message):
                 greedy_crash(net, top + 1)
+
+    def test_decreasing_schedules_match_or_raise(self):
+        # Outside the loader's contract a capacity can fall below its flow,
+        # which the residual refuses; the greedy never returns another answer.
+        raised = matched = 0
+        for net in decreasing_suite():
+            top = k_max(net)
+            days = reference_greedy(net, top)
+            refused = False
+            for k in range(1, top + 1):
+                try:
+                    result = greedy_crash(net, k)
+                except RuntimeError as error:
+                    assert "carries flow above its new capacity" in str(error)
+                    refused = True
+                    continue
+                assert [(s.edges, s.cost) for s in result.steps] == [d[:2] for d in days[:k]]
+                assert result.durations == tuple(d[2] for d in days[:k])
+                assert result.plan == days[k - 1][3]
+            raised += refused
+            matched += not refused
+        assert raised >= 100 and matched >= 100  # 166 raise, 134 match
 
     def test_layered_networks_match_for_every_k(self):
         for net in layered_nets():
@@ -504,10 +534,31 @@ def test_flow_left_on_a_departing_edge_is_an_error(monkeypatch):
                 residual.room[2 * i + 1] = 1
 
     record_cuts(monkeypatch, load_every_arc)
-    with pytest.raises(RuntimeError, match="closed while it carries flow"):
+    with pytest.raises(RuntimeError, match="carries flow above its new capacity"):
         greedy_crash(net, 2)
-    with pytest.raises(RuntimeError, match="closed while it carries flow"):
+    with pytest.raises(RuntimeError, match="carries flow above its new capacity"):
         decompose(net, plan, 2)
+
+
+def test_no_loader_accepted_project_sets_a_capacity_below_its_flow():
+    # Non-decreasing schedules only raise capacities and close empty edges,
+    # so no greedy day or decomposition level of a project the loader
+    # accepts raises, and every trace passes.
+    pairs = 0
+    for seed in range(500):
+        nodes = 3 + seed % 7
+        linear = random_network(RandomNetSpec(
+            node_count=nodes, edge_count=nodes - 1 + seed % 9, max_crashable=1 + seed % 5,
+            seed=seed,
+        ))
+        for drawn in (linear, with_convex_schedules(linear, seed=seed)):
+            net = network_from_json(network_to_json(drawn))
+            for k in range(1, k_max(net) + 1):
+                for plan in (greedy_crash(net, k).plan, exact_crash_cost(net, k)[0]):
+                    report = verify_trace(decompose(net, plan, k))
+                    assert report.passed, (seed, k, failures(report))
+                pairs += 1
+    assert pairs >= 5000  # 5,278 (network, k) pairs over 1,000 networks
 
 
 def test_a_day_that_saves_more_than_one_day_is_an_error(monkeypatch):
@@ -530,7 +581,7 @@ def test_a_day_that_saves_more_than_one_day_is_an_error(monkeypatch):
 
 
 def record_residuals(monkeypatch):
-    """Replace ``flow.Residual`` with a subclass that logs its "raise" and
+    """Replace ``flow.Residual`` with a subclass that logs its "set" and
     "cut" calls in ``events``; returns the list of residuals built."""
     built = []
 
@@ -540,9 +591,9 @@ def record_residuals(monkeypatch):
             self.events = []
             built.append(self)
 
-        def raise_to(self, arcs, caps):
-            self.events.append("raise")
-            super().raise_to(arcs, caps)
+        def set_caps(self, arcs, caps):
+            self.events.append("set")
+            super().set_caps(arcs, caps)
 
         def cut(self, open_arcs):
             self.events.append("cut")

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -219,7 +220,7 @@ def residual(where, caps):
     """A residual graph on ``where``, (n, source, sink, tails, heads), with
     every arc open at its capacity in ``caps``."""
     r = Residual(*where)
-    r.raise_to(range(len(caps)), caps)
+    r.set_caps(range(len(caps)), caps)
     return r
 
 
@@ -232,7 +233,7 @@ def test_indexed_core_returns_positions_and_flags():
     assert residual((1, 0, 0, [], []), []).cut([]) == ([], [], None)
     # a closed arc is no arc: with arc 1 closed, the cut is arc 2 alone
     r = Residual(*where)
-    r.raise_to([0, 2], [caps[0], caps[2]])
+    r.set_caps([0, 2], [caps[0], caps[2]])
     assert r.cut([0, 2]) == ([2], [True, True, False], Fraction(1, 3))
 
 
@@ -316,7 +317,7 @@ def test_restart_from_the_returned_flow_changes_nothing():
         crossing = result[0]
         i = next((i for i, c in enumerate(caps) if c is not None and i not in crossing), None)
         if i is not None:
-            r.raise_to([i], [caps[i] + Fraction(1, 17)])
+            r.set_caps([i], [caps[i] + Fraction(1, 17)])
             assert r.cut(every) == result, seed
             assert (r.room[1::2], r.scale) == ([17 * f for f in ints], 17 * scale), seed
             finer += 1
@@ -341,7 +342,7 @@ def test_warm_start_after_raised_capacities_matches_a_cold_start():
             for c in caps
         ]
         changed = [i for i, (c, d) in enumerate(zip(caps, raised)) if c != d]
-        r.raise_to(changed, [raised[i] for i in changed])
+        r.set_caps(changed, [raised[i] for i in changed])
         warm = r.cut(every)
         cold = residual(where, raised)
         assert warm == cold.cut(every), seed
@@ -353,10 +354,9 @@ def test_warm_start_after_raised_capacities_matches_a_cold_start():
     assert augmented >= 50
 
 
-def test_start_that_does_not_fit_is_dropped():
-    # One capacity lowered below its flow: all flow is dropped, and the next
-    # cut is the cold one.
-    dropped = 0
+def test_capacity_below_its_flow_is_an_error():
+    # One capacity set below its arc's flow is refused, naming the arc.
+    refused = 0
     for seed, where, caps in rational_suite():
         every = range(len(caps))
         r = residual(where, caps)
@@ -364,18 +364,17 @@ def test_start_that_does_not_fit_is_dropped():
             continue
         i = next((i for i, f in enumerate(r.room[1::2]) if f), None)
         if i is not None:
-            lowered = list(caps)
-            lowered[i] = Fraction(r.room[2 * i + 1], 2 * r.scale)
-            r.raise_to([i], [lowered[i]])
-            assert r.total == 0 and not any(r.room[1::2]), seed
-            assert r.cut(every) == residual(where, lowered).cut(every), seed
-            dropped += 1
-    assert dropped >= 140  # 144 of the 300 carry a positive flow
+            message = f"^arc {i} carries flow above its new capacity$"
+            with pytest.raises(RuntimeError, match=message):
+                r.set_caps([i], [Fraction(r.room[2 * i + 1], 2 * r.scale)])
+            refused += 1
+    assert refused >= 140  # 144 of the 300 carry a positive flow
 
 
 def test_opened_and_closed_arcs_match_a_cold_start():
-    # Random runs of opens, raises and closes of empty arcs: each cut is the
-    # cold cut of the open arcs, and an arc that carries flow cannot close.
+    # Random runs of opens, raises and closes (capacity 0) of empty arcs: each
+    # cut is the cold cut of the open arcs, and an arc that carries flow
+    # cannot close.
     rng = random.Random(1)
     refused = closed = 0
     for seed, where, caps in rational_suite():
@@ -383,24 +382,24 @@ def test_opened_and_closed_arcs_match_a_cold_start():
         live = {}
         for _ in range(4):
             shut = [i for i in live if not r.room[2 * i + 1] and rng.random() < 0.3]
-            r.close(shut)
+            r.set_caps(shut, [0] * len(shut))
             for i in shut:
                 del live[i]
             closed += len(shut)
             busy = [i for i in live if r.room[2 * i + 1]]
             if busy:
                 with pytest.raises(RuntimeError, match="carries flow"):
-                    r.close(busy[:1])
+                    r.set_caps(busy[:1], [0])
                 refused += 1
             opened = [i for i in range(len(caps)) if i not in live and rng.random() < 0.5]
-            r.raise_to(opened, [caps[i] for i in opened])
+            r.set_caps(opened, [caps[i] for i in opened])
             live.update((i, caps[i]) for i in opened)
             up = {i: c + Fraction(1, rng.randint(1, 9))
                   for i, c in live.items() if c is not None and rng.random() < 0.3}
-            r.raise_to(list(up), list(up.values()))
+            r.set_caps(list(up), list(up.values()))
             live.update(up)
             cold = Residual(*where)
-            cold.raise_to(list(live), [live[i] for i in live])
+            cold.set_caps(list(live), [live[i] for i in live])
             assert r.cut(sorted(live)) == cold.cut(sorted(live)), seed
     assert refused >= 400 and closed >= 1000  # 450 refused, 1,374 closed
 
@@ -413,8 +412,8 @@ PRIMES = [p for p in range(2, 1224) if all(p % d for d in range(2, int(p**0.5) +
 def test_unbounded_rooms_beside_a_scale_past_float_range():
     # Rooms are in units of 1/scale, here the product of the first 200 primes
     # times 10**400, far past float range, beside math.inf rooms: every
-    # rescale, the augmentations through m -> t, the raise to no limit and
-    # the flow dropped by a capacity below it do exact arithmetic.
+    # rescale, the augmentations through m -> t and the raise to no limit do
+    # exact arithmetic.
     assert len(PRIMES) == 200
     arcs = [Arc("ut", "u", "t", None), Arc("mt", "m", "t", None)]
     arcs += [Arc(f"p{p}", "s", "m", Fraction(1, p)) for p in PRIMES]
@@ -431,17 +430,22 @@ def test_unbounded_rooms_beside_a_scale_past_float_range():
     caps = [a.capacity for a in arcs]
     r = residual(where, caps)
     assert r.scale > 10**700
-    # m -> t below its flow (all flow is dropped), then an s -> m arc that
-    # carries flow without a limit, then m -> t back above its flow
-    for pick, cap in ((lambda: 1, Fraction(1, 7)),
+    # m -> t limited above its flow with a new prime denominator (a rescale),
+    # then an s -> m arc that carries flow without a limit, then m -> t raised
+    # further; each of the last two augments by more than 1e308 units.
+    grown = []
+    for pick, cap in ((lambda: 1, 4 + Fraction(1, 1229)),
                       (lambda: next(i for i in range(2, 202) if r.room[2 * i + 1]), None),
                       (lambda: 1, Fraction(5))):
-        r.cut(every)
+        before = r.cut(every)[2]
         i = pick()
-        r.raise_to([i], [cap])
+        r.set_caps([i], [cap])
         caps[i] = cap
         brute = brute_min_cut_cost(replace(g, arcs=tuple(
             replace(a, capacity=c) for a, c in zip(arcs, caps))))
         cost = r.cut(every)[2]
         assert cost == brute == residual(where, caps).cut(every)[2]
         assert_maximum_flow(where, caps, r, cost)
+        grown.append((cost - before) * r.scale)
+    assert r.scale % 1229 == 0
+    assert grown[0] == 0 and all(x > sys.float_info.max for x in grown[1:])

@@ -6,7 +6,6 @@ from kgreedy.crashing import greedy_crash
 from kgreedy.generators import (
     RandomNetSpec,
     counterexample_network,
-    matrix_optimal_parts,
     matrix_sequence,
     random_network,
     random_sequence,
@@ -15,7 +14,7 @@ from kgreedy.generators import (
 from kgreedy.klis import greedy_klis_scripted
 from kgreedy.network import duration, network_from_json, network_to_json
 from kgreedy.oracle import exact_crash_cost, exact_klis
-from support import critical_graph, edge_ids, reference_random_network
+from support import critical_graph, edge_ids, matrix_optimal_parts, reference_random_network
 
 
 def loads_back(net):
