@@ -29,7 +29,6 @@ from .network import (
     Edge,
     Plan,
     ProjectNetwork,
-    apply_plan,
     duration,
     is_k_crashing,
     k_max,
@@ -45,7 +44,6 @@ __all__ = [
     "ProjectNetwork",
     "RandomNetSpec",
     "SubseqSelection",
-    "apply_plan",
     "cost_ratio_bound",
     "counterexample_network",
     "decompose",

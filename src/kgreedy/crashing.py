@@ -112,7 +112,11 @@ def _restriction(net: ProjectNetwork, below: int):
         order, tails, heads, [e.normal_len for e in net.edges], len(net.nodes), sink
     )
     near = [j for j, x in enumerate(slack) if x < below]
-    position = {j: p for p, j in enumerate(near)}
+    if len(near) == len(slack):
+        return slack, total, near, tails, heads, order
+    position = [0] * len(slack)
+    for p, j in enumerate(near):
+        position[j] = p
     return (
         slack,
         total,

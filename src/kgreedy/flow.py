@@ -22,9 +22,10 @@ the last one left.  The caller lists the open arcs for each cut, since an
 open arc of capacity 0 looks closed.
 
 Rooms are exact integers in units of 1/scale, so the inner loop adds and
-compares plain ints.  The scale only grows: a capacity whose denominator
-does not divide it makes it the least common multiple, and every room is
-multiplied up, never rounded.  An arc without a limit has room ``math.inf``.
+compares plain ints.  The scale only grows: a capacity update whose
+denominators do not all divide it rescales at most once, to the least common
+multiple of the scale and all of the update's denominators, and every room
+is multiplied up, never rounded.  An arc without a limit has room ``math.inf``.
 It stays ``math.inf`` when an int within float range is added to it,
 subtracted from it or multiplies it, but arithmetic with a larger int raises
 OverflowError, and exact costs reach such scales once their denominators
@@ -79,9 +80,12 @@ class Residual:
         self.tails, self.heads = tails, heads
         self.head = head = [0] * (2 * len(tails))
         head[0::2], head[1::2] = heads, tails
-        self.out: list[list[int]] = [[] for _ in range(n)]
-        for j in range(len(head)):
-            self.out[head[j ^ 1]].append(j)
+        self.out = out = [[] for _ in range(n)]
+        j = 0
+        for u, v in zip(tails, heads):
+            out[u].append(j)
+            out[v].append(j + 1)
+            j += 2
         self.room: list[int | float] = [0] * len(head)
         self.scale = 1
         self.total = 0
@@ -89,19 +93,22 @@ class Residual:
     def set_caps(self, arcs, caps) -> None:
         """Give the arcs at positions ``arcs`` capacities ``caps`` (None for
         no limit), keeping their flow; a capacity below its arc's flow
-        raises ``RuntimeError``."""
-        room = self.room
+        raises ``RuntimeError``.  ``caps`` is a sequence: the first
+        denominator that does not divide the scale rescales once, to the lcm
+        of the scale and every denominator in ``caps``."""
+        room, scale = self.room, self.scale
         for i, cap in zip(arcs, caps):
             if cap is None:
                 room[2 * i] = math.inf
                 continue
             d = cap.denominator
-            if self.scale % d:
-                up = d // math.gcd(self.scale, d)
-                self.scale *= up
+            if scale % d:
+                new = math.lcm(scale, *[c.denominator for c in caps if c is not None])
+                up = new // scale
+                self.scale = scale = new
                 self.room = room = [r if r == math.inf else r * up for r in room]
                 self.total *= up
-            units = cap.numerator * (self.scale // d)
+            units = cap.numerator * (scale // d)
             if units < room[2 * i + 1]:
                 raise RuntimeError(f"arc {i} carries flow above its new capacity")
             room[2 * i] = units - room[2 * i + 1]
@@ -153,7 +160,8 @@ class Residual:
             u = s
             while True:
                 if u == t:
-                    bottleneck = min((room[j] for j in path), default=math.inf)
+                    rooms = list(map(room.__getitem__, path))
+                    bottleneck = min(rooms, default=math.inf)
                     if bottleneck == math.inf:
                         self.total = total
                         return [], [], None
@@ -169,8 +177,9 @@ class Residual:
                             if room[j ^ 1] != math.inf:
                                 room[j ^ 1] += bottleneck
                     total += bottleneck
-                    # resume from the tail of the first arc the path saturated
-                    k = next(k for k, j in enumerate(path) if not room[j])
+                    # resume from the tail of the first arc the path saturated,
+                    # the first whose room was the bottleneck
+                    k = rooms.index(bottleneck)
                     u = head[path[k] ^ 1]
                     del path[k:]
                     continue

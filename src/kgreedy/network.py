@@ -260,17 +260,16 @@ def duration(net: ProjectNetwork) -> int:
 
 # -- plan application ---------------------------------------------------------
 
-def apply_plan(net: ProjectNetwork, plan: Plan) -> ProjectNetwork:
-    """The network with each edge shortened by its plan amount.
+def _planned_lengths(net: ProjectNetwork, plan: Plan) -> list[int]:
+    """Each edge's length once the plan is applied, by edge position.
 
-    Consumed schedule entries are dropped, so the next marginal cost of a
-    partially crashed edge is always ``cost_schedule[0]``.  Crashing changes
-    lengths only, so the result shares the input's topological index once
-    the input has one.
+    Raises ``PlanOutOfBoundsError`` for the first edge, in edge order, whose
+    amount exceeds its crashable days, and then for the first edge id, in
+    plan order, that names no edge.
     """
     amounts = plan.amounts
     applied = set()
-    new_edges = []
+    lengths = []
     for e in net.edges:
         if e.id in amounts:
             x = amounts[e.id]
@@ -279,12 +278,29 @@ def apply_plan(net: ProjectNetwork, plan: Plan) -> ProjectNetwork:
                     f"edge {e.id!r}: amount {x} exceeds crashable days {e.crashable_days}"
                 )
             applied.add(e.id)
-            e = Edge(e.id, e.src, e.dst, e.min_len, e.normal_len - x, e.cost_schedule[x:])
-        new_edges.append(e)
+            lengths.append(e.normal_len - x)
+        else:
+            lengths.append(e.normal_len)
     if len(applied) < len(amounts):
         unknown = next(edge_id for edge_id in amounts if edge_id not in applied)
         raise PlanOutOfBoundsError(f"plan names unknown edge {unknown!r}")
-    crashed = ProjectNetwork(net.nodes, net.source, net.sink, tuple(new_edges))
+    return lengths
+
+
+def apply_plan(net: ProjectNetwork, plan: Plan) -> ProjectNetwork:
+    """The network with each edge shortened by its plan amount.
+
+    Consumed schedule entries are dropped, so the next marginal cost of a
+    partially crashed edge is always ``cost_schedule[0]``.  Crashing changes
+    lengths only, so the result shares the input's topological index once
+    the input has one.
+    """
+    new_edges = tuple([
+        e if x == e.normal_len
+        else Edge(e.id, e.src, e.dst, e.min_len, x, e.cost_schedule[e.normal_len - x:])
+        for e, x in zip(net.edges, _planned_lengths(net, plan))
+    ])
+    crashed = ProjectNetwork(net.nodes, net.source, net.sink, new_edges)
     if "_index" in vars(net):
         vars(crashed)["_index"] = net._index
     return crashed
@@ -298,7 +314,7 @@ def k_max(net: ProjectNetwork) -> int:
 
 def is_k_crashing(net: ProjectNetwork, plan: Plan, k: int) -> bool:
     """True iff applying the plan shortens the project by at least k days."""
-    return duration(apply_plan(net, plan)) <= duration(net) - k
+    return _duration(net, _planned_lengths(net, plan)) <= duration(net) - k
 
 
 # -- JSON interchange ---------------------------------------------------------

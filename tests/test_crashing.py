@@ -11,7 +11,7 @@ from kgreedy.crashing import (
     greedy_crash,
     verify_trace,
 )
-from kgreedy.errors import NotCrashableError, NotKCrashingError
+from kgreedy.errors import NotCrashableError, NotKCrashingError, PlanOutOfBoundsError
 from kgreedy.generators import (
     RandomNetSpec,
     counterexample_network,
@@ -25,6 +25,7 @@ from kgreedy.network import (
     _slacks,
     apply_plan,
     duration,
+    is_k_crashing,
     k_max,
     linear_schedule,
     network_from_json,
@@ -316,6 +317,18 @@ class TestDecompose:
     def test_rejects_insufficient_plan(self):
         with pytest.raises(NotKCrashingError):
             decompose(counterexample_network(), Plan({"j3": 1}), 2)
+
+    @pytest.mark.parametrize("amounts", [{"zz": 1}, {"j1": 1, "j3": 99}, {"zz": 1, "j3": 99}])
+    def test_out_of_bounds_plan_raises_apply_plans_message(self, amounts):
+        # is_k_crashing checks the plan without building the crashed network;
+        # decompose and it must still fail as apply_plan does
+        net, plan = counterexample_network(), Plan(amounts)
+        with pytest.raises(PlanOutOfBoundsError) as want:
+            apply_plan(net, plan)
+        for check in (lambda: is_k_crashing(net, plan, 1), lambda: decompose(net, plan, 1)):
+            with pytest.raises(PlanOutOfBoundsError) as got:
+                check()
+            assert str(got.value) == str(want.value)
 
     def test_convex_levels_price_each_unit_at_its_own_entry(self):
         # test_convex_marginals_switch_edges's network: e1's first day costs

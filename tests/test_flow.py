@@ -354,6 +354,40 @@ def test_warm_start_after_raised_capacities_matches_a_cold_start():
     assert augmented >= 50
 
 
+def test_one_update_of_every_arc_matches_one_update_per_arc():
+    # One set_caps rescales at most once, to the lcm of all its denominators:
+    # the scale, the rooms and the cut are those of one call per arc, before
+    # any flow and again when raising arcs that carry flow.
+    rng = random.Random(2)
+    for seed, where, caps in rational_suite():
+        every = range(len(caps))
+        together, apart = Residual(*where), Residual(*where)
+        for new in (caps, [c if c is None else c + rational(rng) for c in caps]):
+            together.set_caps(list(every), new)
+            for i, c in enumerate(new):
+                apart.set_caps([i], [c])
+            assert (together.scale, together.room) == (apart.scale, apart.room), seed
+            assert together.cut(every) == apart.cut(every), seed
+            assert (together.room, together.total) == (apart.room, apart.total), seed
+
+
+def test_one_update_rescales_to_the_lcm_of_its_denominators():
+    # s -> m at 1/2, 1/3, 1/5 and 1/7 with m -> t unlimited, then s -> t at
+    # 1/11 and 1/13 opened beside the flow the first cut left
+    arcs = [Arc("mt", "m", "t", None)]
+    arcs += [Arc(f"sm{d}", "s", "m", Fraction(1, d)) for d in (2, 3, 5, 7)]
+    arcs += [Arc(f"st{d}", "s", "t", Fraction(1, d)) for d in (11, 13)]
+    g = FlowGraph(("s", "m", "t"), "s", "t", tuple(arcs))
+    r = Residual(3, 0, 2, [1, 0, 0, 0, 0, 0, 0], [2, 1, 1, 1, 1, 2, 2])
+    r.set_caps([0, 1, 2, 3, 4], [a.capacity for a in arcs[:5]])
+    assert r.scale == 210
+    assert r.cut(range(5))[2] == Fraction(247, 210)
+    r.set_caps([5, 6], [arcs[5].capacity, arcs[6].capacity])
+    assert r.scale == 30030
+    cost = r.cut(range(7))[2]
+    assert cost == brute_min_cut_cost(g) == Fraction(247, 210) + Fraction(1, 11) + Fraction(1, 13)
+
+
 def test_capacity_below_its_flow_is_an_error():
     # One capacity set below its arc's flow is refused, naming the arc.
     refused = 0
