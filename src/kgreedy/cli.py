@@ -352,14 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gd = gsub.add_parser("random-dag", help="seeded random project network")
     gd.add_argument("--nodes", type=int, required=True)
     gd.add_argument("--edges", type=int, required=True)
-    gd.add_argument("--max-len", type=int, default=5)
-    gd.add_argument("--max-crashable", type=int, default=2)
-    gd.add_argument("--cost-min", type=int, default=1)
-    gd.add_argument("--cost-max", type=int, default=9)
+    for flag in ("--max-len", "--max-crashable", "--cost-min", "--cost-max"):
+        gd.add_argument(flag, type=int, default=_PROBLEM_OPTIONS[flag])
     gd.add_argument("--seed", type=int, default=0)
     gs = gsub.add_parser("random-seq", help="seeded random integer sequence")
     gs.add_argument("-n", type=int, required=True)
-    gs.add_argument("--range", type=int, default=9)
+    gs.add_argument("--range", type=int, default=_PROBLEM_OPTIONS["--range"])
     gs.add_argument("--seed", type=int, default=0)
 
     exp = sub.add_parser("experiment", help="greedy-vs-oracle ratio runs, CSV output")

@@ -53,6 +53,9 @@ residual graph, which are the nodes the last BFS labelled.  After any maximum
 flow that set is the smallest source side of a minimum cut (it lies inside
 every other one), a property of the graph alone, so the cut, its sides and
 its cost depend neither on the augmentation order nor on the starting flow.
+The cost is the flow on the crossing arcs, which a maximum flow saturates
+(room left would reach the head) and carries none back (flow on an arc into
+the source side would reach its tail), so it is the flow's value.
 """
 
 from __future__ import annotations
@@ -71,8 +74,7 @@ class Residual:
     ``tails[i]`` to ``heads[i]``, all closed at first.
 
     ``room`` holds the residual rooms in units of 1/``scale``, so arc i
-    carries ``room[2 * i + 1] / scale``, and ``total`` is the flow's value in
-    the same units.
+    carries ``room[2 * i + 1] / scale``.
     """
 
     def __init__(self, n: int, source: int, sink: int, tails, heads):
@@ -88,7 +90,6 @@ class Residual:
             j += 2
         self.room: list[int | float] = [0] * len(head)
         self.scale = 1
-        self.total = 0
 
     def set_caps(self, arcs, caps) -> None:
         """Give the arcs at positions ``arcs`` capacities ``caps`` (None for
@@ -107,7 +108,6 @@ class Residual:
                 up = new // scale
                 self.scale = scale = new
                 self.room = room = [r if r == math.inf else r * up for r in room]
-                self.total *= up
             units = cap.numerator * (scale // d)
             if units < room[2 * i + 1]:
                 raise RuntimeError(f"arc {i} carries flow above its new capacity")
@@ -118,17 +118,16 @@ class Residual:
 
         Returns the positions of the crossing open arcs in arc order, a
         reached flag per node (the source side), and the cost, which is the
-        maximum flow value by duality.  The source side is the
-        residual-reachable set, also when no flow is possible: then the cut
-        costs 0 and lists the zero-capacity arcs, if any, that leave the
-        nodes reachable over positive capacity.  If every s-t cut crosses an
+        flow on the crossing arcs: the maximum flow value, by duality.  The
+        source side is the residual-reachable set, also when no flow is
+        possible: then the cut costs 0 and lists the zero-capacity arcs, if
+        any, that leave the nodes reachable over positive capacity.  If every s-t cut crosses an
         unbounded arc, or the source is the sink, no finite cut exists: the
         cost is None and both lists are empty.
         """
         # Rooms are never negative, so a truthy room is a usable residual arc.
         n, s, t = self.n, self.source, self.sink
         head, room, out = self.head, self.room, self.out
-        total = self.total
         while True:
             # BFS levels: level[v] is v's residual distance from s, None if unseen.
             level: list[int | None] = [None] * n
@@ -145,13 +144,13 @@ class Residual:
                             next_frontier.append(v)
                 frontier = next_frontier
             if level[t] is None:
-                self.total = total
                 tails, heads = self.tails, self.heads
                 crossing = [
                     i for i in open_arcs
                     if level[tails[i]] is not None and level[heads[i]] is None
                 ]
-                return crossing, [d is not None for d in level], Fraction(total, self.scale)
+                cost = Fraction(sum(room[2 * i + 1] for i in crossing), self.scale)
+                return crossing, [d is not None for d in level], cost
 
             # Blocking flow: a DFS over arcs that climb one level and have room.
             # ptr[u] is u's current arc; path holds the residual arcs from s to u.
@@ -163,7 +162,6 @@ class Residual:
                     rooms = list(map(room.__getitem__, path))
                     bottleneck = min(rooms, default=math.inf)
                     if bottleneck == math.inf:
-                        self.total = total
                         return [], [], None
                     if bottleneck <= _FLOAT_MAX:
                         for j in path:
@@ -176,7 +174,6 @@ class Residual:
                                 room[j] -= bottleneck
                             if room[j ^ 1] != math.inf:
                                 room[j ^ 1] += bottleneck
-                    total += bottleneck
                     # resume from the tail of the first arc the path saturated,
                     # the first whose room was the bottleneck
                     k = rooms.index(bottleneck)

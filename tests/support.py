@@ -13,9 +13,11 @@ enumeration, `reference_exact_crash_cost`, reads the network's topological
 order, which the oracle it checks never uses; the tail-state search,
 `reference_exact_klis`, is exponential in k and checks both the klis flow's
 witnesses and the RSK totals.  `full_plan`, every edge crashed to its
-minimum, builds the floor network the tests compare `k_max` against, and
+minimum, builds the floor network the tests compare `k_max` against,
 `matrix_optimal_parts` reads the staircase's k column copies off its values
-as the certificate of its optimum k^2.
+as the certificate of its optimum k^2, and `h2_network` builds the H_2
+family, on which a tie path of the crash greedy pays exactly H_2 times the
+optimum.
 
 The exception is the named reference path.  `Arc`, `FlowGraph`, `CutResult`
 and `min_cut` are flow graphs and cuts by name, and `critical_graph` is a
@@ -56,6 +58,7 @@ from kgreedy.network import (
     as_cost,
     duration,
     linear_schedule,
+    network_from_json,
 )
 
 
@@ -147,6 +150,30 @@ def two_edge_project(c_first=1, c_second=1):
             {"id": "f", "from": "u", "to": "t", "a": 0, "b": 3, "c": c_second},
         ],
     }
+
+
+def h2_network(s, bump=0):
+    """The H_2 family with cost scale ``s``, built by ``network_from_json``:
+    source 0, sink 3, and e0 costing 9s + ``bump``.  At ``bump`` 0 the
+    greedy's first day ties {e0} (the library's pick) with {e2}, both at 9s;
+    after {e2} the second day cuts {e0, e4} at 18s, so that tie path pays
+    27s against the optimum's 18s, exactly H_2 = 3/2.  At ``bump`` 1 the
+    library takes {e2} itself and pays 27s + 1 against 18s + 1."""
+    rows = [
+        ("e0", 0, 1, 1, 3, 9 * s + bump), ("e1", 0, 2, 1, 5, 11 * s),
+        ("e2", 1, 2, 2, 3, 9 * s), ("e3", 1, 3, 2, 5, 13 * s),
+        ("e4", 2, 3, 0, 3, 9 * s), ("e5", 0, 2, 2, 4, 8 * s),
+        ("e6", 2, 3, 1, 2, 6 * s),
+    ]
+    return network_from_json({
+        "nodes": ["0", "1", "2", "3"],
+        "source": "0",
+        "sink": "3",
+        "edges": [
+            {"id": i, "from": str(u), "to": str(v), "a": a, "b": b, "c": c}
+            for i, u, v, a, b, c in rows
+        ],
+    })
 
 
 def structural_faults():

@@ -13,6 +13,7 @@ import math
 import time
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from kgreedy.cli import main
 from kgreedy.crashing import cost_ratio_bound, decompose, greedy_crash, verify_trace
@@ -25,16 +26,20 @@ from kgreedy.generators import (
     with_convex_schedules,
 )
 from kgreedy.klis import greedy_klis, greedy_klis_scripted, total_ratio_bound
-from kgreedy.network import k_max
-from kgreedy.oracle import exact_crash_cost, exact_klis
+from kgreedy.network import Plan, apply_plan, is_k_crashing, k_max
+from kgreedy.oracle import exact_crash_cost, exact_klis, exact_klis_total
 from support import (
     brute_min_cut_cost,
     cut_capacity,
     failures,
+    h2_network,
     matrix_optimal_parts,
     min_cut,
+    plan_cost,
     random_flow_graph,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def conclude(number, description, ok, started):
@@ -278,3 +283,46 @@ def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
         ok &= files[0].read_bytes() == files[1].read_bytes()
 
     conclude(10, "identical inputs and seeds give byte-identical JSON/CSV", ok, started)
+
+
+def test_criterion_11_klis_bound_attained_at_k3():
+    started = time.monotonic()
+    values = [int(v) for v in (GOLDEN / "klis_k3_witness.txt").read_text().split(",")]
+    script = json.loads((GOLDEN / "klis_k3_witness_script.json").read_text())
+    # the replay checks that every round is a longest subsequence of its residue
+    scripted = greedy_klis_scripted(values, 3, script).total_length
+    opt = exact_klis_total(values, 3)
+    ok = (
+        (scripted, opt) == (19, 27)
+        and Fraction(scripted, opt) == total_ratio_bound(3) == Fraction(19, 27)
+        and greedy_klis(values, 3).total_length == 27
+    )
+    conclude(11, "27-value witness, k=3: a scripted greedy totals exactly 19/27 of 27", ok,
+             started)
+
+
+def test_criterion_12_crash_bound_attained_at_k2():
+    started = time.monotonic()
+    ok = True
+    for s in (1, 10):
+        net = h2_network(s)
+        opt = exact_crash_cost(net, 2)[1]
+        ok &= greedy_crash(net, 2).total_cost == opt == 18 * s
+        # the tied first day {e2} is as cheap as the library's, and dearer after
+        tied = Plan({"e2": 1})
+        ok &= is_k_crashing(net, tied, 1)
+        ok &= plan_cost(net, tied) == greedy_crash(net, 1).total_cost == 9 * s
+        second = greedy_crash(apply_plan(net, tied), 1)
+        ok &= [step.edges for step in second.steps] == [{"e0", "e4"}]
+        ok &= second.total_cost == 18 * s
+        tie_path = plan_cost(net, tied) + second.total_cost
+        ok &= tie_path == 27 * s and tie_path / opt == cost_ratio_bound(2) == Fraction(3, 2)
+        # with e0 at 9s + 1 the library's own greedy takes that tie path
+        bumped = h2_network(s, bump=1)
+        greedy = greedy_crash(bumped, 2)
+        ok &= [step.edges for step in greedy.steps] == [{"e2"}, {"e0", "e4"}]
+        ok &= greedy.total_cost == 27 * s + 1
+        ok &= exact_crash_cost(bumped, 2)[1] == 18 * s + 1
+        ok &= verify_trace(decompose(bumped, greedy.plan, 2)).passed
+    conclude(12, "H_2 family, k=2, s in {1,10}: a tied greedy pays exactly 3/2 of the optimum",
+             ok, started)

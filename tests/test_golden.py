@@ -37,6 +37,11 @@ TRANSCRIPTS = [
     ("gen_matrix_k4", ["gen", "matrix", "-k", "4", "--script", "{dir}/m4.json"], None),
     ("klis_matrix_k4_scripted",
      ["klis", "-k", "4", "--input", "{dir}/gen_matrix_k4.out", "--script", "{dir}/m4.json"], None),
+    ("klis_k3_witness_scripted",
+     ["klis", "-k", "3", "--input", str(GOLDEN / "klis_k3_witness.txt"),
+      "--script", str(GOLDEN / "klis_k3_witness_script.json")], None),
+    ("klis_k3_witness_exact",
+     ["klis", "-k", "3", "--input", str(GOLDEN / "klis_k3_witness.txt"), "--exact"], None),
     ("gen_random_dag", ["gen", "random-dag", "--nodes", "5", "--edges", "8", "--seed", "7"], None),
     ("gen_random_seq", ["gen", "random-seq", "-n", "12", "--seed", "7"], None),
     ("experiment_crashing",
