@@ -26,7 +26,7 @@ EXIT_SCRIPT = 4
 def _frac(value: Fraction) -> str:
     """The exact value as ``str`` prints it, in full at any size."""
     try:
-        return str(int(value)) if value.denominator == 1 else str(value)
+        return str(value)
     except ValueError:  # more digits than the int-to-str limit
         # A Decimal made from an int prints it without that limit; importing
         # decimal here keeps it out of every other run's start-up.
@@ -208,10 +208,10 @@ def _klis_matrix_trial(args, seed: int):
 _PROBLEM_OPTIONS = {
     "--nodes": 5,
     "--edges": 8,
-    "--max-len": 5,
-    "--max-crashable": 2,
-    "--cost-min": 1,
-    "--cost-max": 9,
+    "--max-len": generators.RandomNetSpec.max_normal_len,
+    "--max-crashable": generators.RandomNetSpec.max_crashable,
+    "--cost-min": generators.RandomNetSpec.cost_range[0],
+    "--cost-max": generators.RandomNetSpec.cost_range[1],
     "--length": 12,
     "--range": 9,
 }

@@ -48,11 +48,12 @@ critical list, the day's slack-0 edges, records which edges are open.
 restricted minimum cuts whose costs are provably monotone.  Each level's
 critical edges are a subset of the previous level's, so only the edges of
 slack 0 in the input can be cut, and its slack passes and one residual per
-run hold those alone, by position among them: as on greedy days, an edge is
-priced at its next planned unit, so capacities only rise, and edges only
-leave the critical list.  It keeps the input network once in the trace and
-stores each level as lists by edge and node position: lengths, remaining
-plan units, critical edges, cut edges and the cut's reached nodes.
+run hold those alone, by position among them.  As on greedy days, a level
+cuts first: an edge is priced at its next planned unit, so spending the cut
+only raises capacities, and a slack pass then closes the edges that leave
+the critical graph, k passes in all.  It keeps the input network once in the
+trace and stores each level as lists by edge and node position: lengths,
+remaining plan units, critical edges, cut edges and the cut's reached nodes.
 ``verify_trace`` derives the cut-overlap partitions that witness the
 monotonicity from those levels and checks them, so a changed level is
 checked as it stands.
@@ -104,23 +105,24 @@ class GreedyCrashResult:
 
 
 def _restriction(net: ProjectNetwork, below: int):
-    """The network's slacks and duration, and its edges of slack less than
-    ``below``: their positions, and their tails, heads and ``_kahn`` order by
-    position among them."""
+    """The network's duration and its edges of slack less than ``below``:
+    their positions, the slack-0 ones among them (by position among them),
+    and their tails, heads and ``_kahn`` order by position among them."""
     tails, heads, order, _, sink = net._index
     slack, total = _slacks(
         order, tails, heads, [e.normal_len for e in net.edges], len(net.nodes), sink
     )
     near = [j for j, x in enumerate(slack) if x < below]
+    critical = [p for p, j in enumerate(near) if not slack[j]]
     if len(near) == len(slack):
-        return slack, total, near, tails, heads, order
+        return total, near, critical, tails, heads, order
     position = [0] * len(slack)
     for p, j in enumerate(near):
         position[j] = p
     return (
-        slack,
         total,
         near,
+        critical,
         [tails[j] for j in near],
         [heads[j] for j in near],
         [position[j] for j in order if slack[j] < below],
@@ -142,7 +144,7 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
     _, _, _, source, sink = net._index
     n = len(net.nodes)
     # Only edges of slack less than k are ever critical (see the module docstring).
-    slack, total, near, tails, heads, order = _restriction(net, k)
+    total, near, critical, tails, heads, order = _restriction(net, k)
     edges = [net.edges[j] for j in near]
     length = [e.normal_len for e in edges]
     schedule = [e.cost_schedule for e in edges]
@@ -152,7 +154,6 @@ def greedy_crash(net: ProjectNetwork, k: int) -> GreedyCrashResult:
         return [schedule[p][used[p]] if used[p] < len(schedule[p]) else None for p in positions]
 
     residual = flow.Residual(n, source, sink, tails, heads)
-    critical = [p for p, j in enumerate(near) if not slack[j]]
     residual.set_caps(critical, capacities(critical))
     steps: list[CrashStep] = []
     durations: list[int] = []
@@ -236,10 +237,9 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
     n = len(net.nodes)
     edges = net.edges
     # Only the input's critical edges are ever cut (see the module docstring).
-    _, _, near, tails, heads, order = _restriction(net, 1)
+    _, near, critical, tails, heads, order = _restriction(net, 1)
     length = [e.normal_len for e in edges]
     remaining = [plan.amounts.get(e.id, 0) for e in edges]
-    short = [length[j] for j in near]
 
     def prices(positions):
         return [
@@ -248,17 +248,9 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
         ]
 
     residual = flow.Residual(n, source, sink, tails, heads)
-    critical = list(range(len(near)))  # the previous level's critical edges
     residual.set_caps(critical, prices(critical))
     levels: list[TraceLevel] = []
     for i in range(1, k + 1):
-        # ``order`` holds the previous critical edges only, so only their
-        # slacks are those of the previous critical graph.
-        slack, _ = _slacks(order, tails, heads, short, n, sink)
-        departed = [p for p in critical if slack[p]]
-        residual.set_caps(departed, [0] * len(departed))
-        critical = [p for p in critical if not slack[p]]
-        order = [p for p in order if not slack[p]]
         crossing, reached, cost = residual.cut(critical)
         if cost is None:
             raise NotKCrashingError(
@@ -272,10 +264,16 @@ def decompose(net: ProjectNetwork, plan: Plan, k: int) -> DecompositionTrace:
         if i == k:
             break
         for p, j in zip(crossing, cut):
-            short[p] -= 1
             length[j] -= 1
             remaining[j] -= 1
         residual.set_caps(crossing, prices(crossing))
+        # ``order`` holds this level's critical edges only, so only their
+        # slacks are those of its critical graph.
+        slack, _ = _slacks(order, tails, heads, [length[j] for j in near], n, sink)
+        departed = [p for p in critical if slack[p]]
+        residual.set_caps(departed, [0] * len(departed))
+        critical = [p for p in critical if not slack[p]]
+        order = [p for p in order if not slack[p]]
     return DecompositionTrace(net, tuple(levels))
 
 

@@ -15,9 +15,9 @@ order, which the oracle it checks never uses; the tail-state search,
 witnesses and the RSK totals.  `full_plan`, every edge crashed to its
 minimum, builds the floor network the tests compare `k_max` against,
 `matrix_optimal_parts` reads the staircase's k column copies off its values
-as the certificate of its optimum k^2, and `h2_network` builds the H_2
-family, on which a tie path of the crash greedy pays exactly H_2 times the
-optimum.
+as the certificate of its optimum k^2, `h2_network` builds the H_2 family,
+on which a tie path of the crash greedy pays exactly H_2 times the optimum,
+and `k3_tie_network` a k = 3 project whose tie path pays 55/37 of it.
 
 The exception is the named reference path.  `Arc`, `FlowGraph`, `CutResult`
 and `min_cut` are flow graphs and cuts by name, and `critical_graph` is a
@@ -152,6 +152,20 @@ def two_edge_project(c_first=1, c_second=1):
     }
 
 
+def _project_network(sink, rows):
+    """A project on nodes 0..``sink``, source 0, built by ``network_from_json``
+    from (id, from, to, a, b, c) edge rows."""
+    return network_from_json({
+        "nodes": [str(v) for v in range(sink + 1)],
+        "source": "0",
+        "sink": str(sink),
+        "edges": [
+            {"id": i, "from": str(u), "to": str(v), "a": a, "b": b, "c": c}
+            for i, u, v, a, b, c in rows
+        ],
+    })
+
+
 def h2_network(s, bump=0):
     """The H_2 family with cost scale ``s``, built by ``network_from_json``:
     source 0, sink 3, and e0 costing 9s + ``bump``.  At ``bump`` 0 the
@@ -159,21 +173,24 @@ def h2_network(s, bump=0):
     after {e2} the second day cuts {e0, e4} at 18s, so that tie path pays
     27s against the optimum's 18s, exactly H_2 = 3/2.  At ``bump`` 1 the
     library takes {e2} itself and pays 27s + 1 against 18s + 1."""
-    rows = [
+    return _project_network(3, [
         ("e0", 0, 1, 1, 3, 9 * s + bump), ("e1", 0, 2, 1, 5, 11 * s),
         ("e2", 1, 2, 2, 3, 9 * s), ("e3", 1, 3, 2, 5, 13 * s),
         ("e4", 2, 3, 0, 3, 9 * s), ("e5", 0, 2, 2, 4, 8 * s),
         ("e6", 2, 3, 1, 2, 6 * s),
-    ]
-    return network_from_json({
-        "nodes": ["0", "1", "2", "3"],
-        "source": "0",
-        "sink": "3",
-        "edges": [
-            {"id": i, "from": str(u), "to": str(v), "a": a, "b": b, "c": c}
-            for i, u, v, a, b, c in rows
-        ],
-    })
+    ])
+
+
+def k3_tie_network():
+    """A k = 3 project, source 0 and sink 5, built by ``network_from_json``.
+    The greedy takes {e6}, {e0}, {e4} for the optimum's 37, while the tie
+    path {e6}, {e2}, {e0, e4} of cheapest one-day plans pays 1 + 18 + 36 =
+    55: 55/37, below H_2 = 3/2 and far from H_3 = 11/6."""
+    return _project_network(5, [
+        ("e0", 0, 1, 0, 3, 18), ("e1", 0, 2, 0, 5, 23), ("e2", 1, 4, 0, 3, 18),
+        ("e3", 1, 5, 0, 5, 31), ("e4", 2, 5, 2, 3, 18), ("e5", 3, 2, 0, 0, 7),
+        ("e6", 4, 3, 0, 1, 1),
+    ])
 
 
 def structural_faults():

@@ -33,6 +33,7 @@ from support import (
     cut_capacity,
     failures,
     h2_network,
+    k3_tie_network,
     matrix_optimal_parts,
     min_cut,
     plan_cost,
@@ -325,4 +326,25 @@ def test_criterion_12_crash_bound_attained_at_k2():
         ok &= exact_crash_cost(bumped, 2)[1] == 18 * s + 1
         ok &= verify_trace(decompose(bumped, greedy.plan, 2)).passed
     conclude(12, "H_2 family, k=2, s in {1,10}: a tied greedy pays exactly 3/2 of the optimum",
+             ok, started)
+
+
+def test_criterion_13_crash_tie_path_at_k3():
+    started = time.monotonic()
+    net = k3_tie_network()
+    greedy = greedy_crash(net, 3)
+    ok = [step.edges for step in greedy.steps] == [{"e6"}, {"e0"}, {"e4"}]
+    ok &= greedy.total_cost == exact_crash_cost(net, 3)[1] == 37
+    # every day of the tie path is a cheapest one-day plan of what is left
+    day_costs = []
+    for amounts in ({"e6": 1}, {"e2": 1}, {"e0": 1, "e4": 1}):
+        day = Plan(amounts)
+        ok &= is_k_crashing(net, day, 1)
+        day_costs.append(plan_cost(net, day))
+        ok &= day_costs[-1] == greedy_crash(net, 1).total_cost
+        net = apply_plan(net, day)
+    ok &= day_costs == [1, 18, 36]
+    tie_path = sum(day_costs)
+    ok &= tie_path == 55 and tie_path / greedy.total_cost == Fraction(55, 37) < cost_ratio_bound(2)
+    conclude(13, "55/37 network, k=3: greedy pays the optimum 37, a tie path 1 + 18 + 36",
              ok, started)

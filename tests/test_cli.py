@@ -58,6 +58,22 @@ def test_usage_error_exits_three(tmp_path, fig2_path, argv, message):
     assert err == f"error: {message}\n"
 
 
+# A one-node project: its source is its sink, so no day can be saved.
+ONE_NODE = {"nodes": ["s"], "source": "s", "sink": "s", "edges": []}
+
+
+@pytest.mark.parametrize("mode, message", [
+    ([], "no 1-day plan exists: day 1 cannot be saved"),
+    (["--exact"], "k_max is 0, no 1-day plan exists"),
+    (["--trace"], "no 1-day plan exists: day 1 cannot be saved"),
+], ids=["one-node-greedy", "one-node-exact", "one-node-trace"])
+def test_infeasible_crash_exits_two(tmp_path, mode, message):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(ONE_NODE))
+    err = assert_exit_defined(["crash", "--input", str(path), "-k", "1", *mode], (2,))
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("k", [1, 5, 36])
 def test_crash_exact_on_200_edges(tmp_path, capsys, k):
     # k_max is 36; a minimum cut is optimal for one day, so at k = 1 the
@@ -115,6 +131,9 @@ def test_shell_exit_codes(tmp_path):
     usage = kgreedy("crash", "--input", str(path), "-k", "abc")
     assert (usage.returncode, usage.stdout) == (3, "")
     assert usage.stderr == "error: argument -k: invalid int value: 'abc'\n"
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(ONE_NODE))
+    assert kgreedy("crash", "--input", str(one), "-k", "1").returncode == 2
     assert kgreedy("--help").returncode == 0
 
 

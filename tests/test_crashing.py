@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kgreedy import flow
+from kgreedy import crashing, flow
 from kgreedy.crashing import (
     cost_ratio_bound,
     decompose,
@@ -656,6 +656,27 @@ def test_decompose_holds_only_the_input_slack_zero_edges(monkeypatch):
             assert trace.levels[0].critical == tuple(zero)
         restricted += len(zero) < len(near)
     assert restricted >= 10
+
+
+def test_a_run_of_k_days_or_levels_makes_k_slack_passes(monkeypatch):
+    # ``_restriction`` makes the first pass; each day or level but the last
+    # cuts, then one pass gives the next critical graph.
+    passes = []
+
+    def counting(*args):
+        passes.append(args)
+        return _slacks(*args)
+
+    monkeypatch.setattr(crashing, "_slacks", counting)
+    for net in [counterexample_network(), *layered_nets(), *small_nets(20)]:
+        for k in range(1, k_max(net) + 1):
+            passes.clear()
+            plans = [greedy_crash(net, k).plan, full_plan(net)]
+            assert len(passes) == k
+            for plan in plans:
+                passes.clear()
+                decompose(net, plan, k)
+                assert len(passes) == k
 
 
 def bypassed(net, length, cost):
